@@ -24,16 +24,12 @@ __all__ = [
     "backward",
     "grad_check",
     "record",
-    "elementwise",
     "add",
     "sub",
     "mul",
     "add_const",
     "mul_const",
     "const_minus",
-    "scale_by",
-    "shift_by",
-    "activation",
     "relu",
     "lrelu",
     "sigmoid",
@@ -199,11 +195,6 @@ def _require_finite(arr: np.ndarray, op: str) -> None:
         raise FloatingPointError(f"{op}: input contains non-finite values")
 
 
-def _require_scalar_tensor(s: Tensor, op: str) -> None:
-    if s.shape != (1, 1, 1, 1):
-        raise ValueError(f"{op}: scalar tensor must have shape (1, 1, 1, 1), got {s.shape}")
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
@@ -226,18 +217,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record((a, b), out, lambda g: (g * bd, g * ad))
 
 
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(op_kind: str, a: Tensor, b: Tensor) -> Tensor:
-    """Dispatch on op_kind in {add, sub, mul}; shapes must match exactly."""
-    try:
-        fn = _ELEMENTWISE[op_kind]
-    except KeyError:
-        raise ValueError(f"elementwise: unknown op_kind {op_kind!r}") from None
-    return fn(a, b)
-
-
 def add_const(x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data + x.dtype.type(c))
     return record((x,), out, lambda g: (g,))
@@ -253,33 +232,6 @@ def const_minus(c: float, x: Tensor) -> Tensor:
     """c - x with c a plain scalar."""
     out = Tensor(x.dtype.type(c) - x.data)
     return record((x,), out, lambda g: (-g,))
-
-
-def scale_by(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply every element of x by the single value held in s."""
-    _require_scalar_tensor(s, "scale_by")
-    out = Tensor(x.data * s.data.reshape(()))
-    xd, sd = x.data, s.data
-
-    def bwd(g):
-        gx = g * sd.reshape(()) if x.requires_grad else None
-        gs = (g * xd).sum().reshape(1, 1, 1, 1) if s.requires_grad else None
-        return gx, gs
-
-    return record((x, s), out, bwd)
-
-
-def shift_by(x: Tensor, s: Tensor) -> Tensor:
-    """Add the single value held in s to every element of x."""
-    _require_scalar_tensor(s, "shift_by")
-    out = Tensor(x.data + s.data.reshape(()))
-
-    def bwd(g):
-        gx = g if x.requires_grad else None
-        gs = g.sum().reshape(1, 1, 1, 1) if s.requires_grad else None
-        return gx, gs
-
-    return record((x, s), out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +273,6 @@ def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
     out = Tensor(y)
     return record((x,), out, lambda g: (g * (1.0 - y * y),))
-
-
-_ACTIVATIONS = {"relu": relu, "lrelu": lrelu, "sigmoid": sigmoid, "tanh": tanh}
-
-
-def activation(kind: str, x: Tensor, slope: float = 0.2) -> Tensor:
-    """Dispatch on kind in {relu, lrelu, sigmoid, tanh}; slope feeds lrelu only."""
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"activation: slope must lie in (0, 1), got {slope}")
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"activation: unknown kind {kind!r}") from None
-    return fn(x, slope) if kind == "lrelu" else fn(x)
 
 
 def log(x: Tensor) -> Tensor:

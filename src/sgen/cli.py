@@ -21,7 +21,7 @@ from .checks import run_gradient_battery
 from .config import ConfigError, RunConfig, load_config
 from .data import bilinear_resize, degrade, degraded_dataset, denormalize, normalize
 from .metrics import evaluate
-from .model import generator_forward, generator_param_names
+from .model import build_generator, generator_forward
 from .ppm import PpmError, load_image, save_image
 from .train import load_corpus, run_training
 
@@ -60,8 +60,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _require_matching_architecture(params, model_cfg, checkpoint) -> None:
-    expected = generator_param_names(model_cfg)
+def _require_matching_architecture(params, cfg: RunConfig, checkpoint) -> None:
+    expected = build_generator(cfg, np.random.default_rng(0)).names()
     have = set(params.names())
     missing = [n for n in expected if n not in have]
     extra = sorted(have - set(expected))
@@ -80,19 +80,9 @@ def _require_matching_architecture(params, model_cfg, checkpoint) -> None:
 def cmd_restore(args) -> int:
     cfg = _resolve_config(args)
     params = load_checkpoint(args.checkpoint)
-    model_cfg = cfg.sgen_config()
-    _require_matching_architecture(params, model_cfg, args.checkpoint)
+    _require_matching_architecture(params, cfg, args.checkpoint)
     image = load_image(args.in_path)
-    _, _, h, w = image.shape
-    d = model_cfg.divisor
-    if h % d or w % d:
-        lo_h, hi_h = (h // d) * d, ((h + d - 1) // d) * d
-        lo_w, hi_w = (w // d) * d, ((w + d - 1) // d) * d
-        raise ValueError(
-            f"restore: image is {h}x{w} but dims must be divisible by {d};"
-            f" nearest valid heights {lo_h}/{hi_h}, widths {lo_w}/{hi_w}"
-        )
-    out = denormalize(generator_forward(normalize(image), params, model_cfg))
+    out = denormalize(generator_forward(normalize(image), params, cfg))
     save_image(out, args.out_path)
     return 0
 
@@ -100,7 +90,7 @@ def cmd_restore(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     params = load_checkpoint(args.checkpoint)
-    _require_matching_architecture(params, cfg.sgen_config(), args.checkpoint)
+    _require_matching_architecture(params, cfg, args.checkpoint)
     images = load_corpus(cfg, split="test")
     spec = cfg.degrade_spec()
     # no scale filtering here: evaluate() reports incompatible scales as
@@ -108,10 +98,10 @@ def cmd_evaluate(args) -> int:
     pairs = degraded_dataset(images, spec)
     report = evaluate(
         params,
-        cfg.sgen_config(),
+        cfg,
         pairs,
         model_id=str(args.checkpoint),
-        degradation=f"down{spec.down_factor} sigma{spec.noise_sigma:g} {spec.up_method}",
+        degradation=f"down{spec.down_factor} sigma{spec.noise_sigma:g} nearest",
     )
     text_path = Path(cfg.report_out + ".txt")
     csv_path = Path(cfg.report_out + ".csv")

@@ -1,9 +1,9 @@
 """Plain key=value run configuration.
 
 One ``key = value`` pair per line; blank lines and # comments are
-ignored.  Unknown keys are rejected so typos fail loudly instead of
-silently training with defaults.  ``serialize_config(parse_config(text))``
-round-trips every setting.
+ignored.  Unknown keys and invalid values are rejected so typos fail
+loudly instead of silently training with defaults.
+``serialize_config(parse_config(text))`` round-trips every setting.
 """
 
 from __future__ import annotations
@@ -12,25 +12,25 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import EVAL_SCALES, DegradeSpec
+from .losses import G_LOSS_VARIANTS
 from .model import SgenConfig
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "load_config", "serialize_config"]
 
 
 class ConfigError(ValueError):
-    """Raised for unknown keys or unparseable values."""
+    """Raised for unknown keys, unparseable values or invalid settings."""
+
+
+# "none" selects plain MSE training
+GAN_LOSSES = ("none",) + G_LOSS_VARIANTS
 
 
 @dataclass
-class RunConfig:
-    # architecture
-    n_levels: int = 3
-    base_channels: int = 32
-    bottleneck_channels: int = 64
-    merge_mode: str = "sgu"
-    lrelu_slope: float = 0.2
-    disc_channels: tuple[int, ...] = (32, 64, 128, 256)
-    # training; gan_loss "none" selects plain MSE training
+class RunConfig(SgenConfig):
+    """Architecture fields (inherited) plus training, data and output settings."""
+
+    # training
     gan_loss: str = "minimax"
     lambda_mse: float = 0.1
     learning_rate: float = 0.0002
@@ -42,7 +42,6 @@ class RunConfig:
     scales: tuple[tuple[int, int], ...] = EVAL_SCALES
     down_factor: int = 4
     noise_sigma: float = 30.0
-    up_method: str = "nearest"
     # data sources and outputs
     data_root: str = ""
     synthetic_count: int = 0
@@ -51,33 +50,33 @@ class RunConfig:
     report_out: str = "report"
     log_out: str = ""
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.gan_loss not in GAN_LOSSES:
+            raise ValueError(f"gan_loss {self.gan_loss!r} not in {GAN_LOSSES}")
+        if self.lambda_mse < 0:
+            raise ValueError(f"lambda_mse must be >= 0, got {self.lambda_mse}")
+
     @property
     def adversarial(self) -> bool:
         return self.gan_loss != "none"
 
     def sgen_config(self) -> SgenConfig:
-        variant = self.gan_loss if self.gan_loss != "none" else "minimax"
-        return SgenConfig(
-            n_levels=self.n_levels,
-            base_channels=self.base_channels,
-            bottleneck_channels=self.bottleneck_channels,
-            merge_mode=self.merge_mode,
-            lrelu_slope=self.lrelu_slope,
-            gan_loss=variant,
-            lambda_mse=self.lambda_mse,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            disc_channels=self.disc_channels,
-        )
+        """The architecture config: a RunConfig is one."""
+        return self
 
     def degrade_spec(self) -> DegradeSpec:
         return DegradeSpec(
             scales=self.scales,
             down_factor=self.down_factor,
             noise_sigma=self.noise_sigma,
-            up_method=self.up_method,
             seed=self.seed,
         )
+
+
+# in_channels is an architecture field for grayscale test rigs; image data
+# is RGB, so it is not a config-file key
+_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "in_channels")
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -103,9 +102,8 @@ def _fmt_size(size: tuple[int, int]) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig()
     defaults = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -115,7 +113,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
             if key == "scales":
@@ -131,8 +129,11 @@ def parse_config(text: str) -> RunConfig:
             raise
         except (TypeError, ValueError):
             raise ConfigError(f"line {lineno}: bad value {value!r} for key {key!r}") from None
-        setattr(cfg, key, parsed)
-    return cfg
+        values[key] = parsed
+    try:
+        return RunConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(f"bad config: {exc}") from None
 
 
 def load_config(path) -> RunConfig:
@@ -141,15 +142,15 @@ def load_config(path) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if f.name == "scales":
+    for key in _KEYS:
+        value = getattr(cfg, key)
+        if key == "scales":
             text = ",".join(_fmt_size(s) for s in value)
-        elif f.name == "synthetic_size":
+        elif key == "synthetic_size":
             text = _fmt_size(value)
-        elif f.name == "disc_channels":
+        elif key == "disc_channels":
             text = ",".join(str(v) for v in value)
         else:
             text = str(value)
-        lines.append(f"{f.name} = {text}")
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

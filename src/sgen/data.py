@@ -52,7 +52,6 @@ class DegradeSpec:
     scales: tuple[tuple[int, int], ...] = EVAL_SCALES
     down_factor: int = 4
     noise_sigma: float = 30.0
-    up_method: str = "nearest"
     seed: int = 0
 
     def __post_init__(self):
@@ -60,8 +59,6 @@ class DegradeSpec:
             raise ValueError(f"down_factor must be >= 1, got {self.down_factor}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.up_method != "nearest":
-            raise ValueError(f"up_method must be 'nearest', got {self.up_method!r}")
         if not self.scales:
             raise ValueError("scales must not be empty")
         for h, w in self.scales:

@@ -136,9 +136,9 @@ def evaluate(
 ) -> QualityReport:
     """Restore every pair and aggregate PSNR/SSIM per scale.
 
-    Scales whose dimensions the model cannot process (not divisible by
-    2^(n_levels+1)) get a warning row with count 0 instead of failing the
-    whole run.  Infinite PSNR values are excluded from the means; a scale
+    Scales whose dimensions the model cannot process (see
+    ``SgenConfig.fits``) get a warning row with count 0 instead of failing
+    the whole run.  Infinite PSNR values are excluded from the means; a scale
     where every image restores perfectly reports inf.
     """
     if restorer is None:
@@ -149,13 +149,11 @@ def evaluate(
         by_scale.setdefault((h, w), []).append(pair)
 
     report = QualityReport(model_id=model_id, degradation=degradation)
-    divisor = cfg.divisor
     for (h, w) in sorted(by_scale):
         bucket = by_scale[(h, w)]
-        if h % divisor or w % divisor:
-            report.rows.append(
-                ScaleRow(h, w, math.nan, math.nan, 0, f"skipped: dims not divisible by {divisor}")
-            )
+        if not cfg.fits(h, w):
+            note = f"skipped: dims not divisible by {cfg.divisor}"
+            report.rows.append(ScaleRow(h, w, math.nan, math.nan, 0, note))
             continue
         psnrs, ssims = [], []
         for pair in bucket:

@@ -30,13 +30,12 @@ __all__ = [
     "build_discriminator",
     "generator_forward",
     "discriminator_forward",
-    "generator_param_names",
 ]
 
 
 @dataclass
 class SgenConfig:
-    """Architecture and training hyperparameters.
+    """The network architecture; training settings live in RunConfig.
 
     n_levels is the trunk depth N; inputs must be divisible by 2^(N+1).
     base_channels is the width of the first trunk level (doubling per
@@ -50,26 +49,19 @@ class SgenConfig:
     bottleneck_channels: int = 64
     merge_mode: str = "sgu"
     lrelu_slope: float = 0.2
-    gan_loss: str = "minimax"
-    lambda_mse: float = 0.1
-    learning_rate: float = 0.0002
-    batch_size: int = 64
     in_channels: int = 3
     disc_channels: tuple[int, ...] = (32, 64, 128, 256)
 
     def __post_init__(self):
         if self.n_levels < 2:
             raise ValueError(f"n_levels must be >= 2, got {self.n_levels}")
-        if self.base_channels < 1 or self.bottleneck_channels < 1:
-            raise ValueError("channel widths must be positive")
+        for key in ("base_channels", "bottleneck_channels"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if self.merge_mode not in MERGE_MODES:
             raise ValueError(f"merge_mode {self.merge_mode!r} not in {MERGE_MODES}")
         if not 0.0 < self.lrelu_slope < 1.0:
             raise ValueError(f"lrelu_slope must lie in (0, 1), got {self.lrelu_slope}")
-        if self.gan_loss not in ("minimax", "nonsaturating"):
-            raise ValueError(f"gan_loss {self.gan_loss!r} not in ('minimax', 'nonsaturating')")
-        if self.lambda_mse < 0:
-            raise ValueError(f"lambda_mse must be >= 0, got {self.lambda_mse}")
         if len(self.disc_channels) != 4:
             raise ValueError("disc_channels must list four widths")
 
@@ -77,6 +69,10 @@ class SgenConfig:
     def divisor(self) -> int:
         """Required divisibility of input height and width."""
         return 1 << (self.n_levels + 1)
+
+    def fits(self, h: int, w: int) -> bool:
+        """Whether an h x w input passes through the generator."""
+        return h % self.divisor == 0 and w % self.divisor == 0
 
     def trunk_channels(self, k: int) -> int:
         """Width of trunk level k (1-based): base_channels * 2^(k-1)."""
@@ -119,56 +115,12 @@ class ParamStore:
         for t in self._tensors.values():
             t.grad = None
 
-    def replace(self, name: str, tensor: Tensor) -> Tensor:
-        """Swap in a tensor under an existing name; returns the old one."""
-        old = self[name]
-        if tensor.shape != old.shape:
-            raise ValueError(
-                f"ParamStore: replacement for {name!r} has shape {tensor.shape},"
-                f" expected {old.shape}"
-            )
-        self._tensors[name] = tensor
-        return old
-
     def count_values(self) -> int:
         return sum(t.data.size for t in self._tensors.values())
 
 
 # ---------------------------------------------------------------------------
 # generator
-
-def _merge_site_names(cfg: SgenConfig, stage: str, k: int) -> list[str]:
-    if cfg.merge_mode == "sgu":
-        return [
-            f"sgu.{stage}.{k}.gate_a.weight",
-            f"sgu.{stage}.{k}.gate_a.bias",
-            f"sgu.{stage}.{k}.gate_p.weight",
-            f"sgu.{stage}.{k}.gate_p.bias",
-        ]
-    if cfg.merge_mode == "concat":
-        return [f"merge.{stage}.{k}.proj.weight", f"merge.{stage}.{k}.proj.bias"]
-    return []
-
-
-def generator_param_names(cfg: SgenConfig) -> list[str]:
-    """Parameter names in build order; merge-site names vary with the mode."""
-    n = cfg.n_levels
-    names: list[str] = []
-    for k in range(0, n + 1):
-        names += [f"enc.trunk.{k}.weight", f"enc.trunk.{k}.bias"]
-    for k in range(1, n + 1):
-        names += [f"enc.base.{k}.weight", f"enc.base.{k}.bias"]
-    for k in range(2, n + 1):
-        names += _merge_site_names(cfg, "enc", k)
-    for k in range(1, n + 1):
-        names += [f"dec.base.{k}.weight", f"dec.base.{k}.bias"]
-    for k in range(2, n + 1):
-        names += _merge_site_names(cfg, "dec", k)
-    for k in range(1, n + 1):
-        names += [f"dec.up.{k}.weight", f"dec.up.{k}.bias"]
-    names += ["out.conv.weight", "out.conv.bias"]
-    return names
-
 
 def _add_conv(store: ParamStore, name: str, p) -> None:
     store.add(f"{name}.weight", p.weight)
@@ -240,6 +192,11 @@ def _merge_params_at(store: ParamStore, cfg: SgenConfig, stage: str, k: int):
     return None
 
 
+def _nearest_multiples(size: int, d: int) -> str:
+    """The multiples of d just below and just above size, as "lo/hi"."""
+    return f"{size // d * d}/{(size + d - 1) // d * d}"
+
+
 def generator_forward(
     s: Tensor, params: ParamStore, cfg: SgenConfig, trace: dict | None = None
 ) -> Tensor:
@@ -253,11 +210,12 @@ def generator_forward(
     slope = cfg.lrelu_slope
     if c != cfg.in_channels:
         raise ValueError(f"generator: input has {c} channels, config expects {cfg.in_channels}")
-    d = cfg.divisor
-    if h % d or w % d:
+    if not cfg.fits(h, w):
+        d = cfg.divisor
         raise ValueError(
             f"generator: input spatial dims ({h}, {w}) must be divisible by {d}"
-            f" (n_levels={n})"
+            f" (n_levels={n}); nearest valid heights {_nearest_multiples(h, d)},"
+            f" widths {_nearest_multiples(w, d)}"
         )
     peak = float(np.max(np.abs(s.data))) if s.data.size else 0.0
     if peak > 1.0 + 1e-5:

@@ -1,9 +1,10 @@
 """Training loops: plain MSE and alternating adversarial.
 
 Adversarial training runs one discriminator step then one generator step
-per minibatch.  The discriminator step scores real targets against
-detached generator outputs; the generator step backpropagates through the
-discriminator into the generator weights.  Every step appends one
+per minibatch.  The generator forward runs once per minibatch: the
+discriminator step scores real targets against a detached copy of its
+output, and the generator step re-enters its tape to backpropagate through
+the discriminator into the generator weights.  Every step appends one
 ``step,loss_g,loss_d,loss_mse`` line to the loss log (loss_g/loss_d are
 nan under MSE-only training) and a non-finite loss aborts immediately.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,28 +77,19 @@ def load_corpus(cfg: RunConfig, split: str = "train") -> list[Tensor]:
 def build_training_pairs(cfg: RunConfig, images: list[Tensor]) -> list[SamplePair]:
     """Degrade the corpus at every configured scale the model can consume.
 
-    Scales not divisible by 2^(n_levels+1) cannot pass through the
-    generator; they are dropped here with a warning on stderr.
+    Scales the generator cannot take (see ``SgenConfig.fits``) are
+    dropped here with a warning on stderr.
     """
-    divisor = 1 << (cfg.n_levels + 1)
-    usable = tuple(s for s in cfg.scales if s[0] % divisor == 0 and s[1] % divisor == 0)
-    skipped = [s for s in cfg.scales if s not in usable]
-    for h, w in skipped:
-        print(
-            f"warning: scale {h}x{w} skipped for training, not divisible by {divisor}",
-            file=sys.stderr,
-        )
+    usable = tuple(s for s in cfg.scales if cfg.fits(*s))
+    for h, w in cfg.scales:
+        if (h, w) not in usable:
+            print(
+                f"warning: scale {h}x{w} skipped for training, not divisible by {cfg.divisor}",
+                file=sys.stderr,
+            )
     if not usable:
-        raise ConfigError(f"no configured scale is divisible by {divisor}")
-    spec = cfg.degrade_spec()
-    spec = type(spec)(
-        scales=usable,
-        down_factor=spec.down_factor,
-        noise_sigma=spec.noise_sigma,
-        up_method=spec.up_method,
-        seed=spec.seed,
-    )
-    return degraded_dataset(images, spec)
+        raise ConfigError(f"no configured scale is divisible by {cfg.divisor}")
+    return degraded_dataset(images, replace(cfg.degrade_spec(), scales=usable))
 
 
 def _epoch_batches(pairs, cfg: RunConfig, epoch: int):
@@ -106,13 +98,12 @@ def _epoch_batches(pairs, cfg: RunConfig, epoch: int):
 
 def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
     """Train per the config; returns final losses and the checkpoint path."""
-    model_cfg = cfg.sgen_config()
     init_rng = np.random.default_rng(_derived_seed(cfg.seed, 0))
-    gen = build_generator(model_cfg, init_rng)
+    gen = build_generator(cfg, init_rng)
     gen_state = init_adam(gen)
     disc = disc_state = None
     if cfg.adversarial:
-        disc = build_discriminator(model_cfg, init_rng)
+        disc = build_discriminator(cfg, init_rng)
         disc_state = init_adam(disc)
 
     images = load_corpus(cfg)
@@ -132,10 +123,10 @@ def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
             step += 1
             if cfg.adversarial:
                 last_g, last_d, last_mse = _adversarial_step(
-                    s, t, gen, disc, gen_state, disc_state, model_cfg, cfg
+                    s, t, gen, disc, gen_state, disc_state, cfg
                 )
             else:
-                last_g, last_d, last_mse = _mse_step(s, t, gen, gen_state, model_cfg, cfg)
+                last_g, last_d, last_mse = _mse_step(s, t, gen, gen_state, cfg)
             line = f"{step},{last_g:.8e},{last_d:.8e},{last_mse:.8e}"
             log_lines.append(line)
             if log_stream is not None:
@@ -164,10 +155,10 @@ def _save(gen: ParamStore, disc: ParamStore | None, cfg: RunConfig) -> None:
         save_checkpoint(disc, cfg.checkpoint_out + ".disc")
 
 
-def _mse_step(s, t, gen, gen_state, model_cfg, cfg: RunConfig):
+def _mse_step(s, t, gen, gen_state, cfg: RunConfig):
     gen.zero_grad()
     with Tape() as tape:
-        pred = generator_forward(s, gen, model_cfg)
+        pred = generator_forward(s, gen, cfg)
         loss = mse_loss(pred, t)
     backward(tape, loss)
     adam_step(gen, None, gen_state, cfg.learning_rate)
@@ -175,25 +166,28 @@ def _mse_step(s, t, gen, gen_state, model_cfg, cfg: RunConfig):
     return value, math.nan, value
 
 
-def _adversarial_step(s, t, gen, disc, gen_state, disc_state, model_cfg, cfg: RunConfig):
+def _adversarial_step(s, t, gen, disc, gen_state, disc_state, cfg: RunConfig):
+    # one generator forward, recorded for the generator step below
+    with Tape() as gen_tape:
+        pred = generator_forward(s, gen, cfg)
+
     # discriminator step: real targets vs detached fakes
-    fake_const = generator_forward(s, gen, model_cfg)  # no tape active: plain values
     disc.zero_grad()
     with Tape() as tape:
-        score_real = discriminator_forward(t, disc, model_cfg)
-        score_fake = discriminator_forward(fake_const.detach(), disc, model_cfg)
+        score_real = discriminator_forward(t, disc, cfg)
+        score_fake = discriminator_forward(pred.detach(), disc, cfg)
         loss_d = d_loss(score_real, score_fake)
     backward(tape, loss_d)
+    del tape  # release the critic graph before the generator backward
     adam_step(disc, None, disc_state, cfg.learning_rate)
 
     # generator step: gradient flows through the updated discriminator
     gen.zero_grad()
     disc.zero_grad()
-    with Tape() as tape:
-        pred = generator_forward(s, gen, model_cfg)
-        score = discriminator_forward(pred, disc, model_cfg)
-        loss_g = g_loss(score, pred, t, model_cfg.lambda_mse, model_cfg.gan_loss)
-    backward(tape, loss_g)
+    with gen_tape:
+        score = discriminator_forward(pred, disc, cfg)
+        loss_g = g_loss(score, pred, t, cfg.lambda_mse, cfg.gan_loss)
+    backward(gen_tape, loss_g)
     adam_step(gen, None, gen_state, cfg.learning_rate)
     mse_value = float(np.mean((pred.data - t.data) ** 2))
     return loss_g.item(), loss_d.item(), mse_value

@@ -266,15 +266,14 @@ def test_criterion_08_adversarial_smoke(tmp_path):
 
         gen = load_checkpoint(ckpt)
         disc = load_checkpoint(str(ckpt) + ".disc")
-        mcfg = cfg.sgen_config()
         images = make_synthetic_corpus(4, seed=cfg.seed, size=(32, 32))
         pairs = degraded_dataset(images, cfg.degrade_spec())
         for pair in pairs:
-            fake = generator_forward(normalize(pair.corrupted), gen, mcfg)
+            fake = generator_forward(normalize(pair.corrupted), gen, cfg)
             assert np.isfinite(fake.data).all()
             assert np.abs(fake.data).max() < 1.0
             for probe in (fake, normalize(pair.clean)):
-                score = discriminator_forward(Tensor(probe.data), disc, mcfg).item()
+                score = discriminator_forward(Tensor(probe.data), disc, cfg).item()
                 assert 0.0 < score < 1.0
 
 
@@ -306,9 +305,7 @@ def test_criterion_09_ensemble_mode_matrix(tmp_path):
             params = load_checkpoint(ckpt)
             images = load_corpus(cfg, split="test")
             pairs = degraded_dataset(images, cfg.degrade_spec())
-            report = evaluate(
-                params, cfg.sgen_config(), pairs, model_id=f"{mode}-n{n}"
-            )
+            report = evaluate(params, cfg, pairs, model_id=f"{mode}-n{n}")
 
             assert [(r.height, r.width) for r in report.rows] == list(EVAL_SCALES)
             for row in report.rows:

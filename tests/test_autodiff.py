@@ -8,7 +8,6 @@ from oracles import numeric_gradient
 
 from sgen import Tape, Tensor, backward, grad_check
 from sgen.autodiff import (
-    activation,
     add,
     add_const,
     clamp,
@@ -22,8 +21,6 @@ from sgen.autodiff import (
     mul_const,
     record,
     relu,
-    scale_by,
-    shift_by,
     sigmoid,
     sub,
     sum_all,
@@ -150,11 +147,6 @@ def test_lrelu_slope_must_be_in_unit_interval():
             lrelu(x, bad)
 
 
-def test_activation_dispatch_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown kind"):
-        activation("swish", t4([1.0]))
-
-
 def test_log_rejects_nonpositive_input():
     with pytest.raises(ValueError, match="strictly positive"):
         log(t4([1.0, 0.0]))
@@ -169,15 +161,6 @@ def test_activations_reject_non_finite_input():
             fn(bad)
     with pytest.raises(FloatingPointError, match="non-finite"):
         lrelu(t4([np.inf]))
-
-
-def test_scalar_tensor_ops_require_1111_scalar():
-    x = t4([1.0, 2.0])
-    s = t4([1.0, 2.0])
-    with pytest.raises(ValueError, match=r"\(1, 1, 1, 1\)"):
-        scale_by(x, s)
-    with pytest.raises(ValueError, match=r"\(1, 1, 1, 1\)"):
-        shift_by(x, s)
 
 
 def test_backward_requires_scalar_loss():
@@ -286,19 +269,6 @@ def test_clamp_gradient_mask_includes_boundaries():
         loss = sum_all(clamp(x, 0.0, 1.0))
     backward(tape, loss)
     np.testing.assert_array_equal(x.grad.ravel(), [0.0, 1.0, 1.0, 1.0, 0.0])
-
-
-def test_scale_by_and_shift_by_gradients():
-    x = t4([1.0, 2.0, 3.0], requires_grad=True)
-    s = scalar(2.0, requires_grad=True)
-    b = scalar(0.5, requires_grad=True)
-    with Tape() as tape:
-        loss = sum_all(shift_by(scale_by(x, s), b))
-    backward(tape, loss)
-    np.testing.assert_allclose(x.grad.ravel(), [2.0, 2.0, 2.0])
-    # ds = sum(g * x), db = sum(g)
-    np.testing.assert_allclose(s.grad.ravel(), [6.0])
-    np.testing.assert_allclose(b.grad.ravel(), [3.0])
 
 
 def test_concat_channels_splits_gradient():

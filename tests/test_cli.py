@@ -102,6 +102,24 @@ def test_train_without_data_sources_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("merge_mode = blend", "merge_mode"),
+        ("n_levels = 1", "n_levels"),
+        ("gan_loss = wasserstein", "gan_loss"),
+        ("lambda_mse = -1", "lambda_mse"),
+    ],
+)
+def test_train_rejects_invalid_config_values(tmp_path, capsys, line, key):
+    cfg_path = write_cfg(tmp_path)
+    with open(cfg_path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # restore
 

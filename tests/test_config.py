@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sgen import ConfigError, RunConfig, load_config, parse_config, serialize_config
+from sgen import ConfigError, RunConfig, SgenConfig, load_config, parse_config, serialize_config
 from sgen.data import EVAL_SCALES
 
 
@@ -71,6 +71,26 @@ def test_bad_scalar_value_reports_line_and_key():
         parse_config("seed = 1\nsteps = many\n")
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("merge_mode = blend", "merge_mode"),
+        ("n_levels = 1", "n_levels"),
+        ("gan_loss = wasserstein", "gan_loss"),
+        ("lambda_mse = -1", "lambda_mse"),
+    ],
+)
+def test_invalid_values_fail_at_parse_time(line, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"seed = 1\n{line}\n")
+
+
+def test_in_channels_is_not_a_config_key():
+    assert "in_channels" not in serialize_config(RunConfig())
+    with pytest.raises(ConfigError, match="unknown config key 'in_channels'"):
+        parse_config("in_channels = 1\n")
+
+
 def test_bad_size_value_is_rejected():
     with pytest.raises(ConfigError, match="expected HxW"):
         parse_config("synthetic_size = 128by96\n")
@@ -98,17 +118,11 @@ def test_adversarial_flag_tracks_gan_loss():
 
 
 def test_sgen_config_mapping():
-    cfg = RunConfig(n_levels=2, base_channels=8, merge_mode="max", gan_loss="nonsaturating")
-    model = cfg.sgen_config()
-    assert model.n_levels == 2
-    assert model.base_channels == 8
-    assert model.merge_mode == "max"
-    assert model.gan_loss == "nonsaturating"
-
-
-def test_sgen_config_mse_only_keeps_a_valid_variant():
-    model = RunConfig(gan_loss="none").sgen_config()
-    assert model.gan_loss in ("minimax", "nonsaturating")
+    # a run config carries the architecture itself
+    cfg = RunConfig(n_levels=2, base_channels=8, merge_mode="max", gan_loss="none")
+    assert isinstance(cfg, SgenConfig)
+    assert cfg.sgen_config() is cfg
+    assert cfg.divisor == 8
 
 
 def test_degrade_spec_mapping():

@@ -29,7 +29,6 @@ def test_degrade_spec_defaults():
     assert spec.scales == EVAL_SCALES
     assert spec.down_factor == 4
     assert spec.noise_sigma == 30.0
-    assert spec.up_method == "nearest"
 
 
 def test_degrade_spec_validation():
@@ -37,8 +36,6 @@ def test_degrade_spec_validation():
         DegradeSpec(down_factor=0)
     with pytest.raises(ValueError, match="noise_sigma"):
         DegradeSpec(noise_sigma=-1.0)
-    with pytest.raises(ValueError, match="up_method"):
-        DegradeSpec(up_method="bilinear")
     with pytest.raises(ValueError, match="scales must not be empty"):
         DegradeSpec(scales=())
     with pytest.raises(ValueError, match=r"\(130, 96\) not divisible by down_factor 4"):

@@ -8,8 +8,8 @@ import pytest
 from conftest import scalar, t4
 
 from sgen import ParamStore, Tape, Tensor, backward
-from sgen.autodiff import scale_by, shift_by
 from sgen.losses import CLAMP_EPS, d_loss, g_loss, mse_loss
+from sgen.nn import ConvParams, conv2d
 from sgen.optim import adam_step, init_adam
 
 
@@ -204,7 +204,11 @@ def test_adam_trajectory_is_deterministic():
 
 
 def test_adam_fits_linear_model_to_least_squares_solution():
-    """Full loop: tape -> backward -> adam on a 2-parameter affine model."""
+    """Full loop: tape -> backward -> adam on a 2-parameter affine model.
+
+    The model is a 1x1 conv with one input and one output channel, so its
+    weight is the slope and its bias the intercept.
+    """
     rng = np.random.default_rng(7)
     xs = rng.uniform(-1.0, 1.0, size=(1, 1, 1, 32))
     ys = 2.0 * xs + 0.5 + rng.normal(0.0, 0.05, size=xs.shape)
@@ -218,10 +222,11 @@ def test_adam_fits_linear_model_to_least_squares_solution():
     store.add("b", Tensor(np.zeros((1, 1, 1, 1)), requires_grad=True))
     state = init_adam(store)
     x_t, y_t = Tensor(xs), Tensor(ys)
+    affine = ConvParams(weight=store["s"], bias=store["b"], stride=1, padding=0)
     for _ in range(2000):
         store.zero_grad()
         with Tape() as tape:
-            pred = shift_by(scale_by(x_t, store["s"]), store["b"])
+            pred = conv2d(x_t, affine)
             loss = mse_loss(pred, y_t)
         backward(tape, loss)
         adam_step(store, None, state, lr=0.01)

@@ -7,6 +7,7 @@ import pytest
 
 from sgen import (
     ParamStore,
+    RunConfig,
     SgenConfig,
     Tensor,
     build_discriminator,
@@ -15,13 +16,16 @@ from sgen import (
     generator_forward,
 )
 from sgen.data import EVAL_SCALES
-from sgen.model import generator_param_names
 
 
 def small_cfg(**kw):
     base = dict(n_levels=2, base_channels=4, bottleneck_channels=4, in_channels=3)
     base.update(kw)
     return SgenConfig(**base)
+
+
+def _built_names(cfg):
+    return build_generator(cfg, np.random.default_rng(0)).names()
 
 
 def _norm_input(rng, shape, dtype=np.float32):
@@ -41,12 +45,16 @@ def test_config_rejects_bad_values():
         SgenConfig(merge_mode="blend")
     with pytest.raises(ValueError, match="lrelu_slope"):
         SgenConfig(lrelu_slope=1.0)
-    with pytest.raises(ValueError, match="gan_loss"):
-        SgenConfig(gan_loss="wasserstein")
-    with pytest.raises(ValueError, match="lambda_mse"):
-        SgenConfig(lambda_mse=-0.1)
     with pytest.raises(ValueError, match="four widths"):
         SgenConfig(disc_channels=(8, 16, 32))
+    # training fields are validated by the run config that adds them
+    with pytest.raises(ValueError, match="gan_loss"):
+        RunConfig(gan_loss="wasserstein")
+    with pytest.raises(ValueError, match="lambda_mse"):
+        RunConfig(lambda_mse=-0.1)
+    # and the architecture rules still hold there
+    with pytest.raises(ValueError, match="merge_mode"):
+        RunConfig(merge_mode="blend")
 
 
 def test_config_divisor_and_trunk_widths():
@@ -54,6 +62,13 @@ def test_config_divisor_and_trunk_widths():
     assert cfg.divisor == 16
     assert [cfg.trunk_channels(k) for k in (1, 2, 3)] == [32, 64, 128]
     assert SgenConfig(n_levels=4).divisor == 32
+
+
+def test_config_fits_needs_both_dims_divisible():
+    cfg = SgenConfig(n_levels=2)  # divisor 8
+    assert cfg.fits(32, 24)
+    assert not cfg.fits(36, 24)
+    assert not cfg.fits(32, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -74,16 +89,6 @@ def test_param_store_basic_api():
         store.add("a", t)
     with pytest.raises(KeyError, match="no parameter named 'c'"):
         store["c"]
-
-
-def test_param_store_replace_checks_shape():
-    store = ParamStore()
-    store.add("w", Tensor(np.ones((1, 2, 1, 1), dtype=np.float32)))
-    old = store.replace("w", Tensor(np.zeros((1, 2, 1, 1), dtype=np.float32)))
-    np.testing.assert_array_equal(old.data, 1.0)
-    np.testing.assert_array_equal(store["w"].data, 0.0)
-    with pytest.raises(ValueError, match="shape"):
-        store.replace("w", Tensor(np.zeros((1, 3, 1, 1), dtype=np.float32)))
 
 
 def test_param_store_zero_grad():
@@ -112,7 +117,27 @@ def test_param_names_exact_for_two_level_sgu():
         expected += [f"{stem}.weight", f"{stem}.bias"]
     for stem in ["dec.up.1", "dec.up.2", "out.conv"]:
         expected += [f"{stem}.weight", f"{stem}.bias"]
-    assert generator_param_names(cfg) == expected
+    assert _built_names(cfg) == expected
+
+
+def _declared_names(n, mode):
+    """The naming layout spelled out independently of build_generator."""
+
+    def merge_sites(stage):
+        for k in range(2, n + 1):
+            if mode == "sgu":
+                yield from (f"sgu.{stage}.{k}.gate_a", f"sgu.{stage}.{k}.gate_p")
+            elif mode == "concat":
+                yield f"merge.{stage}.{k}.proj"
+
+    stems = [f"enc.trunk.{k}" for k in range(n + 1)]
+    stems += [f"enc.base.{k}" for k in range(1, n + 1)]
+    stems += merge_sites("enc")
+    stems += [f"dec.base.{k}" for k in range(1, n + 1)]
+    stems += merge_sites("dec")
+    stems += [f"dec.up.{k}" for k in range(1, n + 1)]
+    stems += ["out.conv"]
+    return [f"{stem}.{part}" for stem in stems for part in ("weight", "bias")]
 
 
 @pytest.mark.parametrize("mode", ["sgu", "max", "average", "concat"])
@@ -120,13 +145,13 @@ def test_param_names_exact_for_two_level_sgu():
 def test_built_stores_match_declared_names(mode, n):
     cfg = small_cfg(n_levels=n, merge_mode=mode)
     store = build_generator(cfg, np.random.default_rng(0))
-    assert store.names() == generator_param_names(cfg)
+    assert store.names() == _declared_names(n, mode)
     assert all(t.requires_grad for t in store.tensors())
 
 
 def test_merge_mode_changes_only_merge_site_names():
     stores = {
-        mode: set(generator_param_names(small_cfg(n_levels=3, merge_mode=mode)))
+        mode: set(_built_names(small_cfg(n_levels=3, merge_mode=mode)))
         for mode in ["sgu", "max", "average", "concat"]
     }
     assert stores["max"] == stores["average"]
@@ -233,7 +258,7 @@ def test_zero_gate_sgu_equals_average_mode_network():
     cfg_avg = replace(cfg_sgu, merge_mode="average")
     gen = build_generator(cfg_sgu, np.random.default_rng(7))
     avg_store = ParamStore()
-    for name in generator_param_names(cfg_avg):
+    for name in _built_names(cfg_avg):
         avg_store.add(name, gen[name])
     x = _norm_input(rng, (1, 3, 32, 32))
     out_sgu = generator_forward(x, gen, cfg_sgu)
@@ -260,6 +285,8 @@ def test_generator_rejects_indivisible_input():
     cfg = small_cfg(n_levels=3)  # divisor 16
     store = build_generator(cfg, rng)
     with pytest.raises(ValueError, match=r"\(100, 96\) must be divisible by 16"):
+        generator_forward(_norm_input(rng, (1, 3, 100, 96)), store, cfg)
+    with pytest.raises(ValueError, match="nearest valid heights 96/112, widths 96/96"):
         generator_forward(_norm_input(rng, (1, 3, 100, 96)), store, cfg)
 
 

@@ -6,8 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from sgen import ConfigError, RunConfig, Tensor, load_checkpoint, run_training, save_image
-from sgen.model import generator_param_names
+from sgen import (
+    ConfigError,
+    RunConfig,
+    Tensor,
+    build_generator,
+    load_checkpoint,
+    run_training,
+    save_image,
+)
 import sgen.train as train_module
 from sgen.train import LOG_HEADER, _derived_seed, build_training_pairs, load_corpus
 
@@ -107,7 +114,7 @@ def test_zero_steps_writes_initial_checkpoint(tmp_path):
     assert result.log_lines == [LOG_HEADER]
     assert math.isnan(result.final_mse)
     store = load_checkpoint(cfg.checkpoint_out)
-    assert store.names() == generator_param_names(cfg.sgen_config())
+    assert store.names() == build_generator(cfg, np.random.default_rng(0)).names()
     assert not (tmp_path / "model.ckpt.disc").exists()  # mse-only: no critic
 
 
