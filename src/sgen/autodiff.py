@@ -239,9 +239,9 @@ def const_minus(c: float, x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     _require_finite(x.data, "relu")
-    out = Tensor(np.maximum(x.data, 0))
-    mask = x.data > 0
-    return record((x,), out, lambda g: (g * mask,))
+    xd = x.data
+    out = Tensor(np.maximum(xd, 0))
+    return record((x,), out, lambda g: (g * (xd > 0),))
 
 
 def lrelu(x: Tensor, slope: float = 0.2) -> Tensor:
@@ -249,21 +249,19 @@ def lrelu(x: Tensor, slope: float = 0.2) -> Tensor:
         raise ValueError(f"lrelu: slope must lie in (0, 1), got {slope}")
     _require_finite(x.data, "lrelu")
     xd = x.data
-    out = Tensor(np.where(xd > 0, xd, xd * x.dtype.type(slope)))
+    deriv = np.array([slope, 1.0], dtype=x.dtype)  # for x <= 0 and x > 0
+    # with 0 < slope < 1, max(x, slope * x) is x where x > 0, else slope * x
+    out = Tensor(np.maximum(xd, xd * deriv[0]))
     # derivative at exactly 0 is defined as slope
-    deriv = np.where(xd > 0, x.dtype.type(1.0), x.dtype.type(slope))
-    return record((x,), out, lambda g: (g * deriv,))
+    return record((x,), out, lambda g: (g * deriv.take((xd > 0).view(np.uint8)),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     _require_finite(x.data, "sigmoid")
     xd = x.data
-    # split by sign to avoid overflow in exp
-    y = np.empty_like(xd)
-    pos = xd >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) cannot overflow: y = 1 / (1 + e) for x >= 0, else e / (1 + e)
+    e = np.exp(-np.abs(xd))
+    y = np.maximum(e, xd >= 0) / (1.0 + e)
     out = Tensor(y)
     return record((x,), out, lambda g: (g * y * (1.0 - y),))
 
@@ -287,9 +285,9 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes through only where x was inside."""
     if not lo < hi:
         raise ValueError(f"clamp: need lo < hi, got [{lo}, {hi}]")
-    out = Tensor(np.clip(x.data, lo, hi))
-    mask = (x.data >= lo) & (x.data <= hi)
-    return record((x,), out, lambda g: (g * mask,))
+    xd = x.data
+    out = Tensor(np.clip(xd, lo, hi))
+    return record((x,), out, lambda g: (g * ((xd >= lo) & (xd <= hi)),))
 
 
 # ---------------------------------------------------------------------------

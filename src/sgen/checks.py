@@ -174,70 +174,42 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
     check("global_avg_pool", lambda x: _weighted_sum(global_avg_pool(x), _signed_unit(np.random.default_rng(4), (2, 3, 1, 1))), _rand(rng, (2, 3, 4, 5)))
 
     # --- conv2d / deconv2d: input, weight, and bias gradients -------------
-    for factor, hw in ((1, 6), (2, 6), (4, 8)):
-        p = conv_params(2, 3, factor, rng, dtype=np.float64)
-        x0 = _rand(rng, (2, 2, hw, hw))
-        out_hw = hw // factor
-        w_out = _signed_unit(rng, (2, 3, out_hw, out_hw))
+    # Both channel orders, so every kernel runs with either side unfolded,
+    # plus factor 8, the factor of enc.base.1 and dec.base.3 in the paper
+    # config.  The added shapes draw from their own stream, so every other
+    # probe stays as it was.
+    def layer_checks(label, op, p, x0, w_out):
+        def loss(x=None, weight=None, bias=None):
+            q = type(p)(
+                weight=p.weight if weight is None else weight,
+                bias=p.bias if bias is None else bias,
+                stride=p.stride,
+                padding=p.padding,
+            )
+            return _weighted_sum(op(Tensor(x0) if x is None else x, q), w_out)
 
-        def conv_loss(x, p=p, w=w_out):
-            return _weighted_sum(conv2d(x, p), w)
+        check(f"{label}.input", lambda x: loss(x=x), x0)
+        check(f"{label}.weight", lambda wt: loss(weight=wt), p.weight.data.copy())
+        check(f"{label}.bias", lambda b: loss(bias=b), p.bias.data.copy())
 
-        check(f"conv2d.s{factor}.input", conv_loss, x0)
-        check(
-            f"conv2d.s{factor}.weight",
-            lambda wt, p=p, x=x0, w=w_out: _weighted_sum(
-                conv2d(
-                    Tensor(x),
-                    type(p)(weight=wt, bias=p.bias, stride=p.stride, padding=p.padding),
-                ),
-                w,
-            ),
-            p.weight.data.copy(),
-        )
-        check(
-            f"conv2d.s{factor}.bias",
-            lambda b, p=p, x=x0, w=w_out: _weighted_sum(
-                conv2d(
-                    Tensor(x),
-                    type(p)(weight=p.weight, bias=b, stride=p.stride, padding=p.padding),
-                ),
-                w,
-            ),
-            p.bias.data.copy(),
-        )
+    more = np.random.default_rng([seed, 1])
+    for r, cin, cout, factor, hw in (
+        (rng, 2, 3, 1, 6), (rng, 2, 3, 2, 6), (rng, 2, 3, 4, 8),
+        (more, 3, 2, 1, 6), (more, 3, 2, 2, 6), (more, 3, 2, 4, 8), (more, 2, 3, 8, 16),
+    ):
+        p = conv_params(cin, cout, factor, r, dtype=np.float64)
+        x0 = _rand(r, (2, cin, hw, hw))
+        w_out = _signed_unit(r, (2, cout, hw // factor, hw // factor))
+        layer_checks(f"conv2d.{cin}to{cout}.s{factor}", conv2d, p, x0, w_out)
 
-    for factor, hw in ((2, 3), (4, 2)):
-        p = deconv_params(3, 2, factor, rng, dtype=np.float64)
-        x0 = _rand(rng, (2, 3, hw, hw))
-        w_out = _signed_unit(rng, (2, 2, hw * factor, hw * factor))
-
-        def deconv_loss(x, p=p, w=w_out):
-            return _weighted_sum(deconv2d(x, p), w)
-
-        check(f"deconv2d.s{factor}.input", deconv_loss, x0)
-        check(
-            f"deconv2d.s{factor}.weight",
-            lambda wt, p=p, x=x0, w=w_out: _weighted_sum(
-                deconv2d(
-                    Tensor(x),
-                    type(p)(weight=wt, bias=p.bias, stride=p.stride, padding=p.padding),
-                ),
-                w,
-            ),
-            p.weight.data.copy(),
-        )
-        check(
-            f"deconv2d.s{factor}.bias",
-            lambda b, p=p, x=x0, w=w_out: _weighted_sum(
-                deconv2d(
-                    Tensor(x),
-                    type(p)(weight=p.weight, bias=b, stride=p.stride, padding=p.padding),
-                ),
-                w,
-            ),
-            p.bias.data.copy(),
-        )
+    for r, cin, cout, factor, hw in (
+        (rng, 3, 2, 2, 3), (rng, 3, 2, 4, 2),
+        (more, 2, 3, 2, 3), (more, 2, 3, 4, 2), (more, 3, 2, 8, 2),
+    ):
+        p = deconv_params(cin, cout, factor, r, dtype=np.float64)
+        x0 = _rand(r, (2, cin, hw, hw))
+        w_out = _signed_unit(r, (2, cout, hw * factor, hw * factor))
+        layer_checks(f"deconv2d.{cin}to{cout}.s{factor}", deconv2d, p, x0, w_out)
 
     # --- SGU: both inputs and all four gate parameters ---------------------
     gates = sgu_params(3, rng, dtype=np.float64, weight_std=0.15)

@@ -15,6 +15,7 @@ geometry from the config plus stored weight shapes.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,19 @@ class ParamStore:
     def zero_grad(self) -> None:
         for t in self._tensors.values():
             t.grad = None
+
+    @contextmanager
+    def frozen(self):
+        """Within the block no parameter requires grad, so a backward run
+        inside it passes gradients through them but computes none for them."""
+        flags = [(t, t.requires_grad) for t in self._tensors.values()]
+        for t, _ in flags:
+            t.requires_grad = False
+        try:
+            yield self
+        finally:
+            for t, flag in flags:
+                t.requires_grad = flag
 
     def count_values(self) -> int:
         return sum(t.data.size for t in self._tensors.values())

@@ -8,8 +8,33 @@ the conv with the same geometry plus a bias, which makes upsampling by f
 produce exactly f times the input size and ties the two operators
 together for testing.
 
-The heavy lifting is im2col/col2im plus matmul; backward rules are the
-usual transposes of the forward maps.
+Kernels: phase split.  Call the conv input the fine side and its output
+the coarse side.  At stride s, padding p and kernel offset i, coarse row q
+reads fine row s*(q + d) + r with (d, r) = divmod(i - p, s); for every
+geometry above d lies in {-1, 0, 1}.  So the fine image is cut into its s*s
+phase planes (fine pixels with the same (row, col) residue mod s), each
+plane gets a zero border of b = max |d| pixels and is flattened over
+(n, h + 2b, w + 2b): the batch is folded into the columns, and every
+kernel tap is one plane read at a fixed column shift.  Unfolding a tap is
+then a contiguous slice copy and its adjoint a shifted add.  The coarse
+side uses the same column layout as a single plane.  Three primitives,
+``_gather`` (conv forward), ``_scatter`` (its adjoint) and ``_wgrad``
+(weight gradient), each run one GEMM per phase plane, or per group of
+planes whose unfold is no larger than the planes themselves, with the
+batch summed inside the GEMM.  A backward that needs both the input and
+the weight gradient reads both off the same unfold.
+
+Unfold the thinner side: unfolding costs taps x channels x columns, so the
+kernels stack shifted copies of whichever side has fewer channels.  When
+that is the coarse side (a 64 -> 3 output conv, say), the GEMM runs first
+on the unshifted wide plane and its thin per-tap results are shift-added
+into place.  The choice depends only on the weight shape, so a run repeats
+bit for bit.
+
+``deconv2d`` reuses the three primitives with the roles swapped: its
+forward is the conv input gradient, its input gradient the conv forward,
+and its weight gradient the conv weight gradient with its input as the
+coarse side.
 """
 
 from __future__ import annotations
@@ -179,39 +204,188 @@ def deconv_params(
 
 
 # ---------------------------------------------------------------------------
-# im2col machinery.  cols layout: (n, c*kh*kw, oh*ow), kernel offsets fastest
-# varying after channels, matching weight.reshape(out, c*kh*kw).
-
-def _out_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
-    return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+# Phase-split kernels.  The conv input is the "fine" side, its output the
+# "coarse" side; see the module docstring for the column layout.
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    n, c, h, w = x.shape
-    oh, ow = _out_hw(h, w, k, stride, pad)
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(n, c * k * k, oh * ow)
+class _Grid:
+    """The shared column space of one conv geometry at one coarse size.
+
+    ``order`` lists the flat kernel taps grouped by fine phase plane
+    ``ry * s + rx`` (``unorder`` is its inverse).  ``phases`` holds, per
+    plane, the slice of ``order`` that reads it and a (plane, column shift)
+    pair per tap; ``groups`` merges consecutive phases while they hold at
+    most s*s taps, so that an unfold of a group's fine windows never
+    outgrows the phase planes themselves.  Values live on the window
+    [margin, margin + span) of the ``size`` columns, which holds every
+    image pixel.
+    """
+
+    def __init__(self, n: int, h: int, w: int, k: int, s: int, pad: int):
+        steps = [divmod(i - pad, s) for i in range(k)]  # (d, r) per offset
+        b = max(abs(d) for d, _ in steps)
+        self.n, self.h, self.w, self.s, self.border = n, h, w, s, b
+        self.row = w + 2 * b
+        self.size = n * (h + 2 * b) * self.row
+        self.margin = b * self.row + b
+        self.span = self.size - 2 * self.margin
+        by_phase: dict[int, list[tuple[int, int]]] = {}
+        for i, (dy, ry) in enumerate(steps):
+            for j, (dx, rx) in enumerate(steps):
+                by_phase.setdefault(ry * s + rx, []).append((i * k + j, dy * self.row + dx))
+        self.order: list[int] = []
+        self.phases: list[tuple[slice, list[tuple[int, int]]]] = []
+        self.groups: list[tuple[slice, list[tuple[int, int]]]] = []
+        for ph, taps in sorted(by_phase.items()):
+            at = len(self.order)
+            self.order += [t for t, _ in taps]
+            pairs = [(ph, d) for _, d in taps]
+            self.phases.append((slice(at, len(self.order)), pairs))
+            if self.groups and len(self.groups[-1][1]) + len(pairs) <= s * s:
+                prev, merged = self.groups.pop()
+                self.groups.append((slice(prev.start, len(self.order)), merged + pairs))
+            else:
+                self.groups.append(self.phases[-1])
+        self.unorder = np.argsort(self.order)
 
 
-def _col2im(
-    cols: np.ndarray, out_shape: tuple[int, int, int, int], k: int, stride: int, pad: int
-) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add column entries back onto the image."""
-    n, c, h, w = out_shape
-    oh, ow = _out_hw(h, w, k, stride, pad)
-    cols = cols.reshape(n, c, k, k, oh, ow)
-    buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for i in range(k):
-        for j in range(k):
-            buf[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
-    if pad:
-        return buf[:, :, pad : pad + h, pad : pad + w]
-    return buf
+def _planes(x: np.ndarray, g: _Grid, s: int) -> np.ndarray:
+    """(n, c, s*h, s*w) -> (s*s, c, size): zero-bordered phase planes."""
+    n, c = x.shape[:2]
+    b = g.border
+    buf = np.zeros((s, s, c, n, g.h + 2 * b, g.row), dtype=x.dtype)
+    buf[..., b : b + g.h, b : b + g.w] = x.reshape(n, c, g.h, s, g.w, s).transpose(3, 5, 1, 0, 2, 4)
+    return buf.reshape(s * s, c, g.size)
+
+
+def _image(planes: np.ndarray, g: _Grid, s: int, bias: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of ``_planes`` on the window, plus an optional (1, c, 1, 1) bias."""
+    c = planes.shape[1]
+    b = g.border
+    grid = planes.reshape(s, s, c, g.n, g.h + 2 * b, g.row)[..., b : b + g.h, b : b + g.w]
+    out = np.empty((g.n, c, g.h, s, g.w, s), dtype=planes.dtype)
+    for rx in range(s):  # one column phase at a time keeps the inner loop w long
+        src = grid[:, rx].transpose(2, 1, 3, 0, 4)
+        if bias is None:
+            out[..., rx] = src
+        else:
+            np.add(src, bias.reshape(1, c, 1, 1, 1), out=out[..., rx])
+    return out.reshape(g.n, c, g.h * s, g.w * s)
+
+
+def _taps_first(weight: np.ndarray, g: _Grid) -> np.ndarray:
+    """(o, c, k, k) -> (o, k*k, c), taps in phase order: a phase or group is a slice."""
+    o, c = weight.shape[:2]
+    return np.ascontiguousarray(weight.reshape(o, c, -1).transpose(0, 2, 1)).take(g.order, axis=1)
+
+
+def _fine_cols(xf: np.ndarray, pairs, g: _Grid) -> np.ndarray:
+    """Unfold the fine side: each (plane, shift) window of ``xf``, (taps * c, span)."""
+    m, span = g.margin, g.span
+    return np.stack([xf[ph, :, m + d : m + d + span] for ph, d in pairs]).reshape(-1, span)
+
+
+def _coarse_cols(cf: np.ndarray, pairs, g: _Grid) -> np.ndarray:
+    """Unfold the coarse side (o, size) against one phase's taps, (o * taps, span)."""
+    m, span = g.margin, g.span
+    return np.stack([cf[:, m - d : m - d + span] for _, d in pairs], axis=1).reshape(-1, span)
+
+
+def _dw_taps(cf, xf, pairs, g: _Grid, fine=None, coarse=None) -> np.ndarray:
+    """Weight gradient of some taps, (o, taps, c): coarse times shifted fine.
+
+    Reads it off the ``fine`` (a group's) or ``coarse`` (a phase's) unfold
+    when the caller already built one, else unfolds the thinner side.
+    """
+    o, c = cf.shape[0], xf.shape[1]
+    m, span = g.margin, g.span
+    if fine is None and coarse is None:
+        if c <= o:
+            fine = _fine_cols(xf, pairs, g)
+        else:
+            coarse = _coarse_cols(cf, pairs, g)
+    if fine is not None:
+        prod = np.matmul(cf[:, m : m + span], fine.T)
+    else:
+        prod = np.matmul(coarse, xf[pairs[0][0], :, m : m + span].T)
+    return prod.reshape(o, len(pairs), c)
+
+
+# Fine unfolds, and GEMMs that run first on the coarse side, cover a group
+# of phases at a time; coarse unfolds, and GEMMs that run first on one fine
+# plane, cover one phase.
+
+
+def _gather(xf: np.ndarray, weight: np.ndarray, g: _Grid, cf=None):
+    """Conv forward: fine planes (s*s, c, size) -> coarse (o, size).
+
+    Given coarse planes ``cf``, also returns the weight gradient of
+    <cf, gather(xf)> (taps in phase order, see ``_untap``), else None.
+    """
+    o, c = weight.shape[:2]
+    wt = _taps_first(weight, g)
+    m, span = g.margin, g.span
+    unfold = c <= o
+    # only the window is ever read back; an unfold writes all of it
+    out = (np.empty if unfold else np.zeros)((o, g.size), dtype=xf.dtype)
+    win = out[:, m : m + span]
+    dw = None if cf is None else np.empty_like(wt)
+    for i, (sl, pairs) in enumerate(g.groups if unfold else g.phases):
+        cols = None
+        if unfold:  # the first group writes the window, the rest add
+            cols = _fine_cols(xf, pairs, g)
+            z = np.matmul(wt[:, sl].reshape(o, -1), cols, out=None if i else win)
+            if i:
+                win += z
+        else:
+            z = np.matmul(wt[:, sl].reshape(-1, c), xf[pairs[0][0]]).reshape(o, len(pairs), g.size)
+            for j, (_, d) in enumerate(pairs):  # shift-add the thin coarse result
+                win += z[:, j, m + d : m + d + span]
+        if dw is not None:
+            dw[:, sl] = _dw_taps(cf, xf, pairs, g, fine=cols)
+    return out, dw
+
+
+def _scatter(cf: np.ndarray, weight: np.ndarray, g: _Grid, xf=None):
+    """Adjoint of ``_gather``: coarse (o, size) -> fine planes (s*s, c, size).
+
+    Given fine planes ``xf``, also returns the weight gradient of
+    <cf, gather(xf)> (taps in phase order), else None.
+    """
+    o, c = weight.shape[:2]
+    wt = _taps_first(weight, g)
+    m, span = g.margin, g.span
+    unfold = o <= c
+    # unfolds write every window, unless some plane has no tap (1x1 at stride 2)
+    fills = unfold and len(g.phases) == g.s**2
+    out = (np.empty if fills else np.zeros)((g.s**2, c, g.size), dtype=cf.dtype)
+    dw = None if xf is None else np.empty_like(wt)
+    for sl, pairs in g.phases if unfold else g.groups:
+        cols = None
+        if unfold:
+            cols = _coarse_cols(cf, pairs, g)
+            np.matmul(wt[:, sl].reshape(-1, c).T, cols, out=out[pairs[0][0], :, m : m + span])
+        else:
+            z = np.matmul(wt[:, sl].reshape(o, -1).T, cf).reshape(len(pairs), c, g.size)
+            for j, (ph, d) in enumerate(pairs):  # shift-add the thin fine result
+                out[ph, :, m : m + span] += z[j, :, m - d : m - d + span]
+        if dw is not None:
+            dw[:, sl] = _dw_taps(cf, xf, pairs, g, coarse=cols)
+    return out, dw
+
+
+def _wgrad(cf: np.ndarray, xf: np.ndarray, g: _Grid) -> np.ndarray:
+    """The weight gradient alone, (o, k*k, c) with taps in phase order."""
+    o, c = cf.shape[0], xf.shape[1]
+    dw = np.empty((o, len(g.order), c), dtype=cf.dtype)
+    for sl, pairs in g.groups if c <= o else g.phases:
+        dw[:, sl] = _dw_taps(cf, xf, pairs, g)
+    return dw
+
+
+def _untap(dw: np.ndarray, g: _Grid, shape) -> np.ndarray:
+    """Inverse of ``_taps_first``: (o, k*k, c) in phase order -> (o, c, k, k)."""
+    return np.ascontiguousarray(dw.take(g.unorder, axis=1).transpose(0, 2, 1)).reshape(shape)
 
 
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
@@ -221,25 +395,28 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
         raise ValueError(f"conv2d: input has {c} channels, kernel expects {p.in_channels}")
     if x.dtype != p.weight.dtype:
         raise ValueError(f"conv2d: dtype mismatch {x.dtype} vs weight {p.weight.dtype}")
-    s, k, pad = p.stride, p.kernel, p.padding
+    s = p.stride
     if h % s or w % s:
         raise ValueError(f"conv2d: spatial dims ({h}, {w}) not divisible by stride {s}")
-    oh, ow = _out_hw(h, w, k, s, pad)
-    cols = _im2col(x.data, k, s, pad)
-    wmat = p.weight.data.reshape(p.out_channels, -1)
-    out = np.matmul(wmat, cols).reshape(n, p.out_channels, oh, ow) + p.bias.data
-    y = Tensor(out)
+    g = _Grid(n, h // s, w // s, p.kernel, s, p.padding)
+    xd, wd = x.data, p.weight.data
+    y = Tensor(_image(_gather(_planes(xd, g, s), wd, g)[0][None], g, 1, p.bias.data))
     weight, bias = p.weight, p.bias
 
-    def bwd(g):
-        g2 = g.reshape(n, p.out_channels, oh * ow)
-        dw = db = dx = None
-        if weight.requires_grad:
-            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        if bias.requires_grad:
-            db = g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+    def bwd(gy):
+        cf = _planes(gy, g, 1)[0]
+        xf = _planes(xd, g, s) if weight.requires_grad else None
+        dx = dw = db = None
         if x.requires_grad:
-            dx = _col2im(np.matmul(wmat.T, g2), (n, c, h, w), k, s, pad)
+            fine, dw = _scatter(cf, wd, g, xf)
+            xf = None  # free before the image copy doubles the fine side
+            dx = _image(fine, g, s)
+        elif xf is not None:
+            dw = _wgrad(cf, xf, g)
+        if dw is not None:
+            dw = _untap(dw, g, wd.shape)
+        if bias.requires_grad:
+            db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return dx, dw, db
 
     return record((x, weight, bias), y, bwd)
@@ -252,26 +429,25 @@ def deconv2d(x: Tensor, p: DeconvParams) -> Tensor:
         raise ValueError(f"deconv2d: input has {c} channels, kernel expects {p.in_channels}")
     if x.dtype != p.weight.dtype:
         raise ValueError(f"deconv2d: dtype mismatch {x.dtype} vs weight {p.weight.dtype}")
-    s, k, pad = p.stride, p.kernel, p.padding
-    H, W = h * s, w * s
-    wmat = p.weight.data.reshape(c, -1)  # (in, out*kh*kw)
-    x2 = x.data.reshape(n, c, h * w)
-    cols = np.matmul(wmat.T, x2)  # (n, out*k*k, h*w)
-    out = _col2im(cols, (n, p.out_channels, H, W), k, s, pad) + p.bias.data
-    y = Tensor(out)
+    s = p.stride
+    g = _Grid(n, h, w, p.kernel, s, p.padding)
+    xd, wd = x.data, p.weight.data
+    y = Tensor(_image(_scatter(_planes(xd, g, 1)[0], wd, g)[0], g, s, p.bias.data))
     weight, bias = p.weight, p.bias
 
-    def bwd(g):
+    def bwd(gy):
+        xf = _planes(gy, g, s)
+        cf = _planes(xd, g, 1)[0] if weight.requires_grad else None
         dx = dw = db = None
-        gcols = None
-        if x.requires_grad or weight.requires_grad:
-            gcols = _im2col(g, k, s, pad)  # (n, out*k*k, h*w)
         if x.requires_grad:
-            dx = np.matmul(wmat, gcols).reshape(n, c, h, w)
-        if weight.requires_grad:
-            dw = np.matmul(x2, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+            coarse, dw = _gather(xf, wd, g, cf)
+            dx = _image(coarse[None], g, 1)
+        elif cf is not None:
+            dw = _wgrad(cf, xf, g)
+        if dw is not None:
+            dw = _untap(dw, g, wd.shape)
         if bias.requires_grad:
-            db = g.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+            db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return dx, dw, db
 
     return record((x, weight, bias), y, bwd)

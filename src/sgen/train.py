@@ -181,13 +181,14 @@ def _adversarial_step(s, t, gen, disc, gen_state, disc_state, cfg: RunConfig):
     del tape  # release the critic graph before the generator backward
     adam_step(disc, None, disc_state, cfg.learning_rate)
 
-    # generator step: gradient flows through the updated discriminator
+    # generator step: gradient flows through the updated discriminator,
+    # whose frozen weights take no gradient of their own
     gen.zero_grad()
-    disc.zero_grad()
-    with gen_tape:
-        score = discriminator_forward(pred, disc, cfg)
-        loss_g = g_loss(score, pred, t, cfg.lambda_mse, cfg.gan_loss)
-    backward(gen_tape, loss_g)
+    with disc.frozen():
+        with gen_tape:
+            score = discriminator_forward(pred, disc, cfg)
+            loss_g = g_loss(score, pred, t, cfg.lambda_mse, cfg.gan_loss)
+        backward(gen_tape, loss_g)
     adam_step(gen, None, gen_state, cfg.learning_rate)
     mse_value = float(np.mean((pred.data - t.data) ** 2))
     return loss_g.item(), loss_d.item(), mse_value

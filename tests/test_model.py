@@ -9,12 +9,15 @@ from sgen import (
     ParamStore,
     RunConfig,
     SgenConfig,
+    Tape,
     Tensor,
+    backward,
     build_discriminator,
     build_generator,
     discriminator_forward,
     generator_forward,
 )
+from sgen.autodiff import sum_all
 from sgen.data import EVAL_SCALES
 
 
@@ -98,6 +101,31 @@ def test_param_store_zero_grad():
     store.add("t", t)
     store.zero_grad()
     assert t.grad is None
+
+
+def test_frozen_store_passes_input_gradient_but_takes_none():
+    rng = np.random.default_rng(14)
+    cfg = small_cfg(disc_channels=(4, 4, 8, 8))
+    store = build_discriminator(cfg, rng)
+    x_arr = rng.uniform(-1.0, 1.0, size=(2, 3, 16, 16)).astype(np.float32)
+
+    def input_grad():
+        store.zero_grad()
+        x = Tensor(x_arr.copy(), requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(discriminator_forward(x, store, cfg))
+        backward(tape, loss)
+        return x.grad.tobytes()
+
+    free = input_grad()
+    assert all(t.grad is not None for t in store.tensors())
+    with store.frozen():
+        assert input_grad() == free
+        assert all(t.grad is None for t in store.tensors())
+    assert all(t.requires_grad for t in store.tensors())
+    with pytest.raises(RuntimeError), store.frozen():
+        raise RuntimeError("flags come back on the way out")
+    assert all(t.requires_grad for t in store.tensors())
 
 
 # ---------------------------------------------------------------------------

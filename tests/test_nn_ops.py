@@ -1,5 +1,7 @@
 """Convolution stack tests: values vs loop oracles, adjointness, shape laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -298,3 +300,138 @@ def test_global_avg_pool_values_and_gradient():
         loss = sum_all(mul(global_avg_pool(x), Tensor(proj)))
     backward(tape, loss)
     np.testing.assert_allclose(x.grad, np.full_like(x_arr, 0.25))
+
+
+# ---------------------------------------------------------------------------
+# both unfold sides: the kernels unfold whichever side has fewer channels, so
+# (1 -> 5), (5 -> 1) and (4 -> 4) run each branch of forward and backward
+
+_CHANNEL_PAIRS = [(1, 5), (5, 1), (4, 4)]
+
+
+@pytest.mark.parametrize("cin, cout", _CHANNEL_PAIRS)
+@pytest.mark.parametrize("factor, kernel", [(1, None), (2, None), (4, None), (8, None), (1, 1)])
+def test_conv2d_matches_loop_oracle_on_both_unfold_sides(cin, cout, factor, kernel):
+    rng = np.random.default_rng(20 + factor)
+    p = _conv(rng, cin, cout, factor, kernel=kernel)
+    p.bias.data[:] = rng.normal(size=p.bias.shape)
+    h, w = (5, 7) if factor == 1 else (3 * factor, 2 * factor)
+    x = Tensor(rng.normal(size=(3, cin, h, w)))
+    got = conv2d(x, p).data
+    want = conv2d_loops(x.data, p.weight.data, p.bias.data.ravel(), p.stride, p.padding)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-12)
+
+
+@pytest.mark.parametrize("cin, cout", _CHANNEL_PAIRS)
+@pytest.mark.parametrize("factor", [2, 4, 8])
+def test_deconv2d_matches_scatter_oracle_on_both_unfold_sides(cin, cout, factor):
+    rng = np.random.default_rng(30 + factor)
+    p = deconv_params(cin, cout, factor, rng, dtype=np.float64)
+    p.bias.data[:] = rng.normal(size=p.bias.shape)
+    x = Tensor(rng.normal(size=(3, cin, 3, 2)))
+    got = deconv2d(x, p).data
+    want = deconv2d_scatter(x.data, p.weight.data, p.bias.data.ravel(), p.stride, p.padding)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-12)
+
+
+@pytest.mark.parametrize("cin, cout", [(2, 3), (3, 2)])
+def test_deconv2d_weight_and_bias_gradients_match_numeric(cin, cout):
+    rng = np.random.default_rng(13)
+    x_arr = rng.normal(size=(2, cin, 3, 2))
+    w_arr = rng.normal(0.0, 0.3, size=(cin, cout, 4, 4))
+    b_arr = rng.normal(size=(1, cout, 1, 1))
+    proj = rng.normal(size=(2, cout, 6, 4))
+
+    d = DeconvParams(
+        weight=Tensor(w_arr, requires_grad=True),
+        bias=Tensor(b_arr, requires_grad=True),
+        stride=2,
+        padding=1,
+    )
+    with Tape() as tape:
+        loss = sum_all(mul(deconv2d(Tensor(x_arr), d), Tensor(proj)))
+    backward(tape, loss)
+
+    num_w = numeric_gradient(
+        lambda w: float((deconv2d_scatter(x_arr, w, b_arr.ravel(), 2, 1) * proj).sum()),
+        w_arr.copy(),
+    )
+    num_b = numeric_gradient(
+        lambda b: float((deconv2d_scatter(x_arr, w_arr, b.ravel(), 2, 1) * proj).sum()),
+        b_arr.copy(),
+    )
+    np.testing.assert_allclose(d.weight.grad, num_w, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(d.bias.grad, num_b, rtol=1e-6, atol=1e-8)
+
+
+def _forward_backward(op, p, x_arr, proj):
+    x = Tensor(x_arr.copy(), requires_grad=True)
+    p.weight.grad = p.bias.grad = None
+    with Tape() as tape:
+        y = op(x, p)
+        loss = sum_all(mul(y, Tensor(proj)))
+    backward(tape, loss)
+    return [a.tobytes() for a in (y.data, x.grad, p.weight.grad, p.bias.grad)]
+
+
+@pytest.mark.parametrize("cin, cout", _CHANNEL_PAIRS)
+@pytest.mark.parametrize("kind", ["conv", "deconv"])
+def test_forward_and_backward_repeat_byte_for_byte(kind, cin, cout):
+    rng = np.random.default_rng(40)
+    if kind == "conv":
+        op, p = conv2d, conv_params(cin, cout, 2, rng, dtype=np.float32)
+        x_arr, out_hw = rng.normal(size=(3, cin, 8, 12)), (4, 6)
+    else:
+        op, p = deconv2d, deconv_params(cin, cout, 4, rng, dtype=np.float32)
+        x_arr, out_hw = rng.normal(size=(3, cin, 2, 3)), (8, 12)
+    x_arr = x_arr.astype(np.float32)
+    proj = rng.normal(size=(3, cout) + out_hw).astype(np.float32)
+    assert _forward_backward(op, p, x_arr, proj) == _forward_backward(op, p, x_arr, proj)
+
+
+def test_thin_output_conv_does_not_unfold_its_wide_input():
+    """A 64 -> 3 conv must not build the 9x-wide unfold of its input."""
+    rng = np.random.default_rng(50)
+    p = conv_params(64, 3, 1, rng, dtype=np.float32)
+    x = Tensor(rng.normal(size=(2, 64, 64, 48)).astype(np.float32), requires_grad=True)
+    proj = Tensor(rng.normal(size=(2, 3, 64, 48)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = sum_all(mul(conv2d(x, p), proj))
+        backward(tape, loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and p.weight.grad is not None
+    assert peak < 4 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
+
+
+@pytest.mark.parametrize("kernel, stride, pad", [(1, 2, 0), (2, 2, 0), (5, 1, 2), (6, 4, 1)])
+def test_other_geometries_match_oracles(kernel, stride, pad):
+    """A reach of two pixels, uneven taps per phase, and phase planes no tap reads."""
+    rng = np.random.default_rng(60 + kernel)
+    w = rng.normal(size=(2, 3, kernel, kernel))
+    b = rng.normal(size=(1, 2, 1, 1))
+    p = ConvParams(weight=Tensor(w), bias=Tensor(b), stride=stride, padding=pad)
+    x_arr = rng.normal(size=(2, 3, 3 * stride, 2 * stride))
+    want = conv2d_loops(x_arr, w, b.ravel(), stride, pad)
+    proj = rng.normal(size=want.shape)
+    x = Tensor(x_arr.copy(), requires_grad=True)
+    with Tape() as tape:
+        out = conv2d(x, p)
+        loss = sum_all(mul(out, Tensor(proj)))
+    backward(tape, loss)
+    np.testing.assert_allclose(out.data, want, rtol=1e-6, atol=1e-12)
+    num = numeric_gradient(
+        lambda a: float((conv2d_loops(a, w, b.ravel(), stride, pad) * proj).sum()), x_arr.copy()
+    )
+    np.testing.assert_allclose(x.grad, num, rtol=1e-6, atol=1e-8)
+    if stride >= 2:
+        d_bias = Tensor(rng.normal(size=(1, 3, 1, 1)))
+        d = DeconvParams(weight=Tensor(w), bias=d_bias, stride=stride, padding=pad)
+        y = rng.normal(size=(2, 2, 3, 2))
+        want_d = deconv2d_scatter(y, w, d.bias.data.ravel(), stride, pad)
+        np.testing.assert_allclose(deconv2d(Tensor(y), d).data, want_d, rtol=1e-6, atol=1e-12)
