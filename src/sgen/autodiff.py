@@ -48,8 +48,12 @@ _REAL_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 class Tensor:
     """A dense 4-D (n, c, h, w) array plus an optional gradient buffer.
 
-    Data is treated as fixed after construction; only ``grad`` mutates
-    during backward passes.  Non-float input is converted to float32.
+    Ops never write their inputs' data, and a backward pass writes only
+    ``grad``.  Between steps, however, ``adam_step`` updates every
+    parameter's ``data`` in place, so nothing may cache values derived from
+    a parameter's data across optimizer steps; that is why the conv kernels
+    relay out their weight on every call.  Non-float input is converted to
+    float32.
     """
 
     __slots__ = ("data", "requires_grad", "grad")

@@ -176,8 +176,10 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
     # --- conv2d / deconv2d: input, weight, and bias gradients -------------
     # Both channel orders, so every kernel runs with either side unfolded,
     # plus factor 8, the factor of enc.base.1 and dec.base.3 in the paper
-    # config.  The added shapes draw from their own stream, so every other
-    # probe stays as it was.
+    # config.  The added shapes draw from their own streams, so every other
+    # probe stays as it was.  A 1 -> 5 conv and a 5 -> 1 deconv at stride 2
+    # have s*s*c <= o, so they unfold the fine side where the other pairs
+    # run the GEMM first, and the deconv's scatter shift-adds.
     def layer_checks(label, op, p, x0, w_out):
         def loss(x=None, weight=None, bias=None):
             q = type(p)(
@@ -193,9 +195,11 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
         check(f"{label}.bias", lambda b: loss(bias=b), p.bias.data.copy())
 
     more = np.random.default_rng([seed, 1])
+    thin = np.random.default_rng([seed, 2])
     for r, cin, cout, factor, hw in (
         (rng, 2, 3, 1, 6), (rng, 2, 3, 2, 6), (rng, 2, 3, 4, 8),
         (more, 3, 2, 1, 6), (more, 3, 2, 2, 6), (more, 3, 2, 4, 8), (more, 2, 3, 8, 16),
+        (thin, 1, 5, 2, 6),
     ):
         p = conv_params(cin, cout, factor, r, dtype=np.float64)
         x0 = _rand(r, (2, cin, hw, hw))
@@ -205,6 +209,7 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
     for r, cin, cout, factor, hw in (
         (rng, 3, 2, 2, 3), (rng, 3, 2, 4, 2),
         (more, 2, 3, 2, 3), (more, 2, 3, 4, 2), (more, 3, 2, 8, 2),
+        (thin, 5, 1, 2, 3),
     ):
         p = deconv_params(cin, cout, factor, r, dtype=np.float64)
         x0 = _rand(r, (2, cin, hw, hw))

@@ -8,28 +8,31 @@ the conv with the same geometry plus a bias, which makes upsampling by f
 produce exactly f times the input size and ties the two operators
 together for testing.
 
-Kernels: phase split.  Call the conv input the fine side and its output
-the coarse side.  At stride s, padding p and kernel offset i, coarse row q
-reads fine row s*(q + d) + r with (d, r) = divmod(i - p, s); for every
-geometry above d lies in {-1, 0, 1}.  So the fine image is cut into its s*s
-phase planes (fine pixels with the same (row, col) residue mod s), each
-plane gets a zero border of b = max |d| pixels and is flattened over
-(n, h + 2b, w + 2b): the batch is folded into the columns, and every
-kernel tap is one plane read at a fixed column shift.  Unfolding a tap is
-then a contiguous slice copy and its adjoint a shifted add.  The coarse
-side uses the same column layout as a single plane.  Three primitives,
-``_gather`` (conv forward), ``_scatter`` (its adjoint) and ``_wgrad``
-(weight gradient), each run one GEMM per phase plane, or per group of
-planes whose unfold is no larger than the planes themselves, with the
-batch summed inside the GEMM.  A backward that needs both the input and
-the weight gradient reads both off the same unfold.
+Kernels: pad-first phase planes.  Call the conv input the fine side and
+its output the coarse side.  Pad the fine side first: fine pixel y sits at
+padded row Y = y + p.  At stride s, kernel offset i = s*dy + ry of coarse
+row q reads padded row s*(q + dy) + ry, so cutting the padded image into
+its s*s phase planes (rows and columns with the same residue mod s) makes
+coarse row q read row q + dy of plane ry, with dy in [0, t) and
+t = ceil(k / s): the same t*t shifts for every plane (t = 2 for the 2s
+kernels, 3 for 3x3 at stride 1).  All planes stack into one
+(s*s*c, size) matrix flattened over (n, rows, cols): the batch is folded
+into the columns, the coarse side sits top-left in the same column grid,
+and every shift is one contiguous column slice at offset dy*cols + dx.
+The weight is relaid out by one transpose to match, zero-extended when
+k < t*s.  Three primitives, ``_gather`` (conv forward), ``_scatter`` (its
+adjoint) and ``_wgrad`` (weight gradient), each run one GEMM whatever the
+stride, with the batch summed inside it.
 
-Unfold the thinner side: unfolding costs taps x channels x columns, so the
-kernels stack shifted copies of whichever side has fewer channels.  When
-that is the coarse side (a 64 -> 3 output conv, say), the GEMM runs first
-on the unshifted wide plane and its thin per-tap results are shift-added
-into place.  The choice depends only on the weight shape, so a run repeats
-bit for bit.
+Unfold the thinner side: unfolding costs t*t x rows x columns, so compare
+the s*s*c rows of all fine planes with the o coarse channels.  The gather
+unfolds the fine planes when s*s*c <= o and the scatter the coarse side
+when o <= s*s*c; otherwise the GEMM runs first on the unshifted wide side
+and its t*t thin results are shift-added into place.  A backward that
+needs both the input and the weight gradient reads both off the same
+unfold; the conv backward takes the weight gradient first, so that its
+input planes are freed before the input gradient's planes are written.
+The choice depends only on shapes, so a run repeats bit for bit.
 
 ``deconv2d`` reuses the three primitives with the roles swapped: its
 forward is the conv input gradient, its input gradient the conv forward,
@@ -211,181 +214,165 @@ def deconv_params(
 class _Grid:
     """The shared column space of one conv geometry at one coarse size.
 
-    ``order`` lists the flat kernel taps grouped by fine phase plane
-    ``ry * s + rx`` (``unorder`` is its inverse).  ``phases`` holds, per
-    plane, the slice of ``order`` that reads it and a (plane, column shift)
-    pair per tap; ``groups`` merges consecutive phases while they hold at
-    most s*s taps, so that an unfold of a group's fine windows never
-    outgrows the phase planes themselves.  Values live on the window
-    [margin, margin + span) of the ``size`` columns, which holds every
-    image pixel.
+    Each of the s*s phase planes of the zero-padded fine side is ``rows`` x
+    ``cols`` pixels, flattened over (n, rows, cols) into ``size`` columns;
+    the coarse side sits top-left in the same grid, zero elsewhere.  Coarse
+    column f reads plane column f + d for each of the t*t ``shifts`` d, and
+    every coarse pixel lies in [0, span).  Every fine pixel lies in
+    [lo, hi), the only plane columns a scatter writes.
     """
 
-    def __init__(self, n: int, h: int, w: int, k: int, s: int, pad: int):
-        steps = [divmod(i - pad, s) for i in range(k)]  # (d, r) per offset
-        b = max(abs(d) for d, _ in steps)
-        self.n, self.h, self.w, self.s, self.border = n, h, w, s, b
-        self.row = w + 2 * b
-        self.size = n * (h + 2 * b) * self.row
-        self.margin = b * self.row + b
-        self.span = self.size - 2 * self.margin
-        by_phase: dict[int, list[tuple[int, int]]] = {}
-        for i, (dy, ry) in enumerate(steps):
-            for j, (dx, rx) in enumerate(steps):
-                by_phase.setdefault(ry * s + rx, []).append((i * k + j, dy * self.row + dx))
-        self.order: list[int] = []
-        self.phases: list[tuple[slice, list[tuple[int, int]]]] = []
-        self.groups: list[tuple[slice, list[tuple[int, int]]]] = []
-        for ph, taps in sorted(by_phase.items()):
-            at = len(self.order)
-            self.order += [t for t, _ in taps]
-            pairs = [(ph, d) for _, d in taps]
-            self.phases.append((slice(at, len(self.order)), pairs))
-            if self.groups and len(self.groups[-1][1]) + len(pairs) <= s * s:
-                prev, merged = self.groups.pop()
-                self.groups.append((slice(prev.start, len(self.order)), merged + pairs))
-            else:
-                self.groups.append(self.phases[-1])
-        self.unorder = np.argsort(self.order)
+    def __init__(self, n: int, hc: int, wc: int, k: int, s: int, pad: int):
+        t = -(-k // s)  # plane rows a coarse pixel reads
+        self.n, self.hc, self.wc, self.k, self.s, self.t = n, hc, wc, k, s, t
+        # room for every read and every padded fine pixel
+        self.rows = max(hc + t - 1, -(-(pad + s * hc) // s))
+        self.cols = max(wc + t - 1, -(-(pad + s * wc) // s))
+        self.size = n * self.rows * self.cols
+        self.shifts = [dy * self.cols + dx for dy in range(t) for dx in range(t)]
+        self.span = self.size - self.shifts[-1]
+        first, last = pad // s, pad // s + (pad % s > 0)  # plane offsets, see _runs
+        self.lo = first * self.cols + first
+        self.hi = ((n - 1) * self.rows + last + hc - 1) * self.cols + last + wc
 
 
-def _planes(x: np.ndarray, g: _Grid, s: int) -> np.ndarray:
-    """(n, c, s*h, s*w) -> (s*s, c, size): zero-bordered phase planes."""
+def _runs(s: int, pad: int):
+    """Fine residues mod s as (fine, plane) residue slices plus a plane offset.
+
+    Fine pixel y sits at padded row y + pad, that is plane (y + pad) % s,
+    plane row (y + pad) // s: at most two runs of residues per axis.
+    """
+    p0, off = pad % s, pad // s
+    runs = [(slice(0, s - p0), slice(p0, s), off)]
+    if p0:
+        runs.append((slice(s - p0, s), slice(0, p0), off + 1))
+    return runs
+
+
+def _planes(x: np.ndarray, g: _Grid, s: int, pad: int) -> np.ndarray:
+    """(n, c, s*hc, s*wc) -> (s*s*c, size): the image padded by ``pad``, cut
+    into its phase planes.  The coarse side is the case s = 1, pad = 0."""
     n, c = x.shape[:2]
-    b = g.border
-    buf = np.zeros((s, s, c, n, g.h + 2 * b, g.row), dtype=x.dtype)
-    buf[..., b : b + g.h, b : b + g.w] = x.reshape(n, c, g.h, s, g.w, s).transpose(3, 5, 1, 0, 2, 4)
-    return buf.reshape(s * s, c, g.size)
+    buf = np.zeros((s, s, c, n, g.rows, g.cols), dtype=x.dtype)
+    x6 = x.reshape(n, c, g.hc, s, g.wc, s)
+    for fy, py, oy in _runs(s, pad):
+        for fx, px, ox in _runs(s, pad):
+            buf[py, px, :, :, oy : oy + g.hc, ox : ox + g.wc] = x6[:, :, :, fy, :, fx].transpose(3, 5, 1, 0, 2, 4)
+    return buf.reshape(s * s * c, g.size)
 
 
-def _image(planes: np.ndarray, g: _Grid, s: int, bias: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of ``_planes`` on the window, plus an optional (1, c, 1, 1) bias."""
-    c = planes.shape[1]
-    b = g.border
-    grid = planes.reshape(s, s, c, g.n, g.h + 2 * b, g.row)[..., b : b + g.h, b : b + g.w]
-    out = np.empty((g.n, c, g.h, s, g.w, s), dtype=planes.dtype)
+def _image(planes: np.ndarray, g: _Grid, s: int, pad: int, bias: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of ``_planes`` on the image, plus an optional (1, c, 1, 1) bias."""
+    c = planes.shape[0] // (s * s)
+    grid = planes.reshape(s, s, c, g.n, g.rows, g.cols)
+    out = np.empty((g.n, c, g.hc, s, g.wc, s), dtype=planes.dtype)
     for rx in range(s):  # one column phase at a time keeps the inner loop w long
-        src = grid[:, rx].transpose(2, 1, 3, 0, 4)
-        if bias is None:
-            out[..., rx] = src
-        else:
-            np.add(src, bias.reshape(1, c, 1, 1, 1), out=out[..., rx])
-    return out.reshape(g.n, c, g.h * s, g.w * s)
+        ox, px = divmod(rx + pad, s)
+        for fy, py, oy in _runs(s, pad):
+            src = grid[py, px, :, :, oy : oy + g.hc, ox : ox + g.wc].transpose(2, 1, 3, 0, 4)
+            if bias is None:
+                out[:, :, :, fy, :, rx] = src
+            else:
+                np.add(src, bias.reshape(1, c, 1, 1, 1), out=out[:, :, :, fy, :, rx])
+    return out.reshape(g.n, c, g.hc * s, g.wc * s)
 
 
-def _taps_first(weight: np.ndarray, g: _Grid) -> np.ndarray:
-    """(o, c, k, k) -> (o, k*k, c), taps in phase order: a phase or group is a slice."""
-    o, c = weight.shape[:2]
-    return np.ascontiguousarray(weight.reshape(o, c, -1).transpose(0, 2, 1)).take(g.order, axis=1)
+def _taps(weight: np.ndarray, g: _Grid, coarse: bool) -> np.ndarray:
+    """(o, c, k, k) as a GEMM operand, relaid out by one transpose.
 
-
-def _fine_cols(xf: np.ndarray, pairs, g: _Grid) -> np.ndarray:
-    """Unfold the fine side: each (plane, shift) window of ``xf``, (taps * c, span)."""
-    m, span = g.margin, g.span
-    return np.stack([xf[ph, :, m + d : m + d + span] for ph, d in pairs]).reshape(-1, span)
-
-
-def _coarse_cols(cf: np.ndarray, pairs, g: _Grid) -> np.ndarray:
-    """Unfold the coarse side (o, size) against one phase's taps, (o * taps, span)."""
-    m, span = g.margin, g.span
-    return np.stack([cf[:, m - d : m - d + span] for _, d in pairs], axis=1).reshape(-1, span)
-
-
-def _dw_taps(cf, xf, pairs, g: _Grid, fine=None, coarse=None) -> np.ndarray:
-    """Weight gradient of some taps, (o, taps, c): coarse times shifted fine.
-
-    Reads it off the ``fine`` (a group's) or ``coarse`` (a phase's) unfold
-    when the caller already built one, else unfolds the thinner side.
+    Kernel offset i = s*dy + ry; a kernel shorter than t*s is zero-extended.
+    Rows o and columns (dy, dx, ry, rx, c) when the shifts go with the fine
+    side; rows (dy, dx, o) and columns (ry, rx, c) when they go with the
+    ``coarse`` side.  The transposed GEMMs read the same matrix transposed.
     """
-    o, c = cf.shape[0], xf.shape[1]
-    m, span = g.margin, g.span
-    if fine is None and coarse is None:
-        if c <= o:
-            fine = _fine_cols(xf, pairs, g)
-        else:
-            coarse = _coarse_cols(cf, pairs, g)
-    if fine is not None:
-        prod = np.matmul(cf[:, m : m + span], fine.T)
+    o, c, k = weight.shape[:3]
+    t, s = g.t, g.s
+    if k < t * s:
+        weight = np.pad(weight, ((0, 0), (0, 0), (0, t * s - k), (0, t * s - k)))
+    w6 = weight.reshape(o, c, t, s, t, s)
+    if coarse:
+        return w6.transpose(2, 4, 0, 3, 5, 1).reshape(t * t * o, s * s * c)
+    return w6.transpose(0, 2, 4, 3, 5, 1).reshape(o, t * t * s * s * c)
+
+
+def _untap(dw: np.ndarray, g: _Grid, coarse: bool) -> np.ndarray:
+    """Inverse of ``_taps`` on a gradient, cropped back to (o, c, k, k)."""
+    t, s = g.t, g.s
+    if coarse:
+        d6 = dw.reshape(t, t, -1, s, s, dw.shape[1] // (s * s)).transpose(2, 5, 0, 3, 1, 4)
     else:
-        prod = np.matmul(coarse, xf[pairs[0][0], :, m : m + span].T)
-    return prod.reshape(o, len(pairs), c)
+        d6 = dw.reshape(dw.shape[0], t, t, s, s, -1).transpose(0, 5, 1, 3, 2, 4)
+    o, c = d6.shape[:2]
+    return np.ascontiguousarray(d6.reshape(o, c, t * s, t * s)[:, :, : g.k, : g.k])
 
 
-# Fine unfolds, and GEMMs that run first on the coarse side, cover a group
-# of phases at a time; coarse unfolds, and GEMMs that run first on one fine
-# plane, cover one phase.
+def _fine_cols(xf: np.ndarray, g: _Grid) -> np.ndarray:
+    """Unfold the fine planes: one shifted window per shift, (t*t * s*s*c, span)."""
+    return np.stack([xf[:, d : d + g.span] for d in g.shifts]).reshape(-1, g.span)
 
 
-def _gather(xf: np.ndarray, weight: np.ndarray, g: _Grid, cf=None):
-    """Conv forward: fine planes (s*s, c, size) -> coarse (o, size).
+def _coarse_cols(cf: np.ndarray, g: _Grid) -> np.ndarray:
+    """Unfold the coarse side (o, size) the other way onto the fine columns
+    [lo, hi), zero outside it: (t*t * o, hi - lo)."""
+    out = np.empty((len(g.shifts), cf.shape[0], g.hi - g.lo), dtype=cf.dtype)
+    for u, d in zip(out, g.shifts):
+        head = max(d - g.lo, 0)  # columns that would read before the grid
+        u[:, :head] = 0
+        u[:, head:] = cf[:, g.lo - d + head : g.hi - d]
+    return out.reshape(-1, g.hi - g.lo)
 
-    Given coarse planes ``cf``, also returns the weight gradient of
-    <cf, gather(xf)> (taps in phase order, see ``_untap``), else None.
+
+def _gather(xf: np.ndarray, weight: np.ndarray, g: _Grid, cols=None) -> np.ndarray:
+    """Conv forward: fine planes (s*s*c, size) -> coarse (o, size), valid on [0, span).
+
+    One GEMM on ``cols``, the fine unfold, when given; else one GEMM on the
+    planes whose t*t thin per-shift results are shift-added.
     """
-    o, c = weight.shape[:2]
-    wt = _taps_first(weight, g)
-    m, span = g.margin, g.span
-    unfold = c <= o
-    # only the window is ever read back; an unfold writes all of it
-    out = (np.empty if unfold else np.zeros)((o, g.size), dtype=xf.dtype)
-    win = out[:, m : m + span]
-    dw = None if cf is None else np.empty_like(wt)
-    for i, (sl, pairs) in enumerate(g.groups if unfold else g.phases):
-        cols = None
-        if unfold:  # the first group writes the window, the rest add
-            cols = _fine_cols(xf, pairs, g)
-            z = np.matmul(wt[:, sl].reshape(o, -1), cols, out=None if i else win)
-            if i:
-                win += z
-        else:
-            z = np.matmul(wt[:, sl].reshape(-1, c), xf[pairs[0][0]]).reshape(o, len(pairs), g.size)
-            for j, (_, d) in enumerate(pairs):  # shift-add the thin coarse result
-                win += z[:, j, m + d : m + d + span]
-        if dw is not None:
-            dw[:, sl] = _dw_taps(cf, xf, pairs, g, fine=cols)
-    return out, dw
+    o = weight.shape[0]
+    if cols is not None:
+        out = np.empty((o, g.size), dtype=xf.dtype)
+        np.matmul(_taps(weight, g, False), cols, out=out[:, : g.span])
+        return out
+    z = np.matmul(_taps(weight, g, True), xf).reshape(-1, o, g.size)
+    out = z[0]  # shift 0
+    for zt, d in zip(z[1:], g.shifts[1:]):
+        out[:, : g.span] += zt[:, d : d + g.span]
+    return out
 
 
-def _scatter(cf: np.ndarray, weight: np.ndarray, g: _Grid, xf=None):
-    """Adjoint of ``_gather``: coarse (o, size) -> fine planes (s*s, c, size).
+def _scatter(cf: np.ndarray, weight: np.ndarray, g: _Grid, ccols=None) -> np.ndarray:
+    """Adjoint of ``_gather``: coarse (o, size) -> fine planes (s*s*c, size),
+    valid on [lo, hi).
 
-    Given fine planes ``xf``, also returns the weight gradient of
-    <cf, gather(xf)> (taps in phase order), else None.
+    One GEMM on ``ccols``, the coarse unfold, when given; else one GEMM on
+    the coarse side whose t*t thin per-shift results are shift-added.
     """
-    o, c = weight.shape[:2]
-    wt = _taps_first(weight, g)
-    m, span = g.margin, g.span
-    unfold = o <= c
-    # unfolds write every window, unless some plane has no tap (1x1 at stride 2)
-    fills = unfold and len(g.phases) == g.s**2
-    out = (np.empty if fills else np.zeros)((g.s**2, c, g.size), dtype=cf.dtype)
-    dw = None if xf is None else np.empty_like(wt)
-    for sl, pairs in g.phases if unfold else g.groups:
-        cols = None
-        if unfold:
-            cols = _coarse_cols(cf, pairs, g)
-            np.matmul(wt[:, sl].reshape(-1, c).T, cols, out=out[pairs[0][0], :, m : m + span])
+    sc = g.s * g.s * weight.shape[1]
+    if ccols is not None:
+        out = np.empty((sc, g.size), dtype=cf.dtype)
+        np.matmul(_taps(weight, g, True).T, ccols, out=out[:, g.lo : g.hi])
+        return out
+    z = np.matmul(_taps(weight, g, False).T, cf).reshape(-1, sc, g.size)
+    out = z[0]  # shift 0
+    for zt, d in zip(z[1:], g.shifts[1:]):
+        out[:, d:] += zt[:, : g.size - d]
+    return out
+
+
+def _wgrad(cf: np.ndarray, xf: np.ndarray, g: _Grid, cols=None, ccols=None) -> np.ndarray:
+    """Weight gradient (o, c, k, k) of <cf, gather(xf)>.
+
+    Read off the fine unfold ``cols`` or the coarse unfold ``ccols`` when
+    the caller built one, else off an unfold of the thinner side.
+    """
+    if cols is None and ccols is None:
+        if xf.shape[0] <= cf.shape[0]:
+            cols = _fine_cols(xf, g)
         else:
-            z = np.matmul(wt[:, sl].reshape(o, -1).T, cf).reshape(len(pairs), c, g.size)
-            for j, (ph, d) in enumerate(pairs):  # shift-add the thin fine result
-                out[ph, :, m : m + span] += z[j, :, m - d : m - d + span]
-        if dw is not None:
-            dw[:, sl] = _dw_taps(cf, xf, pairs, g, coarse=cols)
-    return out, dw
-
-
-def _wgrad(cf: np.ndarray, xf: np.ndarray, g: _Grid) -> np.ndarray:
-    """The weight gradient alone, (o, k*k, c) with taps in phase order."""
-    o, c = cf.shape[0], xf.shape[1]
-    dw = np.empty((o, len(g.order), c), dtype=cf.dtype)
-    for sl, pairs in g.groups if c <= o else g.phases:
-        dw[:, sl] = _dw_taps(cf, xf, pairs, g)
-    return dw
-
-
-def _untap(dw: np.ndarray, g: _Grid, shape) -> np.ndarray:
-    """Inverse of ``_taps_first``: (o, k*k, c) in phase order -> (o, c, k, k)."""
-    return np.ascontiguousarray(dw.take(g.unorder, axis=1).transpose(0, 2, 1)).reshape(shape)
+            ccols = _coarse_cols(cf, g)
+    if cols is not None:
+        return _untap(np.matmul(cf[:, : g.span], cols.T), g, False)
+    return _untap(np.matmul(ccols, xf[:, g.lo : g.hi].T), g, True)
 
 
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
@@ -395,26 +382,28 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
         raise ValueError(f"conv2d: input has {c} channels, kernel expects {p.in_channels}")
     if x.dtype != p.weight.dtype:
         raise ValueError(f"conv2d: dtype mismatch {x.dtype} vs weight {p.weight.dtype}")
-    s = p.stride
+    s, pad = p.stride, p.padding
     if h % s or w % s:
         raise ValueError(f"conv2d: spatial dims ({h}, {w}) not divisible by stride {s}")
-    g = _Grid(n, h // s, w // s, p.kernel, s, p.padding)
+    g = _Grid(n, h // s, w // s, p.kernel, s, pad)
+    o, sc = p.out_channels, s * s * c
     xd, wd = x.data, p.weight.data
-    y = Tensor(_image(_gather(_planes(xd, g, s), wd, g)[0][None], g, 1, p.bias.data))
+    xf = _planes(xd, g, s, pad)
+    coarse = _gather(xf, wd, g, _fine_cols(xf, g) if sc <= o else None)
+    del xf  # free before the output image is built
+    y = Tensor(_image(coarse, g, 1, 0, p.bias.data))
     weight, bias = p.weight, p.bias
 
     def bwd(gy):
-        cf = _planes(gy, g, 1)[0]
-        xf = _planes(xd, g, s) if weight.requires_grad else None
+        cf = _planes(gy, g, 1, 0)
         dx = dw = db = None
+        ccols = _coarse_cols(cf, g) if x.requires_grad and o <= sc else None
+        if weight.requires_grad:  # first, so its input planes are freed before dx is built
+            dw = _wgrad(cf, _planes(xd, g, s, pad), g, ccols=ccols)
         if x.requires_grad:
-            fine, dw = _scatter(cf, wd, g, xf)
-            xf = None  # free before the image copy doubles the fine side
-            dx = _image(fine, g, s)
-        elif xf is not None:
-            dw = _wgrad(cf, xf, g)
-        if dw is not None:
-            dw = _untap(dw, g, wd.shape)
+            fine = _scatter(cf, wd, g, ccols)
+            del ccols  # free before the image copy doubles the fine side
+            dx = _image(fine, g, s, pad)
         if bias.requires_grad:
             db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return dx, dw, db
@@ -429,23 +418,25 @@ def deconv2d(x: Tensor, p: DeconvParams) -> Tensor:
         raise ValueError(f"deconv2d: input has {c} channels, kernel expects {p.in_channels}")
     if x.dtype != p.weight.dtype:
         raise ValueError(f"deconv2d: dtype mismatch {x.dtype} vs weight {p.weight.dtype}")
-    s = p.stride
-    g = _Grid(n, h, w, p.kernel, s, p.padding)
+    s, pad = p.stride, p.padding
+    g = _Grid(n, h, w, p.kernel, s, pad)
+    o, sc = c, s * s * p.out_channels  # the matching conv's out channels and fine rows
     xd, wd = x.data, p.weight.data
-    y = Tensor(_image(_scatter(_planes(xd, g, 1)[0], wd, g)[0], g, s, p.bias.data))
+    cf = _planes(xd, g, 1, 0)
+    fine = _scatter(cf, wd, g, _coarse_cols(cf, g) if o <= sc else None)
+    del cf  # free before the output image is built
+    y = Tensor(_image(fine, g, s, pad, p.bias.data))
     weight, bias = p.weight, p.bias
 
     def bwd(gy):
-        xf = _planes(gy, g, s)
-        cf = _planes(xd, g, 1)[0] if weight.requires_grad else None
+        xf = _planes(gy, g, s, pad)
+        cf = _planes(xd, g, 1, 0) if weight.requires_grad else None
         dx = dw = db = None
+        cols = _fine_cols(xf, g) if x.requires_grad and sc <= o else None
+        if cf is not None:
+            dw = _wgrad(cf, xf, g, cols=cols)
         if x.requires_grad:
-            coarse, dw = _gather(xf, wd, g, cf)
-            dx = _image(coarse[None], g, 1)
-        elif cf is not None:
-            dw = _wgrad(cf, xf, g)
-        if dw is not None:
-            dw = _untap(dw, g, wd.shape)
+            dx = _image(_gather(xf, wd, g, cols), g, 1, 0)
         if bias.requires_grad:
             db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return dx, dw, db

@@ -435,3 +435,92 @@ def test_other_geometries_match_oracles(kernel, stride, pad):
         y = rng.normal(size=(2, 2, 3, 2))
         want_d = deconv2d_scatter(y, w, d.bias.data.ravel(), stride, pad)
         np.testing.assert_allclose(deconv2d(Tensor(y), d).data, want_d, rtol=1e-6, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# kernels shorter than t*s taps are zero-extended and their gradient cropped
+# back; (o, c) = (2, 3) runs the GEMM first on the fine side, (5, 1) unfolds
+# it wherever s*s*c <= o
+
+_GEOMETRIES = [(1, 2, 0), (2, 2, 0), (5, 1, 2), (6, 4, 1)]
+
+
+@pytest.mark.parametrize("x_grad", [False, True])
+@pytest.mark.parametrize("o, c", [(2, 3), (5, 1)])
+@pytest.mark.parametrize(
+    "kind, kernel, stride, pad",
+    [("conv",) + geo for geo in _GEOMETRIES] + [("deconv",) + geo for geo in _GEOMETRIES if geo[1] >= 2],
+)
+def test_other_geometries_weight_and_bias_gradients_match_numeric(kind, kernel, stride, pad, o, c, x_grad):
+    rng = np.random.default_rng(70 + kernel)
+    w_arr = rng.normal(size=(o, c, kernel, kernel))
+    if kind == "conv":
+        op, params, oracle = conv2d, ConvParams, conv2d_loops
+        x_arr = rng.normal(size=(2, c, 3 * stride, 2 * stride))
+        b_arr = rng.normal(size=(1, o, 1, 1))
+    else:
+        op, params, oracle = deconv2d, DeconvParams, deconv2d_scatter
+        x_arr = rng.normal(size=(2, o, 3, 2))
+        b_arr = rng.normal(size=(1, c, 1, 1))
+
+    def value(w, b):
+        return oracle(x_arr, w, b.ravel(), stride, pad)
+
+    proj = rng.normal(size=value(w_arr, b_arr).shape)
+    p = params(
+        weight=Tensor(w_arr.copy(), requires_grad=True),
+        bias=Tensor(b_arr.copy(), requires_grad=True),
+        stride=stride,
+        padding=pad,
+    )
+    with Tape() as tape:
+        loss = sum_all(mul(op(Tensor(x_arr, requires_grad=x_grad), p), Tensor(proj)))
+    backward(tape, loss)
+
+    num_w = numeric_gradient(lambda w: float((value(w, b_arr) * proj).sum()), w_arr.copy())
+    num_b = numeric_gradient(lambda b: float((value(w_arr, b) * proj).sum()), b_arr.copy())
+    np.testing.assert_allclose(p.weight.grad, num_w, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(p.bias.grad, num_b, rtol=1e-6, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# one GEMM per primitive, whatever the stride
+
+
+def _gemms_per_step(monkeypatch, op, p, x_arr, proj) -> int:
+    import sgen.nn as nn_module
+
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, *args, **kwargs):
+            calls.append(1)
+            return np.matmul(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(nn_module, "np", CountingNumpy())
+        _forward_backward(op, p, x_arr, proj)
+    return len(calls)
+
+
+# 65 channels keep s*s*c <= o at stride 8 as well, so both strides take the
+# same branch of every primitive
+@pytest.mark.parametrize("cin, cout", _CHANNEL_PAIRS + [(1, 65), (65, 1)])
+@pytest.mark.parametrize("kind", ["conv", "deconv"])
+def test_gemm_count_does_not_grow_with_stride(monkeypatch, kind, cin, cout):
+    """A taped forward + backward: one GEMM forward, one each for dx and dw."""
+    counts = {}
+    for stride in (2, 8):
+        rng = np.random.default_rng(80 + stride)
+        if kind == "conv":
+            op, p = conv2d, conv_params(cin, cout, stride, rng, dtype=np.float64)
+            x_arr, out_hw = rng.normal(size=(2, cin, 2 * stride, 3 * stride)), (2, 3)
+        else:
+            op, p = deconv2d, deconv_params(cin, cout, stride, rng, dtype=np.float64)
+            x_arr, out_hw = rng.normal(size=(2, cin, 2, 3)), (2 * stride, 3 * stride)
+        proj = rng.normal(size=(2, cout) + out_hw)
+        counts[stride] = _gemms_per_step(monkeypatch, op, p, x_arr, proj)
+    assert counts[8] <= counts[2] == 3, counts
