@@ -39,7 +39,6 @@ from .model import (
 )
 from .nn import (
     ConvParams,
-    DeconvParams,
     conv2d,
     conv_params,
     deconv2d,

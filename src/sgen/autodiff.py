@@ -163,7 +163,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ValueError(f"backward: loss must have shape (1, 1, 1, 1), got {loss.shape}")
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
-    produced = {id(node.output) for node in tape._nodes}
     for node in reversed(tape._nodes):
         out_adj = adjoints.pop(id(node.output), None)
         if out_adj is None:
@@ -178,9 +177,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
             else:
                 adjoints[key] = grad
                 holders[key] = tensor
+    # every node's output adjoint was popped when the node ran, since all its
+    # consumers were recorded after it: only leaves hold an adjoint here
     for key, adj in adjoints.items():
         tensor = holders[key]
-        if tensor.requires_grad and key not in produced:
+        if tensor.requires_grad:
             tensor.grad = adj.copy() if tensor.grad is None else tensor.grad + adj
 
 

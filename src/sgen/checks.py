@@ -11,7 +11,7 @@ samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,12 +22,14 @@ from .losses import d_loss, g_loss, mse_loss
 from .model import (
     ParamStore,
     SgenConfig,
+    _add_conv,
+    _at,
     build_discriminator,
     build_generator,
     discriminator_forward,
     generator_forward,
 )
-from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool
+from .nn import conv2d, conv_params, deconv2d, deconv_params, global_avg_pool
 
 __all__ = ["CheckResult", "run_gradient_battery", "OP_TOL", "NET_TOL"]
 
@@ -181,18 +183,12 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
     # have s*s*c <= o, so they unfold the fine side where the other pairs
     # run the GEMM first, and the deconv's scatter shift-adds.
     def layer_checks(label, op, p, x0, w_out):
-        def loss(x=None, weight=None, bias=None):
-            q = type(p)(
-                weight=p.weight if weight is None else weight,
-                bias=p.bias if bias is None else bias,
-                stride=p.stride,
-                padding=p.padding,
-            )
-            return _weighted_sum(op(Tensor(x0) if x is None else x, q), w_out)
+        def loss(x, **probe):
+            return _weighted_sum(op(x, replace(p, **probe)), w_out)
 
-        check(f"{label}.input", lambda x: loss(x=x), x0)
-        check(f"{label}.weight", lambda wt: loss(weight=wt), p.weight.data.copy())
-        check(f"{label}.bias", lambda b: loss(bias=b), p.bias.data.copy())
+        check(f"{label}.input", lambda x: loss(x), x0)
+        check(f"{label}.weight", lambda wt: loss(Tensor(x0), weight=wt), p.weight.data.copy())
+        check(f"{label}.bias", lambda b: loss(Tensor(x0), bias=b), p.bias.data.copy())
 
     more = np.random.default_rng([seed, 1])
     thin = np.random.default_rng([seed, 2])
@@ -218,33 +214,25 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
 
     # --- SGU: both inputs and all four gate parameters ---------------------
     gates = sgu_params(3, rng, dtype=np.float64, weight_std=0.15)
+    gate_store = ParamStore()
+    _add_conv(gate_store, "gate_a", gates.gate_a)
+    _add_conv(gate_store, "gate_p", gates.gate_p)
     active0 = _rand(rng, (2, 3, 5, 5))
     passive0 = _rand(rng, (2, 3, 5, 5))
     sgu_w = _signed_unit(rng, (2, 3, 5, 5))
 
-    def sgu_loss_from(active=None, passive=None, ga_w=None, gp_w=None, ga_b=None, gp_b=None):
-        ga = ConvParams(
-            weight=ga_w if ga_w is not None else gates.gate_a.weight,
-            bias=ga_b if ga_b is not None else gates.gate_a.bias,
-            stride=1,
-            padding=1,
-        )
-        gp = ConvParams(
-            weight=gp_w if gp_w is not None else gates.gate_p.weight,
-            bias=gp_b if gp_b is not None else gates.gate_p.bias,
-            stride=1,
-            padding=1,
-        )
-        a = active if active is not None else Tensor(active0)
-        p = passive if passive is not None else Tensor(passive0)
-        return _weighted_sum(sgu(a, p, SguParams(gate_a=ga, gate_p=gp)), sgu_w)
+    def sgu_loss(active, passive, store=gate_store):
+        params = SguParams(gate_a=_at(store, "gate_a"), gate_p=_at(store, "gate_p"))
+        return _weighted_sum(sgu(active, passive, params), sgu_w)
 
-    check("sgu.active", lambda x: sgu_loss_from(active=x), active0)
-    check("sgu.passive", lambda x: sgu_loss_from(passive=x), passive0)
-    check("sgu.gate_a.weight", lambda w: sgu_loss_from(ga_w=w), gates.gate_a.weight.data.copy())
-    check("sgu.gate_p.weight", lambda w: sgu_loss_from(gp_w=w), gates.gate_p.weight.data.copy())
-    check("sgu.gate_a.bias", lambda b: sgu_loss_from(ga_b=b), gates.gate_a.bias.data.copy())
-    check("sgu.gate_p.bias", lambda b: sgu_loss_from(gp_b=b), gates.gate_p.bias.data.copy())
+    check("sgu.active", lambda x: sgu_loss(x, Tensor(passive0)), active0)
+    check("sgu.passive", lambda x: sgu_loss(Tensor(active0), x), passive0)
+    for pname in ("gate_a.weight", "gate_p.weight", "gate_a.bias", "gate_p.bias"):
+        check(
+            f"sgu.{pname}",
+            lambda t, n=pname: sgu_loss(Tensor(active0), Tensor(passive0), _with_param(gate_store, n, t)),
+            gate_store[pname].data.copy(),
+        )
 
     # --- losses -------------------------------------------------------------
     scores_shape = (4, 1, 1, 1)
@@ -288,7 +276,7 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
     def gen_loss(x):
         return _weighted_sum(generator_forward(x, gen, tiny), gen_w)
 
-    check("generator.n2.input", gen_loss, gen_in, tol=NET_TOL, eps=1e-5)
+    check("generator.n2.input", gen_loss, gen_in, tol=NET_TOL)
 
     def gen_param_loss(w, name):
         probed = _with_param(gen, name, w)
@@ -300,7 +288,6 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
             lambda w, n=pname: gen_param_loss(w, n),
             gen[pname].data.copy(),
             tol=NET_TOL,
-            eps=1e-5,
         )
 
     disc = build_discriminator(tiny, np.random.default_rng(seed + 2), dtype=np.float64)
@@ -309,7 +296,7 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
     def disc_loss(x):
         return ad.mean_all(discriminator_forward(x, disc, tiny))
 
-    check("discriminator.input", disc_loss, disc_in, tol=NET_TOL, eps=1e-5)
+    check("discriminator.input", disc_loss, disc_in, tol=NET_TOL)
 
     def disc_param_loss(w, name):
         probed = _with_param(disc, name, w)
@@ -320,7 +307,6 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
         lambda w: disc_param_loss(w, "disc.head.weight"),
         disc["disc.head.weight"].data.copy(),
         tol=NET_TOL,
-        eps=1e-5,
     )
 
     # adversarial objective end to end: d(g_loss)/d(generator weight)
@@ -336,7 +322,6 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
         adv_param_loss,
         gen["dec.up.1.weight"].data.copy(),
         tol=NET_TOL,
-        eps=1e-5,
     )
 
     return results

@@ -137,13 +137,8 @@ def cmd_degrade(args) -> int:
         image = load_image(path)
         for j, (h, w) in enumerate(spec.scales):
             tasks.append((image, path.stem, h, w, spec, (spec.seed, i, j), out_dir))
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_degrade_one, tasks))
-    else:
-        for task in tasks:
-            _degrade_one(task)
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        list(pool.map(_degrade_one, tasks))
     print(f"wrote {2 * len(tasks)} images to {out_dir}", file=sys.stderr)
     return 0
 

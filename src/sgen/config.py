@@ -56,6 +56,12 @@ class RunConfig(SgenConfig):
             raise ValueError(f"gan_loss {self.gan_loss!r} not in {GAN_LOSSES}")
         if self.lambda_mse < 0:
             raise ValueError(f"lambda_mse must be >= 0, got {self.lambda_mse}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for key, least in (("batch_size", 1), ("steps", 0), ("eval_every", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        self.degrade_spec()  # the degradation fields obey DegradeSpec's rules
 
     @property
     def adversarial(self) -> bool:

@@ -64,7 +64,7 @@ class DegradeSpec:
         for h, w in self.scales:
             if h % self.down_factor or w % self.down_factor:
                 raise ValueError(
-                    f"scale ({h}, {w}) not divisible by down_factor {self.down_factor}"
+                    f"scales: ({h}, {w}) not divisible by down_factor {self.down_factor}"
                 )
 
 

@@ -9,8 +9,9 @@ sequential fusion cascade interleaved with factor-2 deconvs, and a final
 3x3 conv + tanh.  Nothing shares parameters; every site has its own conv.
 
 Parameters live in a flat name -> Tensor store so checkpointing and the
-optimizer stay structure-agnostic.  Forward passes reconstruct per-site
-geometry from the config plus stored weight shapes.
+optimizer stay structure-agnostic.  The build fixes each site's geometry
+in the size of its kernel; forward passes read every stride and padding
+back from the stored kernel (``sgen.nn.pooling``) and never state one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .autodiff import Tensor, lrelu, relu, sigmoid, tanh
 from .ensemble import MERGE_MODES, SguParams, merge
-from .nn import ConvParams, DeconvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool
+from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool, pooling
 
 __all__ = [
     "SgenConfig",
@@ -180,29 +181,18 @@ def _build_merge_sites(store, cfg, stage: str, rng, dtype) -> None:
             _add_conv(store, f"merge.{stage}.{k}.proj", conv_params(2 * c, c, 1, rng, dtype, kernel=1))
 
 
-def _conv_at(store: ParamStore, name: str, stride: int) -> ConvParams:
-    weight = store[f"{name}.weight"]
-    k = weight.shape[2]
-    return ConvParams(weight=weight, bias=store[f"{name}.bias"], stride=stride, padding=(k - stride) // 2)
-
-
-def _deconv_at(store: ParamStore, name: str, factor: int) -> DeconvParams:
-    return DeconvParams(
-        weight=store[f"{name}.weight"],
-        bias=store[f"{name}.bias"],
-        stride=factor,
-        padding=factor // 2,
-    )
+def _at(store: ParamStore, name: str) -> ConvParams:
+    return pooling(store[f"{name}.weight"], store[f"{name}.bias"])
 
 
 def _merge_params_at(store: ParamStore, cfg: SgenConfig, stage: str, k: int):
     if cfg.merge_mode == "sgu":
         return SguParams(
-            gate_a=_conv_at(store, f"sgu.{stage}.{k}.gate_a", 1),
-            gate_p=_conv_at(store, f"sgu.{stage}.{k}.gate_p", 1),
+            gate_a=_at(store, f"sgu.{stage}.{k}.gate_a"),
+            gate_p=_at(store, f"sgu.{stage}.{k}.gate_p"),
         )
     if cfg.merge_mode == "concat":
-        return _conv_at(store, f"merge.{stage}.{k}.proj", 1)
+        return _at(store, f"merge.{stage}.{k}.proj")
     return None
 
 
@@ -241,19 +231,19 @@ def generator_forward(
         if trace is not None:
             trace[key] = t
 
-    x = lrelu(conv2d(s, _conv_at(params, "enc.trunk.0", 1)), slope)
-    x = lrelu(conv2d(x, _conv_at(params, "enc.trunk.1", 2)), slope)
+    x = lrelu(conv2d(s, _at(params, "enc.trunk.0")), slope)
+    x = lrelu(conv2d(x, _at(params, "enc.trunk.1")), slope)
     trunk = [x]
     note("trunk.1", x)
     for k in range(2, n + 1):
-        x = lrelu(conv2d(x, _conv_at(params, f"enc.trunk.{k}", 2)), slope)
+        x = lrelu(conv2d(x, _at(params, f"enc.trunk.{k}")), slope)
         trunk.append(x)
         note(f"trunk.{k}", x)
 
     # every level lands on the same bottleneck grid: 1/2^(n+1) of the input
     enc = []
     for k in range(1, n + 1):
-        e = lrelu(conv2d(trunk[k - 1], _conv_at(params, f"enc.base.{k}", 1 << (n - k + 1))), slope)
+        e = lrelu(conv2d(trunk[k - 1], _at(params, f"enc.base.{k}")), slope)
         enc.append(e)
         note(f"base_enc.{k}", e)
 
@@ -266,18 +256,18 @@ def generator_forward(
     # decode level k from the deepest unused fusion: deconv by 2^k
     dec = []
     for k in range(1, n + 1):
-        y = relu(deconv2d(fused[n - k], _deconv_at(params, f"dec.base.{k}", 1 << k)))
+        y = relu(deconv2d(fused[n - k], _at(params, f"dec.base.{k}")))
         dec.append(y)
         note(f"base_dec.{k}", y)
 
-    up = relu(deconv2d(dec[0], _deconv_at(params, "dec.up.1", 2)))
+    up = relu(deconv2d(dec[0], _at(params, "dec.up.1")))
     note("up_dec.1", up)
     for k in range(2, n + 1):
         m = merge(cfg.merge_mode, dec[k - 1], up, _merge_params_at(params, cfg, "dec", k))
-        up = relu(deconv2d(m, _deconv_at(params, f"dec.up.{k}", 2)))
+        up = relu(deconv2d(m, _at(params, f"dec.up.{k}")))
         note(f"up_dec.{k}", up)
 
-    return tanh(conv2d(up, _conv_at(params, "out.conv", 1)))
+    return tanh(conv2d(up, _at(params, "out.conv")))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +300,6 @@ def discriminator_forward(x: Tensor, params: ParamStore, cfg: SgenConfig) -> Ten
     slope = cfg.lrelu_slope
     out = x
     for i in range(1, 5):
-        out = lrelu(conv2d(out, _conv_at(params, f"disc.conv.{i}", 2)), slope)
-    out = conv2d(out, _conv_at(params, "disc.head", 1))
+        out = lrelu(conv2d(out, _at(params, f"disc.conv.{i}")), slope)
+    out = conv2d(out, _at(params, "disc.head"))
     return sigmoid(global_avg_pool(out))

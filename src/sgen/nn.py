@@ -1,12 +1,14 @@
 """Strided convolution, transposed convolution, and global average pooling.
 
-Convolutions use cross-correlation semantics with zero padding.  Spatial
-pooling by a factor f is a single strided conv: stride f with a 2f kernel
-and f/2 padding (3x3, pad 1 at stride 1), so the output is exactly the
-input divided by the stride.  ``deconv2d`` is defined as the adjoint of
-the conv with the same geometry plus a bias, which makes upsampling by f
-produce exactly f times the input size and ties the two operators
-together for testing.
+One layer type serves both convolutions: ``conv2d(x, p)`` applies a
+``ConvParams`` and ``deconv2d(x, p)`` applies its adjoint, the transposed
+conv on the same weight, plus a bias as wide as its own output.  Both use
+cross-correlation semantics with zero padding.  A kernel fixes its own
+stride and padding by one rule, ``geometry``: an even kernel 2f pools by
+stride f with f/2 padding, an odd kernel k runs at stride 1 with (k-1)/2
+padding.  So a conv's output is exactly its input divided by the stride,
+its adjoint upsamples by exactly the stride, and ``pooling`` rebuilds the
+layer a stored kernel describes from the kernel alone.
 
 Kernels: pad-first phase planes.  Call the conv input the fine side and
 its output the coarse side.  Pad the fine side first: fine pixel y sits at
@@ -50,7 +52,8 @@ from .autodiff import Tensor, record
 
 __all__ = [
     "ConvParams",
-    "DeconvParams",
+    "geometry",
+    "pooling",
     "conv_params",
     "deconv_params",
     "conv2d",
@@ -60,23 +63,33 @@ __all__ = [
 ]
 
 
-def _pool_kernel(factor: int) -> int:
-    # factor-1 "pooling" is an ordinary 3x3 conv
-    return 3 if factor == 1 else 2 * factor
-
-
 def he_std(in_channels: int, kh: int, kw: int) -> float:
     """Kaiming-style init scale for relu-family activations."""
     return float(np.sqrt(2.0 / (in_channels * kh * kw)))
 
 
+def geometry(k: int) -> tuple[int, int]:
+    """The (stride, padding) a k x k kernel runs at: the pooling rule.
+
+    An even kernel 2f pools by f with padding f/2, so f must be even; an
+    odd kernel runs at stride 1 with the padding that keeps the size.
+    """
+    if k % 2:
+        return 1, (k - 1) // 2
+    if k % 4:
+        raise ValueError(f"kernel {k} pools by no factor: an even kernel must be a multiple of 4")
+    return k // 2, k // 4
+
+
 @dataclass
 class ConvParams:
-    """Weights for one convolution.
+    """Weights for one convolution, whose adjoint is the transposed conv.
 
-    weight: (out_channels, in_channels, kh, kw)
-    bias:   (1, out_channels, 1, 1); per-channel offsets live in the
-            channel slot because every tensor in the engine is 4-D.
+    weight: (out_channels, in_channels, kh, kw) of the conv; ``deconv2d``
+            reads the same array as (in_channels, out_channels, kh, kw).
+    bias:   (1, c, 1, 1) for the c output channels of the op it is applied
+            by; per-channel offsets live in the channel slot because every
+            tensor in the engine is 4-D.
     """
 
     weight: Tensor
@@ -87,14 +100,9 @@ class ConvParams:
     def __post_init__(self):
         if self.weight.data.ndim != 4:
             raise ValueError("ConvParams: weight must be 4-D")
-        out_c, _, kh, kw = self.weight.shape
+        _, _, kh, kw = self.weight.shape
         if kh != kw:
             raise ValueError(f"ConvParams: kernel must be square, got {kh}x{kw}")
-        if self.bias.shape != (1, out_c, 1, 1):
-            raise ValueError(
-                f"ConvParams: bias shape {self.bias.shape} does not match"
-                f" {out_c} output channels"
-            )
         if self.stride < 1:
             raise ValueError(f"ConvParams: stride must be >= 1, got {self.stride}")
         if self.padding < 0:
@@ -113,45 +121,19 @@ class ConvParams:
         return self.weight.shape[2]
 
 
-@dataclass
-class DeconvParams:
-    """Weights for one transposed convolution (upsampling by ``stride``).
+def pooling(weight: Tensor, bias: Tensor) -> ConvParams:
+    """The layer a stored kernel describes, at the geometry of its size."""
+    stride, padding = geometry(weight.shape[2])
+    return ConvParams(weight=weight, bias=bias, stride=stride, padding=padding)
 
-    weight: (in_channels, out_channels, kh, kw); a DeconvParams with the
-    same weight array as a ConvParams is its exact adjoint.
-    """
 
-    weight: Tensor
-    bias: Tensor
-    stride: int
-    padding: int
-
-    def __post_init__(self):
-        if self.weight.data.ndim != 4:
-            raise ValueError("DeconvParams: weight must be 4-D")
-        _, out_c, kh, kw = self.weight.shape
-        if kh != kw:
-            raise ValueError(f"DeconvParams: kernel must be square, got {kh}x{kw}")
-        if self.bias.shape != (1, out_c, 1, 1):
-            raise ValueError(
-                f"DeconvParams: bias shape {self.bias.shape} does not match"
-                f" {out_c} output channels"
-            )
-        s = self.stride
-        if s < 2 or (s & (s - 1)) != 0:
-            raise ValueError(f"DeconvParams: stride must be a power of two >= 2, got {s}")
-
-    @property
-    def in_channels(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def out_channels(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def kernel(self) -> int:
-        return self.weight.shape[2]
+def _fresh(in_channels: int, out_channels: int, shape, rng, dtype, weight_std: float | None):
+    """A He-scaled (zero at weight_std 0.0) weight of ``shape`` and a zero bias."""
+    std = he_std(in_channels, shape[2], shape[3]) if weight_std is None else weight_std
+    w = rng.normal(0.0, std, size=shape) if std > 0 else np.zeros(shape)
+    weight = Tensor(w.astype(dtype), requires_grad=True)
+    bias = Tensor(np.zeros((1, out_channels, 1, 1), dtype=dtype), requires_grad=True)
+    return weight, bias
 
 
 def conv_params(
@@ -165,24 +147,18 @@ def conv_params(
 ) -> ConvParams:
     """Fresh conv weights for spatial pooling by ``factor``.
 
-    kernel defaults to the pooling rule (3 at factor 1, else 2*factor) but
-    may be overridden, e.g. 1 for channel-projection convs.  weight_std
-    defaults to the He scale; pass 0.0 for zero-initialized gates.
+    kernel defaults to 3 at factor 1, else 2*factor, and may be overridden
+    by any kernel that ``geometry`` runs at this factor, e.g. 1 for
+    channel-projection convs.  weight_std defaults to the He scale; pass
+    0.0 for zero-initialized gates.
     """
     if factor < 1:
         raise ValueError(f"conv_params: factor must be >= 1, got {factor}")
-    k = _pool_kernel(factor) if kernel is None else kernel
-    if (k - factor) % 2 != 0:
+    k = (3 if factor == 1 else 2 * factor) if kernel is None else kernel
+    if geometry(k)[0] != factor:
         raise ValueError(f"conv_params: kernel {k} incompatible with stride {factor}")
-    pad = (k - factor) // 2
-    std = he_std(in_channels, k, k) if weight_std is None else weight_std
-    if std > 0:
-        w = rng.normal(0.0, std, size=(out_channels, in_channels, k, k))
-    else:
-        w = np.zeros((out_channels, in_channels, k, k))
-    weight = Tensor(w.astype(dtype), requires_grad=True)
-    bias = Tensor(np.zeros((1, out_channels, 1, 1), dtype=dtype), requires_grad=True)
-    return ConvParams(weight=weight, bias=bias, stride=factor, padding=pad)
+    shape = (out_channels, in_channels, k, k)
+    return pooling(*_fresh(in_channels, out_channels, shape, rng, dtype, weight_std))
 
 
 def deconv_params(
@@ -192,18 +168,10 @@ def deconv_params(
     rng: np.random.Generator,
     dtype=np.float32,
     weight_std: float | None = None,
-) -> DeconvParams:
+) -> ConvParams:
     """Fresh transposed-conv weights for upsampling by ``factor``."""
-    k = 2 * factor
-    pad = factor // 2
-    std = he_std(in_channels, k, k) if weight_std is None else weight_std
-    if std > 0:
-        w = rng.normal(0.0, std, size=(in_channels, out_channels, k, k))
-    else:
-        w = np.zeros((in_channels, out_channels, k, k))
-    weight = Tensor(w.astype(dtype), requires_grad=True)
-    bias = Tensor(np.zeros((1, out_channels, 1, 1), dtype=dtype), requires_grad=True)
-    return DeconvParams(weight=weight, bias=bias, stride=factor, padding=pad)
+    shape = (in_channels, out_channels, 2 * factor, 2 * factor)
+    return pooling(*_fresh(in_channels, out_channels, shape, rng, dtype, weight_std))
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +343,20 @@ def _wgrad(cf: np.ndarray, xf: np.ndarray, g: _Grid, cols=None, ccols=None) -> n
     return _untap(np.matmul(ccols, xf[:, g.lo : g.hi].T), g, True)
 
 
+def _check(op: str, x: Tensor, p: ConvParams, c_in: int, c_out: int) -> None:
+    """``op`` maps c_in to c_out channels in the weight's dtype."""
+    if x.shape[1] != c_in:
+        raise ValueError(f"{op}: input has {x.shape[1]} channels, kernel expects {c_in}")
+    if x.dtype != p.weight.dtype:
+        raise ValueError(f"{op}: dtype mismatch {x.dtype} vs weight {p.weight.dtype}")
+    if p.bias.shape != (1, c_out, 1, 1):
+        raise ValueError(f"{op}: bias shape {p.bias.shape} does not match {c_out} output channels")
+
+
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     """Strided cross-correlation plus bias; output spatial dims = input / stride."""
+    _check("conv2d", x, p, p.in_channels, p.out_channels)
     n, c, h, w = x.shape
-    if c != p.in_channels:
-        raise ValueError(f"conv2d: input has {c} channels, kernel expects {p.in_channels}")
-    if x.dtype != p.weight.dtype:
-        raise ValueError(f"conv2d: dtype mismatch {x.dtype} vs weight {p.weight.dtype}")
     s, pad = p.stride, p.padding
     if h % s or w % s:
         raise ValueError(f"conv2d: spatial dims ({h}, {w}) not divisible by stride {s}")
@@ -411,16 +386,16 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     return record((x, weight, bias), y, bwd)
 
 
-def deconv2d(x: Tensor, p: DeconvParams) -> Tensor:
-    """Adjoint of the matching conv2d, plus bias; upsamples by p.stride."""
+def deconv2d(x: Tensor, p: ConvParams) -> Tensor:
+    """Adjoint of conv2d on p, plus p's bias; upsamples by p.stride.
+    Its input and output channels are the conv's output and input channels."""
+    _check("deconv2d", x, p, p.out_channels, p.in_channels)
     n, c, h, w = x.shape
-    if c != p.in_channels:
-        raise ValueError(f"deconv2d: input has {c} channels, kernel expects {p.in_channels}")
-    if x.dtype != p.weight.dtype:
-        raise ValueError(f"deconv2d: dtype mismatch {x.dtype} vs weight {p.weight.dtype}")
     s, pad = p.stride, p.padding
+    if s < 2 or s & (s - 1):
+        raise ValueError(f"deconv2d: stride must be a power of two >= 2, got {s}")
     g = _Grid(n, h, w, p.kernel, s, pad)
-    o, sc = c, s * s * p.out_channels  # the matching conv's out channels and fine rows
+    o, sc = c, s * s * p.in_channels  # the conv's out channels and fine rows
     xd, wd = x.data, p.weight.data
     cf = _planes(xd, g, 1, 0)
     fine = _scatter(cf, wd, g, _coarse_cols(cf, g) if o <= sc else None)

@@ -21,42 +21,38 @@ from .model import ParamStore
 __all__ = ["AdamState", "init_adam", "adam_step"]
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_adam(
-    params: ParamStore, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-) -> AdamState:
-    state = AdamState(beta1=beta1, beta2=beta2, eps=eps)
+def init_adam(params: ParamStore) -> AdamState:
+    state = AdamState()
     for name, tensor in params.items():
         state.m[name] = np.zeros_like(tensor.data)
         state.v[name] = np.zeros_like(tensor.data)
     return state
 
 
-def adam_step(params: ParamStore, grads, state: AdamState, lr: float) -> None:
-    """Apply one update in place.
+def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
+    """Apply one update in place from each tensor's grad buffer.
 
-    ``grads`` maps parameter names to gradient arrays; pass None to read
-    each tensor's own grad buffer.  A missing gradient is an error naming
-    the parameter, catching forgotten backward passes early.
+    A missing gradient is an error naming the parameter, catching
+    forgotten backward passes early.
     """
-    if grads is None:
-        grads = {name: t.grad for name, t in params.items()}
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1**t
-    corr2 = 1.0 - b2**t
+    corr1 = 1.0 - BETA1**t
+    corr2 = 1.0 - BETA2**t
     for name, p in params.items():
-        g = grads.get(name)
+        g = p.grad
         if g is None:
             raise ValueError(f"adam_step: missing gradient for parameter {name!r}")
         if g.shape != p.data.shape:
@@ -66,8 +62,8 @@ def adam_step(params: ParamStore, grads, state: AdamState, lr: float) -> None:
             )
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= lr * (m / corr1) / (np.sqrt(v / corr2) + EPS)

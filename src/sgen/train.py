@@ -161,7 +161,7 @@ def _mse_step(s, t, gen, gen_state, cfg: RunConfig):
         pred = generator_forward(s, gen, cfg)
         loss = mse_loss(pred, t)
     backward(tape, loss)
-    adam_step(gen, None, gen_state, cfg.learning_rate)
+    adam_step(gen, gen_state, cfg.learning_rate)
     value = loss.item()
     return value, math.nan, value
 
@@ -179,7 +179,7 @@ def _adversarial_step(s, t, gen, disc, gen_state, disc_state, cfg: RunConfig):
         loss_d = d_loss(score_real, score_fake)
     backward(tape, loss_d)
     del tape  # release the critic graph before the generator backward
-    adam_step(disc, None, disc_state, cfg.learning_rate)
+    adam_step(disc, disc_state, cfg.learning_rate)
 
     # generator step: gradient flows through the updated discriminator,
     # whose frozen weights take no gradient of their own
@@ -189,6 +189,6 @@ def _adversarial_step(s, t, gen, disc, gen_state, disc_state, cfg: RunConfig):
             score = discriminator_forward(pred, disc, cfg)
             loss_g = g_loss(score, pred, t, cfg.lambda_mse, cfg.gan_loss)
         backward(gen_tape, loss_g)
-    adam_step(gen, None, gen_state, cfg.learning_rate)
+    adam_step(gen, gen_state, cfg.learning_rate)
     mse_value = float(np.mean((pred.data - t.data) ** 2))
     return loss_g.item(), loss_d.item(), mse_value

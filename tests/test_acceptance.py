@@ -43,7 +43,7 @@ from sgen.model import (
     discriminator_forward,
     generator_forward,
 )
-from sgen.nn import DeconvParams, conv2d, conv_params, deconv2d, deconv_params
+from sgen.nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params
 from sgen.train import load_corpus
 
 
@@ -170,7 +170,7 @@ def test_criterion_04_convolution_oracles():
             # <conv(x), y> == <x, deconv(y)> when the kernel is shared
             pc = conv_params(cin, cout, factor, rng, dtype=np.float64)
             pc.bias.data[:] = 0.0
-            pt = DeconvParams(
+            pt = ConvParams(
                 weight=Tensor(pc.weight.data),
                 bias=Tensor(np.zeros((1, cin, 1, 1))),
                 stride=pc.stride,

@@ -78,6 +78,13 @@ def test_bad_scalar_value_reports_line_and_key():
         ("n_levels = 1", "n_levels"),
         ("gan_loss = wasserstein", "gan_loss"),
         ("lambda_mse = -1", "lambda_mse"),
+        ("down_factor = 0", "down_factor"),
+        ("noise_sigma = -1", "noise_sigma"),
+        ("scales = 30x30", "scales"),
+        ("batch_size = 0", "batch_size"),
+        ("steps = -5", "steps"),
+        ("eval_every = -1", "eval_every"),
+        ("learning_rate = -1", "learning_rate"),
     ],
 )
 def test_invalid_values_fail_at_parse_time(line, key):

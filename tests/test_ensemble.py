@@ -80,10 +80,11 @@ def test_sgu_params_must_preserve_channels():
 
 def test_sgu_params_must_have_stride_1():
     rng = np.random.default_rng(5)
+    g = conv_params(3, 3, 1, rng)
     with pytest.raises(ValueError, match="stride 1"):
         SguParams(
             gate_a=conv_params(3, 3, 1, rng),
-            gate_p=conv_params(3, 3, 3, rng, kernel=3),
+            gate_p=ConvParams(weight=g.weight, bias=g.bias, stride=3, padding=0),
         )
 
 

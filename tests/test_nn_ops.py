@@ -9,7 +9,6 @@ from oracles import conv2d_loops, deconv2d_scatter, numeric_gradient
 
 from sgen import (
     ConvParams,
-    DeconvParams,
     Tape,
     Tensor,
     backward,
@@ -81,16 +80,18 @@ def test_deconv_stride_must_be_power_of_two():
     rng = np.random.default_rng(4)
     w = Tensor(np.zeros((2, 3, 6, 6), dtype=np.float32), requires_grad=True)
     b = Tensor(np.zeros((1, 3, 1, 1), dtype=np.float32), requires_grad=True)
+    x = Tensor(np.zeros((1, 2, 2, 2), dtype=np.float32))
     for bad in (1, 3, 6):
         with pytest.raises(ValueError, match="power of two"):
-            DeconvParams(weight=w, bias=b, stride=bad, padding=1)
+            deconv2d(x, ConvParams(weight=w, bias=b, stride=bad, padding=1))
 
 
 def test_bias_shape_is_validated():
     w = Tensor(np.zeros((4, 2, 3, 3), dtype=np.float32))
     bad_bias = Tensor(np.zeros((1, 2, 1, 1), dtype=np.float32))
+    x = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="bias shape"):
-        ConvParams(weight=w, bias=bad_bias, stride=1, padding=1)
+        conv2d(x, ConvParams(weight=w, bias=bad_bias, stride=1, padding=1))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +167,7 @@ def test_conv_deconv_adjoint_identity(factor):
     h = w = 16
     cp = _conv(rng, cin, cout, factor)
     cp.bias.data[:] = 0.0
-    dp = DeconvParams(
+    dp = ConvParams(
         weight=cp.weight,  # (cout, cin, k, k) read as (in, out, k, k)
         bias=Tensor(np.zeros((1, cin, 1, 1), dtype=np.float64)),
         stride=cp.stride,
@@ -344,7 +345,7 @@ def test_deconv2d_weight_and_bias_gradients_match_numeric(cin, cout):
     b_arr = rng.normal(size=(1, cout, 1, 1))
     proj = rng.normal(size=(2, cout, 6, 4))
 
-    d = DeconvParams(
+    d = ConvParams(
         weight=Tensor(w_arr, requires_grad=True),
         bias=Tensor(b_arr, requires_grad=True),
         stride=2,
@@ -431,7 +432,7 @@ def test_other_geometries_match_oracles(kernel, stride, pad):
     np.testing.assert_allclose(x.grad, num, rtol=1e-6, atol=1e-8)
     if stride >= 2:
         d_bias = Tensor(rng.normal(size=(1, 3, 1, 1)))
-        d = DeconvParams(weight=Tensor(w), bias=d_bias, stride=stride, padding=pad)
+        d = ConvParams(weight=Tensor(w), bias=d_bias, stride=stride, padding=pad)
         y = rng.normal(size=(2, 2, 3, 2))
         want_d = deconv2d_scatter(y, w, d.bias.data.ravel(), stride, pad)
         np.testing.assert_allclose(deconv2d(Tensor(y), d).data, want_d, rtol=1e-6, atol=1e-12)
@@ -459,7 +460,7 @@ def test_other_geometries_weight_and_bias_gradients_match_numeric(kind, kernel, 
         x_arr = rng.normal(size=(2, c, 3 * stride, 2 * stride))
         b_arr = rng.normal(size=(1, o, 1, 1))
     else:
-        op, params, oracle = deconv2d, DeconvParams, deconv2d_scatter
+        op, params, oracle = deconv2d, ConvParams, deconv2d_scatter
         x_arr = rng.normal(size=(2, o, 3, 2))
         b_arr = rng.normal(size=(1, c, 1, 1))
 
