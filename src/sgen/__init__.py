@@ -24,7 +24,6 @@ from .data import (
     denormalize,
     make_synthetic_corpus,
     normalize,
-    resize_to_scales,
 )
 from .ensemble import MERGE_MODES, SguParams, merge, sgu, sgu_params
 from .losses import d_loss, g_loss, mse_loss

@@ -161,26 +161,19 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.shape != (1, 1, 1, 1):
         raise ValueError(f"backward: loss must have shape (1, 1, 1, 1), got {loss.shape}")
-    adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    adjoints: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
     for node in reversed(tape._nodes):
-        out_adj = adjoints.pop(id(node.output), None)
-        if out_adj is None:
+        entry = adjoints.pop(id(node.output), None)
+        if entry is None:
             continue  # not on the path from loss
-        holders.pop(id(node.output), None)
-        for tensor, grad in zip(node.inputs, node.backward(out_adj)):
+        for tensor, grad in zip(node.inputs, node.backward(entry[1])):
             if grad is None:
                 continue
-            key = id(tensor)
-            if key in adjoints:
-                adjoints[key] = adjoints[key] + grad
-            else:
-                adjoints[key] = grad
-                holders[key] = tensor
+            held = adjoints.get(id(tensor))
+            adjoints[id(tensor)] = (tensor, grad if held is None else held[1] + grad)
     # every node's output adjoint was popped when the node ran, since all its
     # consumers were recorded after it: only leaves hold an adjoint here
-    for key, adj in adjoints.items():
-        tensor = holders[key]
+    for tensor, adj in adjoints.values():
         if tensor.requires_grad:
             tensor.grad = adj.copy() if tensor.grad is None else tensor.grad + adj
 

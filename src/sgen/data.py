@@ -27,7 +27,6 @@ __all__ = [
     "box_downsample",
     "nearest_upsample",
     "bilinear_resize",
-    "resize_to_scales",
     "make_synthetic_corpus",
     "batch_iter",
     "normalize",
@@ -158,10 +157,6 @@ def bilinear_resize(t: Tensor, out_h: int, out_w: int) -> Tensor:
     bot = arr[:, :, yhi][:, :, :, xlo] * (1 - fx) + arr[:, :, yhi][:, :, :, xhi] * fx
     out = top * (1 - fy)[:, np.newaxis] + bot * fy[:, np.newaxis]
     return Tensor(out.astype(t.dtype))
-
-
-def resize_to_scales(clean: Tensor, scales) -> list[Tensor]:
-    return [bilinear_resize(clean, h, w) for h, w in scales]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ sequential fusion cascade interleaved with factor-2 deconvs, and a final
 
 Parameters live in a flat name -> Tensor store so checkpointing and the
 optimizer stay structure-agnostic.  The build fixes each site's geometry
-in the size of its kernel; forward passes read every stride and padding
-back from the stored kernel (``sgen.nn.pooling``) and never state one.
+in the size of its kernel; forward passes wrap each stored kernel in a
+``ConvParams``, which reads its stride back, and never state one.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, lrelu, relu, sigmoid, tanh
-from .ensemble import MERGE_MODES, SguParams, merge
-from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool, pooling
+from .ensemble import MERGE_MODES, SguParams, merge, sgu_params
+from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool
 
 __all__ = [
     "SgenConfig",
@@ -174,15 +174,15 @@ def _build_merge_sites(store, cfg, stage: str, rng, dtype) -> None:
     c = cfg.bottleneck_channels
     for k in range(2, cfg.n_levels + 1):
         if cfg.merge_mode == "sgu":
-            # zero-initialized gates: training starts as the average ensemble
-            _add_conv(store, f"sgu.{stage}.{k}.gate_a", conv_params(c, c, 1, rng, dtype, weight_std=0.0))
-            _add_conv(store, f"sgu.{stage}.{k}.gate_p", conv_params(c, c, 1, rng, dtype, weight_std=0.0))
+            gates = sgu_params(c, rng, dtype)
+            _add_conv(store, f"sgu.{stage}.{k}.gate_a", gates.gate_a)
+            _add_conv(store, f"sgu.{stage}.{k}.gate_p", gates.gate_p)
         elif cfg.merge_mode == "concat":
             _add_conv(store, f"merge.{stage}.{k}.proj", conv_params(2 * c, c, 1, rng, dtype, kernel=1))
 
 
 def _at(store: ParamStore, name: str) -> ConvParams:
-    return pooling(store[f"{name}.weight"], store[f"{name}.bias"])
+    return ConvParams(store[f"{name}.weight"], store[f"{name}.bias"])
 
 
 def _merge_params_at(store: ParamStore, cfg: SgenConfig, stage: str, k: int):

@@ -7,8 +7,8 @@ cross-correlation semantics with zero padding.  A kernel fixes its own
 stride and padding by one rule, ``geometry``: an even kernel 2f pools by
 stride f with f/2 padding, an odd kernel k runs at stride 1 with (k-1)/2
 padding.  So a conv's output is exactly its input divided by the stride,
-its adjoint upsamples by exactly the stride, and ``pooling`` rebuilds the
-layer a stored kernel describes from the kernel alone.
+its adjoint upsamples by exactly the stride, and a ``ConvParams`` is
+just its weight and bias.
 
 Kernels: pad-first phase planes.  Call the conv input the fine side and
 its output the coarse side.  Pad the fine side first: fine pixel y sits at
@@ -16,15 +16,15 @@ padded row Y = y + p.  At stride s, kernel offset i = s*dy + ry of coarse
 row q reads padded row s*(q + dy) + ry, so cutting the padded image into
 its s*s phase planes (rows and columns with the same residue mod s) makes
 coarse row q read row q + dy of plane ry, with dy in [0, t) and
-t = ceil(k / s): the same t*t shifts for every plane (t = 2 for the 2s
-kernels, 3 for 3x3 at stride 1).  All planes stack into one
+t = k / s: the same t*t shifts for every plane (t = 2 for the 2s kernels,
+k for an odd kernel at stride 1).  All planes stack into one
 (s*s*c, size) matrix flattened over (n, rows, cols): the batch is folded
 into the columns, the coarse side sits top-left in the same column grid,
 and every shift is one contiguous column slice at offset dy*cols + dx.
-The weight is relaid out by one transpose to match, zero-extended when
-k < t*s.  Three primitives, ``_gather`` (conv forward), ``_scatter`` (its
-adjoint) and ``_wgrad`` (weight gradient), each run one GEMM whatever the
-stride, with the batch summed inside it.
+The weight is relaid out by one transpose to match.  Three primitives,
+``_gather`` (conv forward), ``_scatter`` (its adjoint) and ``_wgrad``
+(weight gradient), each run one GEMM whatever the stride, with the batch
+summed inside it.
 
 Unfold the thinner side: unfolding costs t*t x rows x columns, so compare
 the s*s*c rows of all fine planes with the o coarse channels.  The gather
@@ -44,7 +44,7 @@ coarse side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from .autodiff import Tensor, record
 __all__ = [
     "ConvParams",
     "geometry",
-    "pooling",
     "conv_params",
     "deconv_params",
     "conv2d",
@@ -90,12 +89,13 @@ class ConvParams:
     bias:   (1, c, 1, 1) for the c output channels of the op it is applied
             by; per-channel offsets live in the channel slot because every
             tensor in the engine is 4-D.
+    stride, padding: set from the kernel size by ``geometry``.
     """
 
     weight: Tensor
     bias: Tensor
-    stride: int
-    padding: int
+    stride: int = field(init=False)
+    padding: int = field(init=False)
 
     def __post_init__(self):
         if self.weight.data.ndim != 4:
@@ -103,10 +103,7 @@ class ConvParams:
         _, _, kh, kw = self.weight.shape
         if kh != kw:
             raise ValueError(f"ConvParams: kernel must be square, got {kh}x{kw}")
-        if self.stride < 1:
-            raise ValueError(f"ConvParams: stride must be >= 1, got {self.stride}")
-        if self.padding < 0:
-            raise ValueError(f"ConvParams: padding must be >= 0, got {self.padding}")
+        self.stride, self.padding = geometry(kh)
 
     @property
     def out_channels(self) -> int:
@@ -119,12 +116,6 @@ class ConvParams:
     @property
     def kernel(self) -> int:
         return self.weight.shape[2]
-
-
-def pooling(weight: Tensor, bias: Tensor) -> ConvParams:
-    """The layer a stored kernel describes, at the geometry of its size."""
-    stride, padding = geometry(weight.shape[2])
-    return ConvParams(weight=weight, bias=bias, stride=stride, padding=padding)
 
 
 def _fresh(in_channels: int, out_channels: int, shape, rng, dtype, weight_std: float | None):
@@ -158,7 +149,7 @@ def conv_params(
     if geometry(k)[0] != factor:
         raise ValueError(f"conv_params: kernel {k} incompatible with stride {factor}")
     shape = (out_channels, in_channels, k, k)
-    return pooling(*_fresh(in_channels, out_channels, shape, rng, dtype, weight_std))
+    return ConvParams(*_fresh(in_channels, out_channels, shape, rng, dtype, weight_std))
 
 
 def deconv_params(
@@ -171,7 +162,7 @@ def deconv_params(
 ) -> ConvParams:
     """Fresh transposed-conv weights for upsampling by ``factor``."""
     shape = (in_channels, out_channels, 2 * factor, 2 * factor)
-    return pooling(*_fresh(in_channels, out_channels, shape, rng, dtype, weight_std))
+    return ConvParams(*_fresh(in_channels, out_channels, shape, rng, dtype, weight_std))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +171,7 @@ def deconv_params(
 
 
 class _Grid:
-    """The shared column space of one conv geometry at one coarse size.
+    """The shared column space of one layer's geometry at one coarse size.
 
     Each of the s*s phase planes of the zero-padded fine side is ``rows`` x
     ``cols`` pixels, flattened over (n, rows, cols) into ``size`` columns;
@@ -190,12 +181,14 @@ class _Grid:
     [lo, hi), the only plane columns a scatter writes.
     """
 
-    def __init__(self, n: int, hc: int, wc: int, k: int, s: int, pad: int):
-        t = -(-k // s)  # plane rows a coarse pixel reads
-        self.n, self.hc, self.wc, self.k, self.s, self.t = n, hc, wc, k, s, t
-        # room for every read and every padded fine pixel
-        self.rows = max(hc + t - 1, -(-(pad + s * hc) // s))
-        self.cols = max(wc + t - 1, -(-(pad + s * wc) // s))
+    def __init__(self, n: int, hc: int, wc: int, p: ConvParams):
+        s, pad = p.stride, p.padding
+        t = p.kernel // s  # plane rows a coarse pixel reads
+        self.n, self.hc, self.wc, self.s, self.t = n, hc, wc, s, t
+        # room for every read; the padded fine side, hc + ceil(pad / s) plane
+        # rows, fits in it because geometry gives pad <= (t - 1) * s
+        self.rows = hc + t - 1
+        self.cols = wc + t - 1
         self.size = n * self.rows * self.cols
         self.shifts = [dy * self.cols + dx for dy in range(t) for dx in range(t)]
         self.span = self.size - self.shifts[-1]
@@ -248,15 +241,13 @@ def _image(planes: np.ndarray, g: _Grid, s: int, pad: int, bias: np.ndarray | No
 def _taps(weight: np.ndarray, g: _Grid, coarse: bool) -> np.ndarray:
     """(o, c, k, k) as a GEMM operand, relaid out by one transpose.
 
-    Kernel offset i = s*dy + ry; a kernel shorter than t*s is zero-extended.
-    Rows o and columns (dy, dx, ry, rx, c) when the shifts go with the fine
-    side; rows (dy, dx, o) and columns (ry, rx, c) when they go with the
-    ``coarse`` side.  The transposed GEMMs read the same matrix transposed.
+    Kernel offset i = s*dy + ry, with k = t*s.  Rows o and columns
+    (dy, dx, ry, rx, c) when the shifts go with the fine side; rows
+    (dy, dx, o) and columns (ry, rx, c) when they go with the ``coarse``
+    side.  The transposed GEMMs read the same matrix transposed.
     """
-    o, c, k = weight.shape[:3]
+    o, c = weight.shape[:2]
     t, s = g.t, g.s
-    if k < t * s:
-        weight = np.pad(weight, ((0, 0), (0, 0), (0, t * s - k), (0, t * s - k)))
     w6 = weight.reshape(o, c, t, s, t, s)
     if coarse:
         return w6.transpose(2, 4, 0, 3, 5, 1).reshape(t * t * o, s * s * c)
@@ -264,14 +255,14 @@ def _taps(weight: np.ndarray, g: _Grid, coarse: bool) -> np.ndarray:
 
 
 def _untap(dw: np.ndarray, g: _Grid, coarse: bool) -> np.ndarray:
-    """Inverse of ``_taps`` on a gradient, cropped back to (o, c, k, k)."""
+    """Inverse of ``_taps`` on a gradient: (o, c, k, k)."""
     t, s = g.t, g.s
     if coarse:
         d6 = dw.reshape(t, t, -1, s, s, dw.shape[1] // (s * s)).transpose(2, 5, 0, 3, 1, 4)
     else:
         d6 = dw.reshape(dw.shape[0], t, t, s, s, -1).transpose(0, 5, 1, 3, 2, 4)
     o, c = d6.shape[:2]
-    return np.ascontiguousarray(d6.reshape(o, c, t * s, t * s)[:, :, : g.k, : g.k])
+    return np.ascontiguousarray(d6.reshape(o, c, t * s, t * s))
 
 
 def _fine_cols(xf: np.ndarray, g: _Grid) -> np.ndarray:
@@ -360,7 +351,7 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     s, pad = p.stride, p.padding
     if h % s or w % s:
         raise ValueError(f"conv2d: spatial dims ({h}, {w}) not divisible by stride {s}")
-    g = _Grid(n, h // s, w // s, p.kernel, s, pad)
+    g = _Grid(n, h // s, w // s, p)
     o, sc = p.out_channels, s * s * c
     xd, wd = x.data, p.weight.data
     xf = _planes(xd, g, s, pad)
@@ -394,7 +385,7 @@ def deconv2d(x: Tensor, p: ConvParams) -> Tensor:
     s, pad = p.stride, p.padding
     if s < 2 or s & (s - 1):
         raise ValueError(f"deconv2d: stride must be a power of two >= 2, got {s}")
-    g = _Grid(n, h, w, p.kernel, s, pad)
+    g = _Grid(n, h, w, p)
     o, sc = c, s * s * p.in_channels  # the conv's out channels and fine rows
     xd, wd = x.data, p.weight.data
     cf = _planes(xd, g, 1, 0)

@@ -170,12 +170,7 @@ def test_criterion_04_convolution_oracles():
             # <conv(x), y> == <x, deconv(y)> when the kernel is shared
             pc = conv_params(cin, cout, factor, rng, dtype=np.float64)
             pc.bias.data[:] = 0.0
-            pt = ConvParams(
-                weight=Tensor(pc.weight.data),
-                bias=Tensor(np.zeros((1, cin, 1, 1))),
-                stride=pc.stride,
-                padding=pc.padding,
-            )
+            pt = ConvParams(weight=Tensor(pc.weight.data), bias=Tensor(np.zeros((1, cin, 1, 1))))
             xa = Tensor(rng.uniform(-1.0, 1.0, (n, cin, 16, 16)))
             ya = Tensor(rng.uniform(-1.0, 1.0, (n, cout, 16 // factor, 16 // factor)))
             lhs = float(np.sum(conv2d(xa, pc).data * ya.data))

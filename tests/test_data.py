@@ -15,7 +15,6 @@ from sgen import (
     denormalize,
     make_synthetic_corpus,
     normalize,
-    resize_to_scales,
 )
 from sgen.data import box_downsample, nearest_upsample
 
@@ -228,12 +227,6 @@ def test_bilinear_rejects_bad_target():
     t = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="bad target size"):
         bilinear_resize(t, 0, 4)
-
-
-def test_resize_to_scales_shapes():
-    t = Tensor(np.zeros((1, 3, 64, 48), dtype=np.float32))
-    outs = resize_to_scales(t, EVAL_SCALES)
-    assert [o.shape for o in outs] == [(1, 3, h, w) for h, w in EVAL_SCALES]
 
 
 # ---------------------------------------------------------------------------

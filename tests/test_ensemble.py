@@ -80,12 +80,8 @@ def test_sgu_params_must_preserve_channels():
 
 def test_sgu_params_must_have_stride_1():
     rng = np.random.default_rng(5)
-    g = conv_params(3, 3, 1, rng)
-    with pytest.raises(ValueError, match="stride 1"):
-        SguParams(
-            gate_a=conv_params(3, 3, 1, rng),
-            gate_p=ConvParams(weight=g.weight, bias=g.bias, stride=3, padding=0),
-        )
+    with pytest.raises(ValueError, match="must have stride 1, got 2"):
+        SguParams(gate_a=conv_params(3, 3, 1, rng), gate_p=conv_params(3, 3, 2, rng))
 
 
 def test_sgu_params_reject_shared_weights():
@@ -142,12 +138,7 @@ def test_merge_concat_projection_can_select_either_input():
         w = np.zeros((c, 2 * c, 1, 1), dtype=np.float32)
         block = w[:, :c, 0, 0] if grab_new else w[:, c:, 0, 0]
         block[:] = eye
-        proj = ConvParams(
-            weight=Tensor(w),
-            bias=Tensor(np.zeros((1, c, 1, 1), dtype=np.float32)),
-            stride=1,
-            padding=0,
-        )
+        proj = ConvParams(weight=Tensor(w), bias=Tensor(np.zeros((1, c, 1, 1), dtype=np.float32)))
         got = merge("concat", new, prev, proj).data
         want = new.data if grab_new else prev.data
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)

@@ -224,7 +224,7 @@ def test_adam_fits_linear_model_to_least_squares_solution():
     store.add("b", Tensor(np.zeros((1, 1, 1, 1)), requires_grad=True))
     state = init_adam(store)
     x_t, y_t = Tensor(xs), Tensor(ys)
-    affine = ConvParams(weight=store["s"], bias=store["b"], stride=1, padding=0)
+    affine = ConvParams(weight=store["s"], bias=store["b"])
     for _ in range(2000):
         store.zero_grad()
         with Tape() as tape:

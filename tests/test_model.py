@@ -338,6 +338,19 @@ def test_generator_rejects_wrong_channel_count():
         generator_forward(_norm_input(rng, (1, 1, 32, 32)), store, cfg)
 
 
+def test_generator_rejects_a_stored_kernel_that_pools_by_no_factor():
+    """A foreign checkpoint's 6x6 trunk kernel fails when its layer is built."""
+    rng = np.random.default_rng(12)
+    cfg = small_cfg()
+    foreign = ParamStore()
+    for name, t in build_generator(cfg, rng).items():
+        if name == "enc.trunk.1.weight":
+            t = Tensor(np.zeros(t.shape[:2] + (6, 6), dtype=t.dtype))
+        foreign.add(name, t)
+    with pytest.raises(ValueError, match="kernel 6 pools by no factor"):
+        generator_forward(_norm_input(rng, (1, 3, 32, 32)), foreign, cfg)
+
+
 # ---------------------------------------------------------------------------
 # discriminator
 
