@@ -24,6 +24,7 @@ __all__ = [
     "backward",
     "grad_check",
     "record",
+    "activation",
     "add",
     "sub",
     "mul",
@@ -163,19 +164,25 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ValueError(f"backward: loss must have shape (1, 1, 1, 1), got {loss.shape}")
     adjoints: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
     for node in reversed(tape._nodes):
-        entry = adjoints.pop(id(node.output), None)
-        if entry is None:
+        if id(node.output) not in adjoints:
             continue  # not on the path from loss
-        for tensor, grad in zip(node.inputs, node.backward(entry[1])):
-            if grad is None:
-                continue
-            held = adjoints.get(id(tensor))
-            adjoints[id(tensor)] = (tensor, grad if held is None else held[1] + grad)
+        # the adjoint is popped into the call and nothing else here refers to
+        # it, so a rule that maps it first (a fused activation) frees it
+        # before its heavy work
+        _accumulate(adjoints, node.inputs, node.backward(adjoints.pop(id(node.output))[1]))
     # every node's output adjoint was popped when the node ran, since all its
     # consumers were recorded after it: only leaves hold an adjoint here
     for tensor, adj in adjoints.values():
         if tensor.requires_grad:
             tensor.grad = adj.copy() if tensor.grad is None else tensor.grad + adj
+
+
+def _accumulate(adjoints: dict, inputs: tuple[Tensor, ...], grads) -> None:
+    for tensor, grad in zip(inputs, grads):
+        if grad is None:
+            continue
+        held = adjoints.get(id(tensor))
+        adjoints[id(tensor)] = (tensor, grad if held is None else held[1] + grad)
 
 
 # ---------------------------------------------------------------------------
@@ -234,41 +241,94 @@ def const_minus(c: float, x: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # activations
+#
+# One definition per activation: an in-place forward on a fresh
+# pre-activation array, and its derivative read off the output y alone.
+# relu and lrelu take theirs from y > 0, which holds exactly where x > 0
+# (for lrelu because 0 < slope < 1), so the derivative at 0 is the x <= 0
+# one; sigmoid takes y(1 - y) and tanh 1 - y^2.  A node that applies one
+# keeps y and never the pre-activation.  The standalone ops below and the
+# conv epilogue in ``sgen.nn`` both go through ``activation``.
+
+def _lrelu(a: np.ndarray, slope: float) -> None:
+    # with 0 < slope < 1, max(x, slope * x) is x where x > 0, else slope * x
+    np.maximum(a, a * a.dtype.type(slope), out=a)
+
+
+def _lrelu_grad(g: np.ndarray, y: np.ndarray, slope: float) -> np.ndarray:
+    deriv = np.array([slope, 1.0], dtype=y.dtype)  # for y <= 0 and y > 0
+    return g * deriv.take((y > 0).view(np.uint8))
+
+
+def _sigmoid(a: np.ndarray, slope: float) -> None:
+    # exp(-|x|) cannot overflow: y = 1 / (1 + e) for x >= 0, else e / (1 + e)
+    positive = a >= 0
+    np.exp(np.negative(np.abs(a, out=a), out=a), out=a)
+    denominator = 1.0 + a
+    np.maximum(a, positive, out=a)
+    np.divide(a, denominator, out=a)
+
+
+# name -> (forward in place on a, adjoint of x from the adjoint g of y and y)
+_ACTIVATIONS = {
+    "relu": (lambda a, slope: np.maximum(a, 0, out=a), lambda g, y, slope: g * (y > 0)),
+    "lrelu": (_lrelu, _lrelu_grad),
+    "sigmoid": (_sigmoid, lambda g, y, slope: g * y * (1.0 - y)),
+    "tanh": (lambda a, slope: np.tanh(a, out=a), lambda g, y, slope: g * (1.0 - y * y)),
+}
+
+
+def _passthrough(g: np.ndarray) -> np.ndarray:
+    return g
+
+
+def activation(name: str | None, slope: float = 0.2):
+    """Activation ``name`` as a function ``act(a) -> grad``.
+
+    ``act`` requires the fresh pre-activation array ``a`` to be finite (a
+    check on the output would miss -inf, which relu, sigmoid and tanh map
+    to finite values), overwrites it with its activation y, and returns
+    ``grad``, which maps the adjoint of y to the adjoint of the
+    pre-activation, read off y alone.  ``None`` is the identity: it checks
+    and writes nothing.
+    """
+    if name is None:
+        return lambda a: _passthrough
+    if name not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}; expected one of {tuple(_ACTIVATIONS)}")
+    if name == "lrelu" and not 0.0 < slope < 1.0:
+        raise ValueError(f"lrelu: slope must lie in (0, 1), got {slope}")
+    forward, derivative = _ACTIVATIONS[name]
+
+    def act(a: np.ndarray):
+        _require_finite(a, name)
+        forward(a, slope)
+        return lambda g: derivative(g, a, slope)
+
+    return act
+
+
+def _activated(x: Tensor, name: str, slope: float = 0.2) -> Tensor:
+    act = activation(name, slope)
+    y = x.data.copy()
+    grad = act(y)
+    return record((x,), Tensor(y), lambda g: (grad(g),))
+
 
 def relu(x: Tensor) -> Tensor:
-    _require_finite(x.data, "relu")
-    xd = x.data
-    out = Tensor(np.maximum(xd, 0))
-    return record((x,), out, lambda g: (g * (xd > 0),))
+    return _activated(x, "relu")
 
 
 def lrelu(x: Tensor, slope: float = 0.2) -> Tensor:
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"lrelu: slope must lie in (0, 1), got {slope}")
-    _require_finite(x.data, "lrelu")
-    xd = x.data
-    deriv = np.array([slope, 1.0], dtype=x.dtype)  # for x <= 0 and x > 0
-    # with 0 < slope < 1, max(x, slope * x) is x where x > 0, else slope * x
-    out = Tensor(np.maximum(xd, xd * deriv[0]))
-    # derivative at exactly 0 is defined as slope
-    return record((x,), out, lambda g: (g * deriv.take((xd > 0).view(np.uint8)),))
+    return _activated(x, "lrelu", slope)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    _require_finite(x.data, "sigmoid")
-    xd = x.data
-    # exp(-|x|) cannot overflow: y = 1 / (1 + e) for x >= 0, else e / (1 + e)
-    e = np.exp(-np.abs(xd))
-    y = np.maximum(e, xd >= 0) / (1.0 + e)
-    out = Tensor(y)
-    return record((x,), out, lambda g: (g * y * (1.0 - y),))
+    return _activated(x, "sigmoid")
 
 
 def tanh(x: Tensor) -> Tensor:
-    _require_finite(x.data, "tanh")
-    y = np.tanh(x.data)
-    out = Tensor(y)
-    return record((x,), out, lambda g: (g * (1.0 - y * y),))
+    return _activated(x, "tanh")
 
 
 def log(x: Tensor) -> Tensor:

@@ -6,7 +6,8 @@ checks must stay under 1e-5 relative error; whole-network composites
 (generator, discriminator, adversarial loss through both) get 1e-4.
 Probe values are nudged away from kinks (relu/lrelu corners, max ties,
 clamp edges) so the finite-difference oracle is valid everywhere it
-samples.
+samples.  The fused conv epilogues (a conv or deconv with its activation
+in one op) are checked last, from their own stream.
 """
 
 from __future__ import annotations
@@ -323,5 +324,25 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
         gen["dec.up.1.weight"].data.copy(),
         tol=NET_TOL,
     )
+
+    # --- fused conv epilogues: input, weight and bias through the activation --
+    # Their own stream, so every probe above stays as it was.  A relu or
+    # lrelu layer is redrawn until no pre-activation lies within 1e-3 of the
+    # kink, far more than an eps-step moves one.
+    fused = np.random.default_rng([seed, 3])
+    for op, make, act, cin, cout, factor, hw, out_hw in (
+        (conv2d, conv_params, "lrelu", 2, 3, 2, 6, 3),
+        (deconv2d, deconv_params, "relu", 3, 2, 2, 3, 6),
+        (conv2d, conv_params, "sigmoid", 2, 3, 1, 5, 5),
+        (conv2d, conv_params, "tanh", 2, 3, 1, 5, 5),
+    ):
+        while True:
+            p = make(cin, cout, factor, fused, dtype=np.float64)
+            x0 = _rand(fused, (2, cin, hw, hw))
+            if act not in ("relu", "lrelu") or np.abs(op(Tensor(x0), p).data).min() > 1e-3:
+                break
+        w_out = _signed_unit(fused, (2, cout, out_hw, out_hw))
+        label = f"{op.__name__}.{act}.{cin}to{cout}.s{factor}"
+        layer_checks(label, lambda x, q, op=op, act=act: op(x, q, act), p, x0, w_out)
 
     return results

@@ -5,9 +5,10 @@ The SGU combines an active input (the fresh feature) with a passive input
 
     f = sigmoid(conv_a(active)) * active + sigmoid(conv_p(active)) * passive
 
-with two independent channel-preserving 3x3 convs.  Gates initialized to
-zero make this exactly the average of its inputs, so training starts at
-the average-ensemble operating point.
+with two independent channel-preserving 3x3 convs, each applying its
+sigmoid in the conv op itself.  Gates initialized to zero make this
+exactly the average of its inputs, so training starts at the
+average-ensemble operating point.
 
 ``merge`` dispatches between sgu and the three baselines: elementwise max
 (ties go to the active input), plain averaging, and channel concatenation
@@ -27,7 +28,6 @@ from .autodiff import (
     maximum,
     mul,
     mul_const,
-    sigmoid,
 )
 from .nn import ConvParams, conv2d, conv_params
 
@@ -78,8 +78,8 @@ def sgu(active: Tensor, passive: Tensor, params: SguParams) -> Tensor:
             f"sgu: inputs have {active.shape[1]} channels,"
             f" gates expect {params.gate_a.in_channels}"
         )
-    gate_a = sigmoid(conv2d(active, params.gate_a))
-    gate_p = sigmoid(conv2d(active, params.gate_p))
+    gate_a = conv2d(active, params.gate_a, "sigmoid")
+    gate_p = conv2d(active, params.gate_p, "sigmoid")
     return add(mul(gate_a, active), mul(gate_p, passive))
 
 

@@ -7,6 +7,9 @@ features sequentially with the configured merge, then mirrors the process
 upward: one strided deconv per level back from the bottleneck, a second
 sequential fusion cascade interleaved with factor-2 deconvs, and a final
 3x3 conv + tanh.  Nothing shares parameters; every site has its own conv.
+Each conv applies its activation in its own op (lrelu on the trunk, the
+base encoders and the discriminator, relu on the deconvs, tanh at the
+output), so a taped pass records one node per conv site.
 
 Parameters live in a flat name -> Tensor store so checkpointing and the
 optimizer stay structure-agnostic.  The build fixes each site's geometry
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, lrelu, relu, sigmoid, tanh
+from .autodiff import Tensor, sigmoid
 from .ensemble import MERGE_MODES, SguParams, merge, sgu_params
 from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool
 
@@ -231,19 +234,19 @@ def generator_forward(
         if trace is not None:
             trace[key] = t
 
-    x = lrelu(conv2d(s, _at(params, "enc.trunk.0")), slope)
-    x = lrelu(conv2d(x, _at(params, "enc.trunk.1")), slope)
+    x = conv2d(s, _at(params, "enc.trunk.0"), "lrelu", slope)
+    x = conv2d(x, _at(params, "enc.trunk.1"), "lrelu", slope)
     trunk = [x]
     note("trunk.1", x)
     for k in range(2, n + 1):
-        x = lrelu(conv2d(x, _at(params, f"enc.trunk.{k}")), slope)
+        x = conv2d(x, _at(params, f"enc.trunk.{k}"), "lrelu", slope)
         trunk.append(x)
         note(f"trunk.{k}", x)
 
     # every level lands on the same bottleneck grid: 1/2^(n+1) of the input
     enc = []
     for k in range(1, n + 1):
-        e = lrelu(conv2d(trunk[k - 1], _at(params, f"enc.base.{k}")), slope)
+        e = conv2d(trunk[k - 1], _at(params, f"enc.base.{k}"), "lrelu", slope)
         enc.append(e)
         note(f"base_enc.{k}", e)
 
@@ -256,18 +259,18 @@ def generator_forward(
     # decode level k from the deepest unused fusion: deconv by 2^k
     dec = []
     for k in range(1, n + 1):
-        y = relu(deconv2d(fused[n - k], _at(params, f"dec.base.{k}")))
+        y = deconv2d(fused[n - k], _at(params, f"dec.base.{k}"), "relu")
         dec.append(y)
         note(f"base_dec.{k}", y)
 
-    up = relu(deconv2d(dec[0], _at(params, "dec.up.1")))
+    up = deconv2d(dec[0], _at(params, "dec.up.1"), "relu")
     note("up_dec.1", up)
     for k in range(2, n + 1):
         m = merge(cfg.merge_mode, dec[k - 1], up, _merge_params_at(params, cfg, "dec", k))
-        up = relu(deconv2d(m, _at(params, f"dec.up.{k}")))
+        up = deconv2d(m, _at(params, f"dec.up.{k}"), "relu")
         note(f"up_dec.{k}", up)
 
-    return tanh(conv2d(up, _at(params, "out.conv")))
+    return conv2d(up, _at(params, "out.conv"), "tanh")
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +303,6 @@ def discriminator_forward(x: Tensor, params: ParamStore, cfg: SgenConfig) -> Ten
     slope = cfg.lrelu_slope
     out = x
     for i in range(1, 5):
-        out = lrelu(conv2d(out, _at(params, f"disc.conv.{i}")), slope)
+        out = conv2d(out, _at(params, f"disc.conv.{i}"), "lrelu", slope)
     out = conv2d(out, _at(params, "disc.head"))
     return sigmoid(global_avg_pool(out))

@@ -40,6 +40,17 @@ The choice depends only on shapes, so a run repeats bit for bit.
 forward is the conv input gradient, its input gradient the conv forward,
 and its weight gradient the conv weight gradient with its input as the
 coarse side.
+
+Epilogue: ``conv2d(x, p, act, slope)`` and ``deconv2d`` apply the
+activation ``act`` (relu, lrelu, sigmoid or tanh, defined once in
+``sgen.autodiff.activation``) in place on the output image that ``_image``
+has just written with the bias, after checking that image is finite.  The
+op records one node whose output is the activated y.  Its backward first
+maps the adjoint through the derivative read off y alone (y > 0 for relu
+and lrelu, y(1 - y) for sigmoid, 1 - y^2 for tanh), then runs the kernel
+backward.  So the pre-activation is never a tensor and never held on the
+tape, and the numbers are those of the activation applied after the op,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, record
+from .autodiff import Tensor, activation, record
 
 __all__ = [
     "ConvParams",
@@ -344,9 +355,11 @@ def _check(op: str, x: Tensor, p: ConvParams, c_in: int, c_out: int) -> None:
         raise ValueError(f"{op}: bias shape {p.bias.shape} does not match {c_out} output channels")
 
 
-def conv2d(x: Tensor, p: ConvParams) -> Tensor:
-    """Strided cross-correlation plus bias; output spatial dims = input / stride."""
+def conv2d(x: Tensor, p: ConvParams, act: str | None = None, slope: float = 0.2) -> Tensor:
+    """Strided cross-correlation plus bias, then the activation ``act``, if
+    given, in place on that output; output spatial dims = input / stride."""
     _check("conv2d", x, p, p.in_channels, p.out_channels)
+    epilogue = activation(act, slope)
     n, c, h, w = x.shape
     s, pad = p.stride, p.padding
     if h % s or w % s:
@@ -357,10 +370,13 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     xf = _planes(xd, g, s, pad)
     coarse = _gather(xf, wd, g, _fine_cols(xf, g) if sc <= o else None)
     del xf  # free before the output image is built
-    y = Tensor(_image(coarse, g, 1, 0, p.bias.data))
+    yd = _image(coarse, g, 1, 0, p.bias.data)
+    del coarse  # free before the epilogue's scratch
+    pre_activation_grad = epilogue(yd)
     weight, bias = p.weight, p.bias
 
     def bwd(gy):
+        gy = pre_activation_grad(gy)
         cf = _planes(gy, g, 1, 0)
         dx = dw = db = None
         ccols = _coarse_cols(cf, g) if x.requires_grad and o <= sc else None
@@ -374,13 +390,15 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return dx, dw, db
 
-    return record((x, weight, bias), y, bwd)
+    return record((x, weight, bias), Tensor(yd), bwd)
 
 
-def deconv2d(x: Tensor, p: ConvParams) -> Tensor:
-    """Adjoint of conv2d on p, plus p's bias; upsamples by p.stride.
-    Its input and output channels are the conv's output and input channels."""
+def deconv2d(x: Tensor, p: ConvParams, act: str | None = None, slope: float = 0.2) -> Tensor:
+    """Adjoint of conv2d on p, plus p's bias, then the activation ``act``,
+    if given, in place on that output; upsamples by p.stride.  Its input
+    and output channels are the conv's output and input channels."""
     _check("deconv2d", x, p, p.out_channels, p.in_channels)
+    epilogue = activation(act, slope)
     n, c, h, w = x.shape
     s, pad = p.stride, p.padding
     if s < 2 or s & (s - 1):
@@ -391,10 +409,13 @@ def deconv2d(x: Tensor, p: ConvParams) -> Tensor:
     cf = _planes(xd, g, 1, 0)
     fine = _scatter(cf, wd, g, _coarse_cols(cf, g) if o <= sc else None)
     del cf  # free before the output image is built
-    y = Tensor(_image(fine, g, s, pad, p.bias.data))
+    yd = _image(fine, g, s, pad, p.bias.data)
+    del fine  # free before the epilogue's scratch
+    pre_activation_grad = epilogue(yd)
     weight, bias = p.weight, p.bias
 
     def bwd(gy):
+        gy = pre_activation_grad(gy)
         xf = _planes(gy, g, s, pad)
         cf = _planes(xd, g, 1, 0) if weight.requires_grad else None
         dx = dw = db = None
@@ -407,7 +428,7 @@ def deconv2d(x: Tensor, p: ConvParams) -> Tensor:
             db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return dx, dw, db
 
-    return record((x, weight, bias), y, bwd)
+    return record((x, weight, bias), Tensor(yd), bwd)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

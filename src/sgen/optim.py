@@ -62,8 +62,20 @@ def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
             )
         m = state.m[name]
         v = state.v[name]
+        # in place, one operation at a time in the formula's left-to-right
+        # order, so every value is rounded as in lr * (m / corr1) / (sqrt(v /
+        # corr2) + eps): the same bits with two arrays instead of nine
+        scratch = np.multiply(g, 1.0 - BETA1)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - BETA2
         v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        p.data -= lr * (m / corr1) / (np.sqrt(v / corr2) + EPS)
+        v += scratch
+        np.divide(v, corr2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += EPS  # the denominator
+        step = np.divide(m, corr1)
+        step *= lr
+        step /= scratch
+        p.data -= step

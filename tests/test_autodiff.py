@@ -1,5 +1,7 @@
 """Engine-level tests: tensor invariants, taped ops, backward semantics."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,25 @@ def test_recording_is_skipped_without_grad_or_tape():
     assert y.grad is None
 
 
+def test_backward_lets_a_rule_free_its_incoming_adjoint():
+    """A rule that maps its adjoint first (a fused activation) and drops it
+    holds the only reference: backward keeps none while the rule runs."""
+    x = t4([1.0, 2.0], requires_grad=True)
+    freed = []
+
+    def rule(g):
+        ref = weakref.ref(g)
+        g = g * 2.0
+        freed.append(ref() is None)
+        return (g,)
+
+    with Tape() as tape:
+        loss = sum_all(record((x,), Tensor(x.data * 2.0), rule))
+    backward(tape, loss)
+    assert freed == [True]
+    np.testing.assert_array_equal(x.grad.ravel(), [2.0, 2.0])
+
+
 def test_diamond_graph_accumulates_both_paths():
     # loss = sum(x*x + x) so dloss/dx = 2x + 1
     x = t4([1.0, -2.0, 3.0], requires_grad=True)
@@ -261,6 +282,24 @@ def test_lrelu_derivative_at_zero_is_slope():
         loss = sum_all(lrelu(x, 0.25))
     backward(tape, loss)
     np.testing.assert_allclose(x.grad.ravel(), [0.25, 0.25, 1.0], rtol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "fn, slope",
+    [(relu, 0.0), (lambda t: lrelu(t, 0.25), 0.25), (sigmoid, 0.25), (tanh, 1.0)],
+    ids=["relu", "lrelu", "sigmoid", "tanh"],
+)
+def test_derivative_read_off_the_output_at_signed_zero(fn, slope):
+    """Read off y, the derivative at x = +0.0 and -0.0 is the x <= 0 one (0
+    for relu, the slope for lrelu); sigmoid and tanh are smooth there.  The
+    input is left as it was."""
+    x = t4([0.0, -0.0, -1.0], dtype=np.float64, requires_grad=True)
+    before = x.data.tobytes()
+    with Tape() as tape:
+        loss = sum_all(fn(x))
+    backward(tape, loss)
+    assert x.data.tobytes() == before
+    np.testing.assert_array_equal(x.grad.ravel()[:2], [slope, slope])
 
 
 def test_clamp_gradient_mask_includes_boundaries():

@@ -169,7 +169,7 @@ def test_adam_zero_lr_updates_moments_only():
     assert state.v["p"].item() == pytest.approx(0.001)
 
 
-def test_adam_reads_grad_buffers_when_grads_is_none():
+def test_adam_reads_each_tensors_grad_buffer():
     store = _one_param(1.0)
     store["p"].grad = np.full((1, 1, 1, 1), 2.0)
     state = init_adam(store)

@@ -294,6 +294,20 @@ def test_zero_gate_sgu_equals_average_mode_network():
     np.testing.assert_array_equal(out_sgu.data, out_avg.data)
 
 
+def test_taped_generator_records_one_node_per_conv_site():
+    """Every activation runs inside its conv's node, so a 2-level sgu
+    generator records 20 nodes: 3 trunk and 2 base-encoder convs, 2 base
+    decoder and 2 up deconvs, the output conv, and per SGU (one per stage)
+    two gate convs, two muls and an add.  Unfused, its 14 activations were
+    nodes of their own (34)."""
+    rng = np.random.default_rng(9)
+    cfg = small_cfg()
+    store = build_generator(cfg, rng)
+    with Tape() as tape:
+        generator_forward(_norm_input(rng, (1, 3, 32, 32)), store, cfg)
+    assert len(tape) == 20
+
+
 def test_generator_forward_is_deterministic():
     rng = np.random.default_rng(8)
     cfg = small_cfg()

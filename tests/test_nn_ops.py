@@ -18,7 +18,7 @@ from sgen import (
     deconv_params,
     global_avg_pool,
 )
-from sgen.autodiff import mul, sum_all
+from sgen.autodiff import lrelu, mul, relu, sigmoid, sum_all, tanh
 from sgen.nn import he_std
 
 
@@ -493,3 +493,78 @@ def test_gemm_count_does_not_grow_with_stride(monkeypatch, kind, cin, cout):
         proj = rng.normal(size=(2, cout) + out_hw)
         counts[stride] = _gemms_per_step(monkeypatch, op, p, x_arr, proj)
     assert counts[8] <= counts[2] == 3, counts
+
+
+# ---------------------------------------------------------------------------
+# fused activation epilogue
+
+_STANDALONE = {"relu": relu, "lrelu": lambda t: lrelu(t, 0.2), "sigmoid": sigmoid, "tanh": tanh}
+
+
+def _kink_case(kind, dtype):
+    """Integer-valued data, so every sum is exact and many pre-activations
+    are exactly 0: the zero weights into output channel 0 leave it its bias
+    of -0.0, and channel 1 cancels its integer sums with a bias of -1.  The
+    GEMM returns +0.0 for a zero channel and +0.0 + -0.0 is +0.0, so no
+    pre-activation here is -0.0; test_autodiff checks the table there."""
+    rng = np.random.default_rng(11)
+    w = rng.integers(-1, 2, size=(3, 4, 4, 4)).astype(dtype)  # conv 4 -> 3, deconv 3 -> 4
+    if kind == "conv":
+        op, x_shape, w[0] = conv2d, (2, 4, 8, 8), 0.0
+    else:
+        op, x_shape, w[:, 0] = deconv2d, (2, 3, 4, 4), 0.0
+    x = rng.integers(-1, 2, size=x_shape).astype(dtype)
+    c_out = 3 if kind == "conv" else 4
+    b = np.zeros((1, c_out, 1, 1), dtype=dtype)
+    b[0, 0], b[0, 1], b[0, 2:] = -0.0, -1.0, 0.5
+    return op, x, w, b
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["conv", "deconv"])
+@pytest.mark.parametrize("act", ["relu", "lrelu", "sigmoid", "tanh"])
+def test_fused_activation_equals_unfused_bit_for_bit(act, kind, dtype):
+    """op(x, p, act) and act(op(x, p)): same output and input, weight and
+    bias gradients, byte for byte, with the masks exercised at the kink."""
+    op, x0, w0, b0 = _kink_case(kind, dtype)
+    pre = op(Tensor(x0), ConvParams(Tensor(w0), Tensor(b0))).data
+    assert (pre == 0).sum() > 10 and (pre > 0).any() and (pre < 0).any()
+    proj = np.random.default_rng(12).normal(size=pre.shape).astype(dtype)
+
+    def run(fused):
+        x = Tensor(x0.copy(), requires_grad=True)
+        p = ConvParams(Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True))
+        with Tape() as tape:
+            y = op(x, p, act, 0.2) if fused else _STANDALONE[act](op(x, p))
+            loss = sum_all(mul(y, Tensor(proj)))
+        backward(tape, loss)
+        return [y.data, x.grad, p.weight.grad, p.bias.grad], len(tape)
+
+    (fused, fused_nodes), (plain, plain_nodes) = run(True), run(False)
+    for got, want in zip(fused, plain):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+    assert fused_nodes == plain_nodes - 1
+
+
+@pytest.mark.parametrize(
+    "kind, act", [("conv", "relu"), ("conv", "sigmoid"), ("conv", "tanh"), ("deconv", "relu")]
+)
+def test_fused_activation_rejects_non_finite_pre_activation(kind, act):
+    """A float32 weight so large that every pre-activation overflows to -inf.
+    relu, sigmoid and tanh map -inf to finite values, so only a check on the
+    pre-activation can see it."""
+    w = np.full((1, 1, 4, 4), -3e38, dtype=np.float32)
+    p = ConvParams(Tensor(w), Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32)))
+    op = conv2d if kind == "conv" else deconv2d
+    x = Tensor(np.full((1, 1, 4, 4), 2.0, dtype=np.float32))  # each tap alone overflows
+    with np.errstate(over="ignore"):
+        assert np.isneginf(op(x, p).data).all()
+        with pytest.raises(FloatingPointError, match=f"{act}: input contains non-finite values"):
+            op(x, p, act)
+
+
+def test_unknown_activation_is_rejected():
+    p = conv_params(1, 1, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="unknown activation 'gelu'"):
+        conv2d(Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32)), p, "gelu")
