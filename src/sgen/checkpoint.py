@@ -6,12 +6,16 @@ Layout, all integers little-endian uint32:
     per entry: name length | UTF-8 name | four dims | raw float32 data
 
 Tensors are stored as little-endian float32, so a save/load round trip is
-bit-exact for float32 parameters.  Loading validates sizes as it walks
-the file and reports the byte offset and entry name on any corruption.
+bit-exact for float32 parameters.  A save writes the whole file to a
+temporary file in the same directory and renames it over the target, so a
+process killed mid-write leaves the previous checkpoint as it was.
+Loading validates sizes as it walks the file and reports the byte offset
+and entry name on any corruption.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -41,7 +45,14 @@ def save_checkpoint(params: ParamStore, path) -> None:
         chunks.append(raw)
         chunks.append(struct.pack("<4I", *tensor.shape))
         chunks.append(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
-    path.write_bytes(b"".join(chunks))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> ParamStore:

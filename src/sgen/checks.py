@@ -7,7 +7,8 @@ checks must stay under 1e-5 relative error; whole-network composites
 Probe values are nudged away from kinks (relu/lrelu corners, max ties,
 clamp edges) so the finite-difference oracle is valid everywhere it
 samples.  The fused conv epilogues (a conv or deconv with its activation
-in one op) are checked last, from their own stream.
+in one op) and then the SGU's gating node are checked last, each from its
+own stream.
 """
 
 from __future__ import annotations
@@ -344,5 +345,17 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
         w_out = _signed_unit(fused, (2, cout, out_hw, out_hw))
         label = f"{op.__name__}.{act}.{cin}to{cout}.s{factor}"
         layer_checks(label, lambda x, q, op=op, act=act: op(x, q, act), p, x0, w_out)
+
+    # --- the SGU's gating node, ga*a + gp*p: all four inputs -----------------
+    gating = np.random.default_rng([seed, 4])
+    gating0 = [_rand(gating, (2, 3, 4, 4)) for _ in range(4)]
+    gating_w = _signed_unit(gating, (2, 3, 4, 4))
+
+    def gating_loss(x, i):
+        args = [x if j == i else Tensor(v) for j, v in enumerate(gating0)]
+        return _weighted_sum(ad.gated_sum(*args), gating_w)
+
+    for i, name in enumerate(("ga", "a", "gp", "p")):
+        check(f"gated_sum.{name}", lambda x, i=i: gating_loss(x, i), gating0[i])
 
     return results

@@ -6,9 +6,11 @@ The SGU combines an active input (the fresh feature) with a passive input
     f = sigmoid(conv_a(active)) * active + sigmoid(conv_p(active)) * passive
 
 with two independent channel-preserving 3x3 convs, each applying its
-sigmoid in the conv op itself.  Gates initialized to zero make this
-exactly the average of its inputs, so training starts at the
-average-ensemble operating point.
+sigmoid in the conv op itself.  The gating itself is one tape node,
+``autodiff.gated_sum``, which keeps the gates and the inputs but neither
+product; its numbers are those of two muls and an add, bit for bit.
+Gates initialized to zero make this exactly the average of its inputs,
+so training starts at the average-ensemble operating point.
 
 ``merge`` dispatches between sgu and the three baselines: elementwise max
 (ties go to the active input), plain averaging, and channel concatenation
@@ -25,8 +27,8 @@ from .autodiff import (
     Tensor,
     add,
     concat_channels,
+    gated_sum,
     maximum,
-    mul,
     mul_const,
 )
 from .nn import ConvParams, conv2d, conv_params
@@ -80,7 +82,7 @@ def sgu(active: Tensor, passive: Tensor, params: SguParams) -> Tensor:
         )
     gate_a = conv2d(active, params.gate_a, "sigmoid")
     gate_p = conv2d(active, params.gate_p, "sigmoid")
-    return add(mul(gate_a, active), mul(gate_p, passive))
+    return gated_sum(gate_a, active, gate_p, passive)
 
 
 def merge(mode: str, new: Tensor, prev: Tensor, params=None) -> Tensor:

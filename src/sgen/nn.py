@@ -41,16 +41,19 @@ forward is the conv input gradient, its input gradient the conv forward,
 and its weight gradient the conv weight gradient with its input as the
 coarse side.
 
-Epilogue: ``conv2d(x, p, act, slope)`` and ``deconv2d`` apply the
-activation ``act`` (relu, lrelu, sigmoid or tanh, defined once in
-``sgen.autodiff.activation``) in place on the output image that ``_image``
-has just written with the bias, after checking that image is finite.  The
-op records one node whose output is the activated y.  Its backward first
-maps the adjoint through the derivative read off y alone (y > 0 for relu
-and lrelu, y(1 - y) for sigmoid, 1 - y^2 for tanh), then runs the kernel
-backward.  So the pre-activation is never a tensor and never held on the
-tape, and the numbers are those of the activation applied after the op,
-bit for bit.
+Epilogue: each op adds the bias on the GEMM's own contiguous buffer,
+over the columns that buffer holds values for ([0, span) on the coarse
+side, [lo, hi) on the fine side), so ``_image`` is a pure layout copy.
+``conv2d(x, p, act, slope)`` and ``deconv2d`` then apply the activation
+``act`` (relu, lrelu, sigmoid or tanh, defined once in
+``sgen.autodiff.activation``) in place on that output image, after
+checking that it is finite.  The op records one node whose output is the
+activated y.  Its backward first maps the adjoint through the derivative
+read off y alone (y > 0 for relu and lrelu, y(1 - y) for sigmoid, 1 - y^2
+for tanh), takes the bias gradient, and drops the adjoint once its planes
+are built, before the kernel backward.  So the pre-activation is never a
+tensor and never held on the tape, and the numbers are those of the
+activation applied after the op, bit for bit.
 """
 
 from __future__ import annotations
@@ -233,19 +236,15 @@ def _planes(x: np.ndarray, g: _Grid, s: int, pad: int) -> np.ndarray:
     return buf.reshape(s * s * c, g.size)
 
 
-def _image(planes: np.ndarray, g: _Grid, s: int, pad: int, bias: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of ``_planes`` on the image, plus an optional (1, c, 1, 1) bias."""
+def _image(planes: np.ndarray, g: _Grid, s: int, pad: int) -> np.ndarray:
+    """Inverse of ``_planes`` on the image: a pure layout copy."""
     c = planes.shape[0] // (s * s)
     grid = planes.reshape(s, s, c, g.n, g.rows, g.cols)
     out = np.empty((g.n, c, g.hc, s, g.wc, s), dtype=planes.dtype)
     for rx in range(s):  # one column phase at a time keeps the inner loop w long
         ox, px = divmod(rx + pad, s)
         for fy, py, oy in _runs(s, pad):
-            src = grid[py, px, :, :, oy : oy + g.hc, ox : ox + g.wc].transpose(2, 1, 3, 0, 4)
-            if bias is None:
-                out[:, :, :, fy, :, rx] = src
-            else:
-                np.add(src, bias.reshape(1, c, 1, 1, 1), out=out[:, :, :, fy, :, rx])
+            out[:, :, :, fy, :, rx] = grid[py, px, :, :, oy : oy + g.hc, ox : ox + g.wc].transpose(2, 1, 3, 0, 4)
     return out.reshape(g.n, c, g.hc * s, g.wc * s)
 
 
@@ -370,15 +369,18 @@ def conv2d(x: Tensor, p: ConvParams, act: str | None = None, slope: float = 0.2)
     xf = _planes(xd, g, s, pad)
     coarse = _gather(xf, wd, g, _fine_cols(xf, g) if sc <= o else None)
     del xf  # free before the output image is built
-    yd = _image(coarse, g, 1, 0, p.bias.data)
+    coarse[:, : g.span] += p.bias.data.reshape(o, 1)
+    yd = _image(coarse, g, 1, 0)
     del coarse  # free before the epilogue's scratch
     pre_activation_grad = epilogue(yd)
     weight, bias = p.weight, p.bias
 
     def bwd(gy):
         gy = pre_activation_grad(gy)
+        db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1) if bias.requires_grad else None
         cf = _planes(gy, g, 1, 0)
-        dx = dw = db = None
+        del gy  # free before the kernel backward
+        dx = dw = None
         ccols = _coarse_cols(cf, g) if x.requires_grad and o <= sc else None
         if weight.requires_grad:  # first, so its input planes are freed before dx is built
             dw = _wgrad(cf, _planes(xd, g, s, pad), g, ccols=ccols)
@@ -386,8 +388,6 @@ def conv2d(x: Tensor, p: ConvParams, act: str | None = None, slope: float = 0.2)
             fine = _scatter(cf, wd, g, ccols)
             del ccols  # free before the image copy doubles the fine side
             dx = _image(fine, g, s, pad)
-        if bias.requires_grad:
-            db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return dx, dw, db
 
     return record((x, weight, bias), Tensor(yd), bwd)
@@ -409,23 +409,24 @@ def deconv2d(x: Tensor, p: ConvParams, act: str | None = None, slope: float = 0.
     cf = _planes(xd, g, 1, 0)
     fine = _scatter(cf, wd, g, _coarse_cols(cf, g) if o <= sc else None)
     del cf  # free before the output image is built
-    yd = _image(fine, g, s, pad, p.bias.data)
+    fine.reshape(s * s, -1, g.size)[:, :, g.lo : g.hi] += p.bias.data.reshape(1, -1, 1)
+    yd = _image(fine, g, s, pad)
     del fine  # free before the epilogue's scratch
     pre_activation_grad = epilogue(yd)
     weight, bias = p.weight, p.bias
 
     def bwd(gy):
         gy = pre_activation_grad(gy)
+        db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1) if bias.requires_grad else None
         xf = _planes(gy, g, s, pad)
+        del gy  # free before the kernel backward
         cf = _planes(xd, g, 1, 0) if weight.requires_grad else None
-        dx = dw = db = None
+        dx = dw = None
         cols = _fine_cols(xf, g) if x.requires_grad and sc <= o else None
         if cf is not None:
             dw = _wgrad(cf, xf, g, cols=cols)
         if x.requires_grad:
             dx = _image(_gather(xf, wd, g, cols), g, 1, 0)
-        if bias.requires_grad:
-            db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return dx, dw, db
 
     return record((x, weight, bias), Tensor(yd), bwd)

@@ -15,6 +15,7 @@ from sgen.autodiff import (
     clamp,
     concat_channels,
     const_minus,
+    gated_sum,
     log,
     lrelu,
     maximum,
@@ -223,6 +224,43 @@ def test_backward_lets_a_rule_free_its_incoming_adjoint():
     backward(tape, loss)
     assert freed == [True]
     np.testing.assert_array_equal(x.grad.ravel(), [2.0, 2.0])
+
+
+def _gating_grads(dtype, fused, alias):
+    """A gating node whose active input has a consumer before it and whose
+    passive input has one before and one after it (or is the active input
+    itself), so each input's adjoint sums three terms in tape order."""
+    rng = np.random.default_rng(21)
+    shape = (2, 3, 4, 5)
+    a0, p0, ga0, gp0, w0, w1, w2, proj = (rng.normal(size=shape).astype(dtype) for _ in range(8))
+    a = Tensor(a0, requires_grad=True)
+    p = a if alias else Tensor(p0, requires_grad=True)
+    ga, gp = Tensor(ga0, requires_grad=True), Tensor(gp0, requires_grad=True)
+    with Tape() as tape:
+        before = add(mul(a, Tensor(w0)), mul(p, Tensor(w1)))
+        out = gated_sum(ga, a, gp, p) if fused else add(mul(ga, a), mul(gp, p))
+        after = mul(p, Tensor(w2))
+        loss = sum_all(mul(add(add(before, out), after), Tensor(proj)))
+    backward(tape, loss)
+    return [out.data, ga.grad, a.grad, gp.grad, p.grad], len(tape)
+
+
+@pytest.mark.parametrize("alias", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gated_sum_equals_two_muls_and_an_add_bit_for_bit(dtype, alias):
+    (fused, fused_nodes), (plain, plain_nodes) = (_gating_grads(dtype, f, alias) for f in (True, False))
+    for got, want in zip(fused, plain):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+    assert fused_nodes == plain_nodes - 2
+
+
+def test_gated_sum_rejects_mismatched_inputs():
+    x, y = t4([1.0, 2.0]), t4([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="gated_sum: shape mismatch"):
+        gated_sum(x, x, x, y)
+    with pytest.raises(ValueError, match="gated_sum: dtype mismatch"):
+        gated_sum(x, x, t4([1.0, 2.0], dtype=np.float64), x)
 
 
 def test_diamond_graph_accumulates_both_paths():

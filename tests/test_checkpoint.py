@@ -14,6 +14,7 @@ from sgen import (
     load_checkpoint,
     save_checkpoint,
 )
+from sgen import checkpoint
 from sgen.checkpoint import MAGIC
 
 
@@ -85,6 +86,36 @@ def test_save_is_deterministic(tmp_path):
     save_checkpoint(store, p1)
     save_checkpoint(store, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_write_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    """A save that dies partway through its write leaves the previous file
+    byte for byte and no temporary file behind."""
+    rng = np.random.default_rng(12)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_tiny_store(rng), path)
+    old = path.read_bytes()
+
+    class HalfWrite:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+            return False
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            raise OSError("killed mid-write")
+
+    monkeypatch.setattr(checkpoint, "open", lambda p, mode: HalfWrite(open(p, mode)), raising=False)
+    with pytest.raises(OSError, match="killed mid-write"):
+        save_checkpoint(_tiny_store(rng), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Gating unit and merge-mode tests."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,37 @@ def test_gates_read_only_the_active_input():
     mid = Tensor(0.5 * (passive_1.data + passive_2.data))
     out_mid = sgu(active, mid, params).data
     np.testing.assert_allclose(out_mid, 0.5 * (out_1 + out_2), rtol=1e-5, atol=1e-6)
+
+
+_derived = []
+
+
+class _Tracked(np.ndarray):
+    """An array that keeps a weakref to the memory owner of every array
+    numpy derives from it: a view's owner is its root base."""
+
+    def __array_finalize__(self, obj):
+        owner = self
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        _derived.append(weakref.ref(owner))
+
+
+def test_taped_sgu_keeps_no_product():
+    """Every buffer computed from the inputs (the products ga*a and gp*p
+    among them) is freed by the end of a taped forward, except the
+    output's own."""
+    rng = np.random.default_rng(5)
+    active, passive = (Tensor(x.data, requires_grad=True) for x in _pair(rng))
+    params = sgu_params(3, rng, weight_std=0.3)
+    active.data, passive.data = active.data.view(_Tracked), passive.data.view(_Tracked)
+    _derived.clear()
+    with Tape() as tape:
+        out = sgu(active, passive, params)
+    assert len(tape) == 3
+    alive = [a for a in (ref() for ref in _derived) if a is not None]
+    held = [a for a in alive if not any(np.shares_memory(a, x.data) for x in (active, passive))]
+    assert held and all(np.shares_memory(a, out.data) for a in held)
 
 
 def test_sgu_is_asymmetric_in_its_inputs():

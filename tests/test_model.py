@@ -295,17 +295,18 @@ def test_zero_gate_sgu_equals_average_mode_network():
 
 
 def test_taped_generator_records_one_node_per_conv_site():
-    """Every activation runs inside its conv's node, so a 2-level sgu
-    generator records 20 nodes: 3 trunk and 2 base-encoder convs, 2 base
-    decoder and 2 up deconvs, the output conv, and per SGU (one per stage)
-    two gate convs, two muls and an add.  Unfused, its 14 activations were
-    nodes of their own (34)."""
+    """Every activation runs inside its conv's node and each SGU gates in
+    one node, so a 2-level sgu generator records 16 nodes: 3 trunk and 2
+    base-encoder convs, 2 base decoder and 2 up deconvs, the output conv,
+    and per SGU (one per stage) two gate convs and one gated sum.  With
+    the gating as two muls and an add it recorded 20; with its 14
+    activations as nodes of their own as well, 34."""
     rng = np.random.default_rng(9)
     cfg = small_cfg()
     store = build_generator(cfg, rng)
     with Tape() as tape:
         generator_forward(_norm_input(rng, (1, 3, 32, 32)), store, cfg)
-    assert len(tape) == 20
+    assert len(tape) == 16
 
 
 def test_generator_forward_is_deterministic():

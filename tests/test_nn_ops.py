@@ -1,6 +1,7 @@
 """Convolution stack tests: values vs loop oracles, adjointness, shape laws."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sgen import (
     deconv_params,
     global_avg_pool,
 )
-from sgen.autodiff import lrelu, mul, relu, sigmoid, sum_all, tanh
+from sgen.autodiff import lrelu, mul, record, relu, sigmoid, sum_all, tanh
 from sgen.nn import he_std
 
 
@@ -568,3 +569,37 @@ def test_unknown_activation_is_rejected():
     p = conv_params(1, 1, 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="unknown activation 'gelu'"):
         conv2d(Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32)), p, "gelu")
+
+
+@pytest.mark.parametrize("kind", ["conv", "deconv"])
+def test_backward_frees_the_output_adjoint_before_the_weight_gradient(monkeypatch, kind):
+    """The bias gradient is taken first and the incoming adjoint dropped
+    once its planes are built, so it is gone when the weight-gradient
+    kernel runs."""
+    import sgen.nn as nn_module
+
+    rng = np.random.default_rng(31)
+    if kind == "conv":
+        op, p, x_shape = conv2d, conv_params(2, 3, 2, rng), (2, 2, 8, 8)
+    else:
+        op, p, x_shape = deconv2d, deconv_params(3, 2, 2, rng), (2, 3, 4, 4)
+    x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
+    incoming, freed = [], []
+    wgrad = nn_module._wgrad
+
+    def watched(*args, **kwargs):
+        freed.append(incoming[0]() is None)
+        return wgrad(*args, **kwargs)
+
+    def rule(g):
+        gy = np.ones(y.shape, dtype=np.float32)
+        incoming.append(weakref.ref(gy))
+        return (gy,)
+
+    monkeypatch.setattr(nn_module, "_wgrad", watched)
+    with Tape() as tape:
+        y = op(x, p)
+        loss = sum_all(record((y,), Tensor(y.data.copy()), rule))
+    backward(tape, loss)
+    assert freed == [True]
+    assert x.grad is not None and p.bias.grad is not None

@@ -9,8 +9,10 @@ the change, run as alternating pairs with one seed per pair.  Per workload
 and per end-to-end metric of ``BENCHMARK.json`` the record gives each
 side's median (the number ``perfbench/run.py --compare OLD NEW`` prints),
 its quartiles and run count, and how many same-seed pairs the change won;
-ties count for neither side.  It also gives the GEMM calibration of each
-side and the machine record of the runs.
+ties count for neither side.  Runs made with ``--heldout`` are kept out of
+those figures and listed per seed under ``heldout``, with the pairs won.
+It also gives the GEMM calibration of each side and the machine record of
+the runs.
 """
 
 from __future__ import annotations
@@ -33,8 +35,20 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": len(values)}
 
 
+def compare(runs: dict[str, list[dict]], m: dict) -> tuple[dict, dict]:
+    """Each side's value of metric m by seed, and the same-seed pairs won and lost."""
+    by_seed = {label: {r["seed"]: r["metrics"][m["name"]]["value"] for r in side} for label, side in runs.items()}
+    seeds = sorted(set(by_seed["parent"]) & set(by_seed["change"]))
+    sign = 1 if m["better"] == "lower" else -1
+    won = sum(sign * (by_seed["parent"][s] - by_seed["change"][s]) > 0 for s in seeds)
+    lost = sum(sign * (by_seed["parent"][s] - by_seed["change"][s]) < 0 for s in seeds)
+    return by_seed, dict(pairs=len(seeds), change_won=won, change_lost=lost)
+
+
 def workload_record(workload: str, sides: dict[str, list[dict]], metrics: list[dict]) -> dict:
-    runs = {label: [r for r in side if r["workload"] == workload] for label, side in sides.items()}
+    ours = {label: [r for r in side if r["workload"] == workload] for label, side in sides.items()}
+    runs = {label: [r for r in side if r.get("seed_set") != "heldout"] for label, side in ours.items()}
+    heldout = {label: [r for r in side if r.get("seed_set") == "heldout"] for label, side in ours.items()}
     record = {
         label: {
             "all_correct": all(r["failed"] == 0 and not r["errors"] for r in side),
@@ -42,20 +56,19 @@ def workload_record(workload: str, sides: dict[str, list[dict]], metrics: list[d
             "ops_attempted": sum(r["attempted"] for r in side),
             "gemm_gflops_median": statistics.median(r["calibration"]["machine.gemm_gflops"] for r in side),
         }
-        for label, side in runs.items()
+        for label, side in ours.items()
     }
     record["metrics"] = {}
     for m in metrics:
-        by_seed = {
-            label: {r["seed"]: r["metrics"][m["name"]]["value"] for r in side} for label, side in runs.items()
-        }
-        seeds = sorted(set(by_seed["parent"]) & set(by_seed["change"]))
-        sign = 1 if m["better"] == "lower" else -1
-        won = sum(sign * (by_seed["parent"][s] - by_seed["change"][s]) > 0 for s in seeds)
-        lost = sum(sign * (by_seed["parent"][s] - by_seed["change"][s]) < 0 for s in seeds)
+        by_seed, wins = compare(runs, m)
         entry = {label: summary(list(values.values())) for label, values in by_seed.items()}
-        entry.update(unit=m["unit"], better=m["better"], pairs=len(seeds), change_won=won, change_lost=lost)
+        entry.update(unit=m["unit"], better=m["better"], **wins)
         record["metrics"][m["name"]] = entry
+    if all(heldout.values()):
+        record["heldout"] = {}
+        for m in metrics:
+            by_seed, wins = compare(heldout, m)
+            record["heldout"][m["name"]] = {**by_seed, **wins}
     return record
 
 
