@@ -25,6 +25,7 @@ __all__ = [
     "grad_check",
     "record",
     "activation",
+    "LRELU_SLOPE",
     "add",
     "sub",
     "mul",
@@ -270,19 +271,23 @@ def const_minus(c: float, x: Tensor) -> Tensor:
 # keeps y and never the pre-activation.  The standalone ops below and the
 # conv epilogue in ``sgen.nn`` both go through ``activation``.
 
-def _lrelu(a: np.ndarray, slope: float) -> None:
+# the negative-side slope of every lrelu in the network
+LRELU_SLOPE = 0.2
+
+
+def _lrelu(a: np.ndarray) -> None:
     # with 0 < slope < 1, max(x, slope * x) is x where x > 0, else slope * x
-    np.maximum(a, a * a.dtype.type(slope), out=a)
+    np.maximum(a, a * a.dtype.type(LRELU_SLOPE), out=a)
 
 
-def _lrelu_grad(g: np.ndarray, y: np.ndarray, slope: float) -> np.ndarray:
-    deriv = np.array([slope, 1.0], dtype=y.dtype)  # for y <= 0 and y > 0
+def _lrelu_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    deriv = np.array([LRELU_SLOPE, 1.0], dtype=y.dtype)  # for y <= 0 and y > 0
     out = deriv.take((y > 0).view(np.uint8))
     out *= g
     return out
 
 
-def _sigmoid(a: np.ndarray, slope: float) -> None:
+def _sigmoid(a: np.ndarray) -> None:
     # exp(-|x|) cannot overflow: y = 1 / (1 + e) for x >= 0, else e / (1 + e)
     positive = a >= 0
     np.exp(np.negative(np.abs(a, out=a), out=a), out=a)
@@ -293,10 +298,10 @@ def _sigmoid(a: np.ndarray, slope: float) -> None:
 
 # name -> (forward in place on a, adjoint of x from the adjoint g of y and y)
 _ACTIVATIONS = {
-    "relu": (lambda a, slope: np.maximum(a, 0, out=a), lambda g, y, slope: g * (y > 0)),
+    "relu": (lambda a: np.maximum(a, 0, out=a), lambda g, y: g * (y > 0)),
     "lrelu": (_lrelu, _lrelu_grad),
-    "sigmoid": (_sigmoid, lambda g, y, slope: g * y * (1.0 - y)),
-    "tanh": (lambda a, slope: np.tanh(a, out=a), lambda g, y, slope: g * (1.0 - y * y)),
+    "sigmoid": (_sigmoid, lambda g, y: g * y * (1.0 - y)),
+    "tanh": (lambda a: np.tanh(a, out=a), lambda g, y: g * (1.0 - y * y)),
 }
 
 
@@ -304,7 +309,7 @@ def _passthrough(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def activation(name: str | None, slope: float = 0.2):
+def activation(name: str | None):
     """Activation ``name`` as a function ``act(a) -> grad``.
 
     ``act`` requires the fresh pre-activation array ``a`` to be finite (a
@@ -318,20 +323,18 @@ def activation(name: str | None, slope: float = 0.2):
         return lambda a: _passthrough
     if name not in _ACTIVATIONS:
         raise ValueError(f"unknown activation {name!r}; expected one of {tuple(_ACTIVATIONS)}")
-    if name == "lrelu" and not 0.0 < slope < 1.0:
-        raise ValueError(f"lrelu: slope must lie in (0, 1), got {slope}")
     forward, derivative = _ACTIVATIONS[name]
 
     def act(a: np.ndarray):
         _require_finite(a, name)
-        forward(a, slope)
-        return lambda g: derivative(g, a, slope)
+        forward(a)
+        return lambda g: derivative(g, a)
 
     return act
 
 
-def _activated(x: Tensor, name: str, slope: float = 0.2) -> Tensor:
-    act = activation(name, slope)
+def _activated(x: Tensor, name: str) -> Tensor:
+    act = activation(name)
     y = x.data.copy()
     grad = act(y)
     return record((x,), Tensor(y), lambda g: (grad(g),))
@@ -341,8 +344,8 @@ def relu(x: Tensor) -> Tensor:
     return _activated(x, "relu")
 
 
-def lrelu(x: Tensor, slope: float = 0.2) -> Tensor:
-    return _activated(x, "lrelu", slope)
+def lrelu(x: Tensor) -> Tensor:
+    return _activated(x, "lrelu")
 
 
 def sigmoid(x: Tensor) -> Tensor:

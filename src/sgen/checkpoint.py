@@ -6,9 +6,10 @@ Layout, all integers little-endian uint32:
     per entry: name length | UTF-8 name | four dims | raw float32 data
 
 Tensors are stored as little-endian float32, so a save/load round trip is
-bit-exact for float32 parameters.  A save writes the whole file to a
-temporary file in the same directory and renames it over the target, so a
-process killed mid-write leaves the previous checkpoint as it was.
+bit-exact; a save refuses any other dtype instead of casting it.  A save
+writes the whole file to a temporary file in the same directory and
+renames it over the target, so a process killed mid-write leaves the
+previous checkpoint as it was.
 Loading validates sizes as it walks the file and reports the byte offset
 and entry name on any corruption.
 """
@@ -40,6 +41,8 @@ def save_checkpoint(params: ParamStore, path) -> None:
     path = Path(path)
     chunks = [MAGIC, struct.pack("<II", VERSION, len(params))]
     for name, tensor in params.items():
+        if tensor.dtype != np.float32:
+            raise ValueError(f"parameter {name!r} is {tensor.dtype.name}, not float32")
         raw = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(raw)))
         chunks.append(raw)

@@ -43,7 +43,7 @@ _SHAPES = ((1, 1, 2, 3), (2, 3, 4, 4), (1, 2, 5, 7))
 _BINARY_OPS = {"add": ad.add, "sub": ad.sub, "mul": ad.mul}
 _ACTIVATIONS = {
     "relu": ad.relu,
-    "lrelu": lambda x: ad.lrelu(x, 0.2),
+    "lrelu": ad.lrelu,
     "sigmoid": ad.sigmoid,
     "tanh": ad.tanh,
 }

@@ -92,16 +92,15 @@ def cmd_evaluate(args) -> int:
     params = load_checkpoint(args.checkpoint)
     _require_matching_architecture(params, cfg, args.checkpoint)
     images = load_corpus(cfg, split="test")
-    spec = cfg.degrade_spec()
     # no scale filtering here: evaluate() reports incompatible scales as
     # warning rows instead of dropping them
-    pairs = degraded_dataset(images, spec)
+    pairs = degraded_dataset(images, cfg)
     report = evaluate(
         params,
         cfg,
         pairs,
         model_id=str(args.checkpoint),
-        degradation=f"down{spec.down_factor} sigma{spec.noise_sigma:g} nearest",
+        degradation=f"down{cfg.down_factor} sigma{cfg.noise_sigma:g} nearest",
     )
     text_path = Path(cfg.report_out + ".txt")
     csv_path = Path(cfg.report_out + ".csv")
@@ -124,7 +123,6 @@ def _degrade_one(task):
 
 def cmd_degrade(args) -> int:
     cfg = _resolve_config(args)
-    spec = cfg.degrade_spec()
     in_dir = Path(args.in_path)
     out_dir = Path(args.out_path)
     paths = sorted(in_dir.glob("*.ppm"))
@@ -135,8 +133,8 @@ def cmd_degrade(args) -> int:
     tasks = []
     for i, path in enumerate(paths):
         image = load_image(path)
-        for j, (h, w) in enumerate(spec.scales):
-            tasks.append((image, path.stem, h, w, spec, (spec.seed, i, j), out_dir))
+        for j, (h, w) in enumerate(cfg.scales):
+            tasks.append((image, path.stem, h, w, cfg, (cfg.seed, i, j), out_dir))
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         list(pool.map(_degrade_one, tasks))
     print(f"wrote {2 * len(tasks)} images to {out_dir}", file=sys.stderr)

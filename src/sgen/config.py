@@ -2,16 +2,17 @@
 
 One ``key = value`` pair per line; blank lines and # comments are
 ignored.  Unknown keys and invalid values are rejected so typos fail
-loudly instead of silently training with defaults.
-``serialize_config(parse_config(text))`` round-trips every setting.
+loudly instead of silently training with defaults.  ``serialize_config``
+round-trips every setting: it refuses a string that would not read back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .data import EVAL_SCALES, DegradeSpec
+from .data import DegradeSpec
 from .losses import G_LOSS_VARIANTS
 from .model import SgenConfig
 
@@ -27,8 +28,8 @@ GAN_LOSSES = ("none",) + G_LOSS_VARIANTS
 
 
 @dataclass
-class RunConfig(SgenConfig):
-    """Architecture fields (inherited) plus training, data and output settings."""
+class RunConfig(DegradeSpec, SgenConfig):
+    """Inherited architecture and degradation fields plus training, data and output settings."""
 
     # training
     gan_loss: str = "minimax"
@@ -37,11 +38,6 @@ class RunConfig(SgenConfig):
     batch_size: int = 64
     steps: int = 0
     eval_every: int = 0
-    seed: int = 0
-    # degradation protocol
-    scales: tuple[tuple[int, int], ...] = EVAL_SCALES
-    down_factor: int = 4
-    noise_sigma: float = 30.0
     # data sources and outputs
     data_root: str = ""
     synthetic_count: int = 0
@@ -51,17 +47,17 @@ class RunConfig(SgenConfig):
     log_out: str = ""
 
     def __post_init__(self):
-        super().__post_init__()
+        SgenConfig.__post_init__(self)
+        DegradeSpec.__post_init__(self)
         if self.gan_loss not in GAN_LOSSES:
             raise ValueError(f"gan_loss {self.gan_loss!r} not in {GAN_LOSSES}")
-        if self.lambda_mse < 0:
-            raise ValueError(f"lambda_mse must be >= 0, got {self.lambda_mse}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 <= self.lambda_mse < math.inf:
+            raise ValueError(f"lambda_mse must be finite and >= 0, got {self.lambda_mse}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         for key, least in (("batch_size", 1), ("steps", 0), ("eval_every", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
-        self.degrade_spec()  # the degradation fields obey DegradeSpec's rules
 
     @property
     def adversarial(self) -> bool:
@@ -72,12 +68,8 @@ class RunConfig(SgenConfig):
         return self
 
     def degrade_spec(self) -> DegradeSpec:
-        return DegradeSpec(
-            scales=self.scales,
-            down_factor=self.down_factor,
-            noise_sigma=self.noise_sigma,
-            seed=self.seed,
-        )
+        """The degradation protocol: a RunConfig is one."""
+        return self
 
 
 # in_channels is an architecture field for grayscale test rigs; image data
@@ -158,5 +150,8 @@ def serialize_config(cfg: RunConfig) -> str:
             text = ",".join(str(v) for v in value)
         else:
             text = str(value)
+        # parse_config cuts a line at "#", splits lines and strips values
+        if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
+            raise ConfigError(f"{key} = {text!r} cannot be written as a config line")
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ dataset and batch order is reproducible from integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,9 @@ EVAL_SCALES: tuple[tuple[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class DegradeSpec:
-    """Parameters of the corruption protocol."""
+    """Parameters of the corruption protocol; ``RunConfig`` inherits them."""
 
     scales: tuple[tuple[int, int], ...] = EVAL_SCALES
     down_factor: int = 4
@@ -56,8 +57,8 @@ class DegradeSpec:
     def __post_init__(self):
         if self.down_factor < 1:
             raise ValueError(f"down_factor must be >= 1, got {self.down_factor}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not self.scales:
             raise ValueError("scales must not be empty")
         for h, w in self.scales:

@@ -40,20 +40,19 @@ __all__ = [
 
 @dataclass
 class SgenConfig:
-    """The network architecture; training settings live in RunConfig.
+    """The network architecture; RunConfig adds degradation and training.
 
     n_levels is the trunk depth N; inputs must be divisible by 2^(N+1).
     base_channels is the width of the first trunk level (doubling per
     level); bottleneck_channels is the shared width of all base-encoder
     and decoder features.  in_channels covers grayscale test rigs; image
-    data is RGB.
+    data is RGB.  Every lrelu uses ``sgen.autodiff.LRELU_SLOPE``.
     """
 
     n_levels: int = 3
     base_channels: int = 32
     bottleneck_channels: int = 64
     merge_mode: str = "sgu"
-    lrelu_slope: float = 0.2
     in_channels: int = 3
     disc_channels: tuple[int, ...] = (32, 64, 128, 256)
 
@@ -65,8 +64,6 @@ class SgenConfig:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if self.merge_mode not in MERGE_MODES:
             raise ValueError(f"merge_mode {self.merge_mode!r} not in {MERGE_MODES}")
-        if not 0.0 < self.lrelu_slope < 1.0:
-            raise ValueError(f"lrelu_slope must lie in (0, 1), got {self.lrelu_slope}")
         if len(self.disc_channels) != 4:
             raise ValueError("disc_channels must list four widths")
 
@@ -214,7 +211,6 @@ def generator_forward(
     """
     n_batch, c, h, w = s.shape
     n = cfg.n_levels
-    slope = cfg.lrelu_slope
     if c != cfg.in_channels:
         raise ValueError(f"generator: input has {c} channels, config expects {cfg.in_channels}")
     if not cfg.fits(h, w):
@@ -234,19 +230,19 @@ def generator_forward(
         if trace is not None:
             trace[key] = t
 
-    x = conv2d(s, _at(params, "enc.trunk.0"), "lrelu", slope)
-    x = conv2d(x, _at(params, "enc.trunk.1"), "lrelu", slope)
+    x = conv2d(s, _at(params, "enc.trunk.0"), "lrelu")
+    x = conv2d(x, _at(params, "enc.trunk.1"), "lrelu")
     trunk = [x]
     note("trunk.1", x)
     for k in range(2, n + 1):
-        x = conv2d(x, _at(params, f"enc.trunk.{k}"), "lrelu", slope)
+        x = conv2d(x, _at(params, f"enc.trunk.{k}"), "lrelu")
         trunk.append(x)
         note(f"trunk.{k}", x)
 
     # every level lands on the same bottleneck grid: 1/2^(n+1) of the input
     enc = []
     for k in range(1, n + 1):
-        e = conv2d(trunk[k - 1], _at(params, f"enc.base.{k}"), "lrelu", slope)
+        e = conv2d(trunk[k - 1], _at(params, f"enc.base.{k}"), "lrelu")
         enc.append(e)
         note(f"base_enc.{k}", e)
 
@@ -300,9 +296,8 @@ def discriminator_forward(x: Tensor, params: ParamStore, cfg: SgenConfig) -> Ten
         raise ValueError(
             f"discriminator: input spatial dims ({h}, {w}) must be >= 16 and divisible by 16"
         )
-    slope = cfg.lrelu_slope
     out = x
     for i in range(1, 5):
-        out = conv2d(out, _at(params, f"disc.conv.{i}"), "lrelu", slope)
+        out = conv2d(out, _at(params, f"disc.conv.{i}"), "lrelu")
     out = conv2d(out, _at(params, "disc.head"))
     return sigmoid(global_avg_pool(out))

@@ -44,8 +44,8 @@ coarse side.
 Epilogue: each op adds the bias on the GEMM's own contiguous buffer,
 over the columns that buffer holds values for ([0, span) on the coarse
 side, [lo, hi) on the fine side), so ``_image`` is a pure layout copy.
-``conv2d(x, p, act, slope)`` and ``deconv2d`` then apply the activation
-``act`` (relu, lrelu, sigmoid or tanh, defined once in
+``conv2d(x, p, act)`` and ``deconv2d`` then apply the activation ``act``
+(relu, lrelu, sigmoid or tanh, defined once in
 ``sgen.autodiff.activation``) in place on that output image, after
 checking that it is finite.  The op records one node whose output is the
 activated y.  Its backward first maps the adjoint through the derivative
@@ -112,8 +112,6 @@ class ConvParams:
     padding: int = field(init=False)
 
     def __post_init__(self):
-        if self.weight.data.ndim != 4:
-            raise ValueError("ConvParams: weight must be 4-D")
         _, _, kh, kw = self.weight.shape
         if kh != kw:
             raise ValueError(f"ConvParams: kernel must be square, got {kh}x{kw}")
@@ -172,11 +170,10 @@ def deconv_params(
     factor: int,
     rng: np.random.Generator,
     dtype=np.float32,
-    weight_std: float | None = None,
 ) -> ConvParams:
     """Fresh transposed-conv weights for upsampling by ``factor``."""
     shape = (in_channels, out_channels, 2 * factor, 2 * factor)
-    return ConvParams(*_fresh(in_channels, out_channels, shape, rng, dtype, weight_std))
+    return ConvParams(*_fresh(in_channels, out_channels, shape, rng, dtype, None))
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +351,11 @@ def _check(op: str, x: Tensor, p: ConvParams, c_in: int, c_out: int) -> None:
         raise ValueError(f"{op}: bias shape {p.bias.shape} does not match {c_out} output channels")
 
 
-def conv2d(x: Tensor, p: ConvParams, act: str | None = None, slope: float = 0.2) -> Tensor:
+def conv2d(x: Tensor, p: ConvParams, act: str | None = None) -> Tensor:
     """Strided cross-correlation plus bias, then the activation ``act``, if
     given, in place on that output; output spatial dims = input / stride."""
     _check("conv2d", x, p, p.in_channels, p.out_channels)
-    epilogue = activation(act, slope)
+    epilogue = activation(act)
     n, c, h, w = x.shape
     s, pad = p.stride, p.padding
     if h % s or w % s:
@@ -393,12 +390,12 @@ def conv2d(x: Tensor, p: ConvParams, act: str | None = None, slope: float = 0.2)
     return record((x, weight, bias), Tensor(yd), bwd)
 
 
-def deconv2d(x: Tensor, p: ConvParams, act: str | None = None, slope: float = 0.2) -> Tensor:
+def deconv2d(x: Tensor, p: ConvParams, act: str | None = None) -> Tensor:
     """Adjoint of conv2d on p, plus p's bias, then the activation ``act``,
     if given, in place on that output; upsamples by p.stride.  Its input
     and output channels are the conv's output and input channels."""
     _check("deconv2d", x, p, p.out_channels, p.in_channels)
-    epilogue = activation(act, slope)
+    epilogue = activation(act)
     n, c, h, w = x.shape
     s, pad = p.stride, p.padding
     if s < 2 or s & (s - 1):

@@ -89,7 +89,7 @@ def build_training_pairs(cfg: RunConfig, images: list[Tensor]) -> list[SamplePai
             )
     if not usable:
         raise ConfigError(f"no configured scale is divisible by {cfg.divisor}")
-    return degraded_dataset(images, replace(cfg.degrade_spec(), scales=usable))
+    return degraded_dataset(images, replace(cfg, scales=usable))
 
 
 def _epoch_batches(pairs, cfg: RunConfig, epoch: int):

@@ -10,6 +10,7 @@ from oracles import numeric_gradient
 
 from sgen import Tape, Tensor, backward, grad_check
 from sgen.autodiff import (
+    LRELU_SLOPE,
     add,
     add_const,
     clamp,
@@ -92,7 +93,7 @@ def test_scalar_constant_forward_examples():
 def test_activation_forward_examples():
     x = t4([-2.0, 0.0, 3.0])
     np.testing.assert_array_equal(relu(x).data.ravel(), [0, 0, 3])
-    np.testing.assert_allclose(lrelu(x, 0.1).data.ravel(), [-0.2, 0, 3], rtol=1e-6)
+    np.testing.assert_allclose(lrelu(x).data.ravel(), [-2.0 * LRELU_SLOPE, 0, 3], rtol=1e-6)
     np.testing.assert_allclose(
         sigmoid(t4([0.0])).data.ravel(), [0.5], rtol=0, atol=0
     )
@@ -141,13 +142,6 @@ def test_binary_ops_reject_dtype_mismatch():
     b = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float64))
     with pytest.raises(ValueError, match="dtype mismatch"):
         add(a, b)
-
-
-def test_lrelu_slope_must_be_in_unit_interval():
-    x = t4([1.0])
-    for bad in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError, match="slope"):
-            lrelu(x, bad)
 
 
 def test_log_rejects_nonpositive_input():
@@ -317,14 +311,14 @@ def test_maximum_routes_ties_to_first_argument():
 def test_lrelu_derivative_at_zero_is_slope():
     x = t4([0.0, -1.0, 1.0], requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(lrelu(x, 0.25))
+        loss = sum_all(lrelu(x))
     backward(tape, loss)
-    np.testing.assert_allclose(x.grad.ravel(), [0.25, 0.25, 1.0], rtol=1e-6)
+    np.testing.assert_allclose(x.grad.ravel(), [LRELU_SLOPE, LRELU_SLOPE, 1.0], rtol=1e-6)
 
 
 @pytest.mark.parametrize(
     "fn, slope",
-    [(relu, 0.0), (lambda t: lrelu(t, 0.25), 0.25), (sigmoid, 0.25), (tanh, 1.0)],
+    [(relu, 0.0), (lrelu, LRELU_SLOPE), (sigmoid, 0.25), (tanh, 1.0)],
     ids=["relu", "lrelu", "sigmoid", "tanh"],
 )
 def test_derivative_read_off_the_output_at_signed_zero(fn, slope):
@@ -388,11 +382,11 @@ def test_taped_gradients_match_numeric_oracle(seed, shape):
     w = rng.normal(size=shape)
 
     def f_np(arr):
-        y = np.where(arr > 0, arr, 0.2 * arr)
+        y = np.where(arr > 0, arr, LRELU_SLOPE * arr)
         return float((np.tanh(y) * w).sum())
 
     def f_tape(t):
-        return sum_all(mul(tanh(lrelu(t, 0.2)), Tensor(w)))
+        return sum_all(mul(tanh(lrelu(t)), Tensor(w)))
 
     x = Tensor(base.copy(), requires_grad=True)
     with Tape() as tape:
@@ -406,7 +400,7 @@ def test_grad_check_passes_float64_composite():
     rng = np.random.default_rng(3)
     p = conv_params(2, 3, 1, rng, dtype=np.float64)
     x = Tensor(rng.normal(size=(1, 2, 6, 6)) + 0.4, requires_grad=True)
-    err = grad_check(lambda t: mean_all(lrelu(conv2d(t, p), 0.2)), x, eps=1e-5)
+    err = grad_check(lambda t: mean_all(lrelu(conv2d(t, p))), x, eps=1e-5)
     assert err < 1e-5
 
 
@@ -416,7 +410,7 @@ def test_grad_check_passes_float32_composite_at_loose_tolerance():
     x = Tensor(
         (rng.normal(size=(1, 2, 6, 6)) + 0.4).astype(np.float32), requires_grad=True
     )
-    err = grad_check(lambda t: mean_all(lrelu(conv2d(t, p), 0.2)), x, eps=1e-2)
+    err = grad_check(lambda t: mean_all(lrelu(conv2d(t, p))), x, eps=1e-2)
     assert err < 1e-2
 
 

@@ -118,6 +118,20 @@ def test_failed_write_keeps_the_old_checkpoint(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
+def test_save_refuses_non_float32_data(tmp_path):
+    """A float64 parameter is refused, not cast, before anything is written."""
+    rng = np.random.default_rng(13)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_tiny_store(rng), path)
+    old = path.read_bytes()
+    store = _tiny_store(rng)
+    store.add("gamma", Tensor(rng.normal(size=(1, 1, 2, 2))))
+    with pytest.raises(ValueError, match="'gamma' is float64"):
+        save_checkpoint(store, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 # ---------------------------------------------------------------------------
 # corruption diagnostics
 

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from sgen import ConfigError, RunConfig, SgenConfig, load_config, parse_config, serialize_config
+from sgen import (
+    ConfigError,
+    DegradeSpec,
+    RunConfig,
+    SgenConfig,
+    degraded_dataset,
+    load_config,
+    make_synthetic_corpus,
+    parse_config,
+    serialize_config,
+)
 from sgen.data import EVAL_SCALES
 
 
@@ -85,6 +95,12 @@ def test_bad_scalar_value_reports_line_and_key():
         ("steps = -5", "steps"),
         ("eval_every = -1", "eval_every"),
         ("learning_rate = -1", "learning_rate"),
+        ("learning_rate = nan", "learning_rate"),
+        ("learning_rate = inf", "learning_rate"),
+        ("lambda_mse = nan", "lambda_mse"),
+        ("lambda_mse = inf", "lambda_mse"),
+        ("noise_sigma = nan", "noise_sigma"),
+        ("noise_sigma = inf", "noise_sigma"),
     ],
 )
 def test_invalid_values_fail_at_parse_time(line, key):
@@ -96,6 +112,25 @@ def test_in_channels_is_not_a_config_key():
     assert "in_channels" not in serialize_config(RunConfig())
     with pytest.raises(ConfigError, match="unknown config key 'in_channels'"):
         parse_config("in_channels = 1\n")
+
+
+def test_lrelu_slope_is_not_a_config_key():
+    with pytest.raises(ConfigError, match="unknown config key 'lrelu_slope'"):
+        parse_config("lrelu_slope = 0.2\n")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("checkpoint_out", "run#1.ckpt"),
+        ("data_root", "faces\nsteps = 5"),
+        ("report_out", " report"),
+        ("log_out", "loss.csv\t"),
+    ],
+)
+def test_serialize_refuses_strings_that_would_not_read_back(key, value):
+    with pytest.raises(ValueError, match=key):
+        serialize_config(RunConfig(**{key: value}))
 
 
 def test_bad_size_value_is_rejected():
@@ -133,11 +168,25 @@ def test_sgen_config_mapping():
 
 
 def test_degrade_spec_mapping():
+    # a run config carries the degradation protocol itself
     cfg = RunConfig(scales=((64, 48),), down_factor=4, noise_sigma=5.0, seed=9)
-    spec = cfg.degrade_spec()
-    assert spec.scales == ((64, 48),)
-    assert spec.noise_sigma == 5.0
-    assert spec.seed == 9
+    assert isinstance(cfg, DegradeSpec)
+    assert cfg.degrade_spec() is cfg
+    assert cfg.scales == ((64, 48),)
+    assert cfg.noise_sigma == 5.0
+    assert cfg.seed == 9
+
+
+def test_run_config_degrades_like_the_spec_of_its_values():
+    images = make_synthetic_corpus(2, seed=4, size=(48, 32))
+    values = dict(scales=((32, 32), (48, 32)), down_factor=2, noise_sigma=12.5, seed=6)
+    from_cfg = degraded_dataset(images, RunConfig(**values))
+    from_spec = degraded_dataset(images, DegradeSpec(**values))
+    assert len(from_cfg) == len(from_spec) == 4
+    for a, b in zip(from_cfg, from_spec):
+        assert a.scale_index == b.scale_index
+        assert a.clean.data.tobytes() == b.clean.data.tobytes()
+        assert a.corrupted.data.tobytes() == b.corrupted.data.tobytes()
 
 
 def test_default_scales_are_the_evaluation_set():

@@ -46,8 +46,6 @@ def test_config_rejects_bad_values():
         SgenConfig(base_channels=0)
     with pytest.raises(ValueError, match="merge_mode"):
         SgenConfig(merge_mode="blend")
-    with pytest.raises(ValueError, match="lrelu_slope"):
-        SgenConfig(lrelu_slope=1.0)
     with pytest.raises(ValueError, match="four widths"):
         SgenConfig(disc_channels=(8, 16, 32))
     # training fields are validated by the run config that adds them

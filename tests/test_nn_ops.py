@@ -499,7 +499,7 @@ def test_gemm_count_does_not_grow_with_stride(monkeypatch, kind, cin, cout):
 # ---------------------------------------------------------------------------
 # fused activation epilogue
 
-_STANDALONE = {"relu": relu, "lrelu": lambda t: lrelu(t, 0.2), "sigmoid": sigmoid, "tanh": tanh}
+_STANDALONE = {"relu": relu, "lrelu": lrelu, "sigmoid": sigmoid, "tanh": tanh}
 
 
 def _kink_case(kind, dtype):
@@ -536,7 +536,7 @@ def test_fused_activation_equals_unfused_bit_for_bit(act, kind, dtype):
         x = Tensor(x0.copy(), requires_grad=True)
         p = ConvParams(Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True))
         with Tape() as tape:
-            y = op(x, p, act, 0.2) if fused else _STANDALONE[act](op(x, p))
+            y = op(x, p, act) if fused else _STANDALONE[act](op(x, p))
             loss = sum_all(mul(y, Tensor(proj)))
         backward(tape, loss)
         return [y.data, x.grad, p.weight.grad, p.bias.grad], len(tape)

@@ -11,6 +11,8 @@ side's median (the number ``perfbench/run.py --compare OLD NEW`` prints),
 its quartiles and run count, and how many same-seed pairs the change won;
 ties count for neither side.  Runs made with ``--heldout`` are kept out of
 those figures and listed per seed under ``heldout``, with the pairs won.
+Two runs of one workload, side and seed set with the same seed stop the
+tool with an error, since pairing by seed would drop one of them.
 It also gives the GEMM calibration of each side and the machine record of
 the runs.
 """
@@ -49,6 +51,12 @@ def workload_record(workload: str, sides: dict[str, list[dict]], metrics: list[d
     ours = {label: [r for r in side if r["workload"] == workload] for label, side in sides.items()}
     runs = {label: [r for r in side if r.get("seed_set") != "heldout"] for label, side in ours.items()}
     heldout = {label: [r for r in side if r.get("seed_set") == "heldout"] for label, side in ours.items()}
+    for group in (runs, heldout):
+        for label, side in group.items():
+            seeds = [r["seed"] for r in side]
+            for seed in seeds:
+                if seeds.count(seed) > 1:
+                    sys.exit(f"bench_record: {workload}: the {label} side has {seeds.count(seed)} runs with seed {seed}")
     record = {
         label: {
             "all_correct": all(r["failed"] == 0 and not r["errors"] for r in side),

@@ -68,7 +68,7 @@ def main() -> int:
                 files.append(Path(f"{ckpt}.disc").read_bytes())
             print(f"{label} {merge} {gan}", *map(digest, files))
             if (label, merge, gan) == ("small", "sgu", "none"):
-                pairs = degraded_dataset(load_corpus(cfg), cfg.degrade_spec())
+                pairs = degraded_dataset(load_corpus(cfg), cfg)
                 report = evaluate(load_checkpoint(ckpt), cfg, pairs).to_text()
     print("evaluate", digest(report.encode()))
     results = run_gradient_battery()
