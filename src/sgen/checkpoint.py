@@ -6,10 +6,11 @@ Layout, all integers little-endian uint32:
     per entry: name length | UTF-8 name | four dims | raw float32 data
 
 Tensors are stored as little-endian float32, so a save/load round trip is
-bit-exact; a save refuses any other dtype instead of casting it.  A save
-writes the whole file to a temporary file in the same directory and
-renames it over the target, so a process killed mid-write leaves the
-previous checkpoint as it was.
+bit-exact; a save refuses any other dtype before writing a byte instead
+of casting it.  A save writes entry by entry, without building the file
+in memory, to a temporary file in the same directory and renames it over
+the target, so a process killed mid-write leaves the previous checkpoint
+as it was.
 Loading validates sizes as it walks the file and reports the byte offset
 and entry name on any corruption.
 """
@@ -39,19 +40,17 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(params: ParamStore, path) -> None:
     path = Path(path)
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(params))]
     for name, tensor in params.items():
         if tensor.dtype != np.float32:
             raise ValueError(f"parameter {name!r} is {tensor.dtype.name}, not float32")
-        raw = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(raw)))
-        chunks.append(raw)
-        chunks.append(struct.pack("<4I", *tensor.shape))
-        chunks.append(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(b"".join(chunks))
+            f.write(MAGIC + struct.pack("<II", VERSION, len(params)))
+            for name, tensor in params.items():
+                raw = name.encode("utf-8")
+                f.write(struct.pack("<I", len(raw)) + raw + struct.pack("<4I", *tensor.shape))
+                f.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

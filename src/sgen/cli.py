@@ -8,6 +8,7 @@ seed.  SGEN_THREADS caps the worker pool used for per-image work.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -45,7 +46,7 @@ def worker_count() -> int:
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 

@@ -1,27 +1,25 @@
 """Plain key=value run configuration.
 
 One ``key = value`` pair per line; blank lines and # comments are
-ignored.  Unknown keys and invalid values are rejected so typos fail
-loudly instead of silently training with defaults.  ``serialize_config``
-round-trips every setting: it refuses a string that would not read back.
+ignored.  Every key is a ``RunConfig`` field with a declared domain (see
+``sgen.settings``): its kind parses the value, checks it and formats it
+back.  Unknown keys, duplicated keys and values outside their domain are
+rejected with the line and key named, so typos fail loudly instead of
+silently training with defaults.  ``serialize_config`` round-trips every
+setting: it refuses a string that would not read back.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import DegradeSpec
 from .losses import G_LOSS_VARIANTS
 from .model import SgenConfig
+from .settings import FINITE, POSITIVE, SIZE, TEXT, ConfigError, at_least, choice, setting
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "load_config", "serialize_config"]
-
-
-class ConfigError(ValueError):
-    """Raised for unknown keys, unparseable values or invalid settings."""
-
 
 # "none" selects plain MSE training
 GAN_LOSSES = ("none",) + G_LOSS_VARIANTS
@@ -32,32 +30,19 @@ class RunConfig(DegradeSpec, SgenConfig):
     """Inherited architecture and degradation fields plus training, data and output settings."""
 
     # training
-    gan_loss: str = "minimax"
-    lambda_mse: float = 0.1
-    learning_rate: float = 0.0002
-    batch_size: int = 64
-    steps: int = 0
-    eval_every: int = 0
+    gan_loss: str = setting("minimax", choice(GAN_LOSSES))
+    lambda_mse: float = setting(0.1, FINITE)
+    learning_rate: float = setting(0.0002, POSITIVE)
+    batch_size: int = setting(64, at_least(1))
+    steps: int = setting(0, at_least(0))
+    eval_every: int = setting(0, at_least(0))
     # data sources and outputs
-    data_root: str = ""
-    synthetic_count: int = 0
-    synthetic_size: tuple[int, int] = (128, 96)
-    checkpoint_out: str = "sgen.ckpt"
-    report_out: str = "report"
-    log_out: str = ""
-
-    def __post_init__(self):
-        SgenConfig.__post_init__(self)
-        DegradeSpec.__post_init__(self)
-        if self.gan_loss not in GAN_LOSSES:
-            raise ValueError(f"gan_loss {self.gan_loss!r} not in {GAN_LOSSES}")
-        if not 0 <= self.lambda_mse < math.inf:
-            raise ValueError(f"lambda_mse must be finite and >= 0, got {self.lambda_mse}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for key, least in (("batch_size", 1), ("steps", 0), ("eval_every", 0)):
-            if getattr(self, key) < least:
-                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
+    data_root: str = setting("", TEXT)
+    synthetic_count: int = setting(0, at_least(0))
+    synthetic_size: tuple[int, int] = setting((128, 96), SIZE)
+    checkpoint_out: str = setting("sgen.ckpt", TEXT)
+    report_out: str = setting("report", TEXT)
+    log_out: str = setting("", TEXT)
 
     @property
     def adversarial(self) -> bool:
@@ -72,36 +57,13 @@ class RunConfig(DegradeSpec, SgenConfig):
         return self
 
 
-# in_channels is an architecture field for grayscale test rigs; image data
-# is RGB, so it is not a config-file key
-_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "in_channels")
-
-
-def _parse_size(text: str) -> tuple[int, int]:
-    h, sep, w = text.lower().partition("x")
-    if not sep or not h.strip().isdigit() or not w.strip().isdigit():
-        raise ConfigError(f"bad size {text!r}: expected HxW, e.g. 128x96")
-    return int(h), int(w)
-
-
-def _parse_scales(text: str) -> tuple[tuple[int, int], ...]:
-    return tuple(_parse_size(part) for part in text.split(",") if part.strip())
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"bad integer list {text!r}") from None
-
-
-def _fmt_size(size: tuple[int, int]) -> str:
-    return f"{size[0]}x{size[1]}"
+# the config-file keys and their kinds, in file order; in_channels is an
+# architecture field for grayscale test rigs, and image data is RGB
+_KINDS = {f.name: f.metadata["kind"] for f in fields(RunConfig) if f.name != "in_channels"}
 
 
 def parse_config(text: str) -> RunConfig:
-    defaults = RunConfig()
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,27 +73,20 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: duplicate config key {key!r}, first set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
-            if key == "scales":
-                parsed = _parse_scales(value)
-            elif key == "synthetic_size":
-                parsed = _parse_size(value)
-            elif key == "disc_channels":
-                parsed = _parse_int_list(value)
-            else:
-                # scalar fields parse by the type of their default
-                parsed = type(getattr(defaults, key))(value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError):
-            raise ConfigError(f"line {lineno}: bad value {value!r} for key {key!r}") from None
-        values[key] = parsed
-    try:
-        return RunConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(f"bad config: {exc}") from None
+            values[key] = _KINDS[key].parse(value)
+            _KINDS[key].check(key, values[key])
+        except ValueError as exc:
+            where = f"line {lineno}: bad value {value!r} for key {key!r}"
+            raise ConfigError(f"{where}: {exc}") from None
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:
@@ -140,16 +95,8 @@ def load_config(path) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     lines = []
-    for key in _KEYS:
-        value = getattr(cfg, key)
-        if key == "scales":
-            text = ",".join(_fmt_size(s) for s in value)
-        elif key == "synthetic_size":
-            text = _fmt_size(value)
-        elif key == "disc_channels":
-            text = ",".join(str(v) for v in value)
-        else:
-            text = str(value)
+    for key, kind in _KINDS.items():
+        text = kind.fmt(getattr(cfg, key))
         # parse_config cuts a line at "#", splits lines and strips values
         if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
             raise ConfigError(f"{key} = {text!r} cannot be written as a config line")

@@ -12,12 +12,12 @@ dataset and batch order is reproducible from integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
+from .settings import FINITE, SIZES, ConfigError, Settings, at_least, setting
 
 __all__ = [
     "EVAL_SCALES",
@@ -46,24 +46,19 @@ EVAL_SCALES: tuple[tuple[int, int], ...] = (
 
 
 @dataclass
-class DegradeSpec:
+class DegradeSpec(Settings):
     """Parameters of the corruption protocol; ``RunConfig`` inherits them."""
 
-    scales: tuple[tuple[int, int], ...] = EVAL_SCALES
-    down_factor: int = 4
-    noise_sigma: float = 30.0
-    seed: int = 0
+    scales: tuple[tuple[int, int], ...] = setting(EVAL_SCALES, SIZES)
+    down_factor: int = setting(4, at_least(1))
+    noise_sigma: float = setting(30.0, FINITE)
+    seed: int = setting(0, at_least(0))
 
     def __post_init__(self):
-        if self.down_factor < 1:
-            raise ValueError(f"down_factor must be >= 1, got {self.down_factor}")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not self.scales:
-            raise ValueError("scales must not be empty")
+        super().__post_init__()
         for h, w in self.scales:
             if h % self.down_factor or w % self.down_factor:
-                raise ValueError(
+                raise ConfigError(
                     f"scales: ({h}, {w}) not divisible by down_factor {self.down_factor}"
                 )
 

@@ -149,7 +149,9 @@ def evaluate(
         by_scale.setdefault((h, w), []).append(pair)
 
     report = QualityReport(model_id=model_id, degradation=degradation)
-    for (h, w) in sorted(by_scale):
+    # largest scale first: smaller scales then reuse the heap its arrays
+    # freed, which lowers peak RSS; the rows are reversed to read ascending
+    for (h, w) in sorted(by_scale, reverse=True):
         bucket = by_scale[(h, w)]
         if not cfg.fits(h, w):
             note = f"skipped: dims not divisible by {cfg.divisor}"
@@ -164,4 +166,5 @@ def evaluate(
         mean_psnr = sum(finite) / len(finite) if finite else math.inf
         mean_ssim = sum(ssims) / len(ssims)
         report.rows.append(ScaleRow(h, w, mean_psnr, mean_ssim, len(bucket)))
+    report.rows.reverse()
     return report

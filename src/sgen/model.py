@@ -27,6 +27,7 @@ import numpy as np
 from .autodiff import Tensor, sigmoid
 from .ensemble import MERGE_MODES, SguParams, merge, sgu_params
 from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool
+from .settings import WIDTHS, Settings, at_least, choice, setting
 
 __all__ = [
     "SgenConfig",
@@ -39,7 +40,7 @@ __all__ = [
 
 
 @dataclass
-class SgenConfig:
+class SgenConfig(Settings):
     """The network architecture; RunConfig adds degradation and training.
 
     n_levels is the trunk depth N; inputs must be divisible by 2^(N+1).
@@ -49,23 +50,12 @@ class SgenConfig:
     data is RGB.  Every lrelu uses ``sgen.autodiff.LRELU_SLOPE``.
     """
 
-    n_levels: int = 3
-    base_channels: int = 32
-    bottleneck_channels: int = 64
-    merge_mode: str = "sgu"
-    in_channels: int = 3
-    disc_channels: tuple[int, ...] = (32, 64, 128, 256)
-
-    def __post_init__(self):
-        if self.n_levels < 2:
-            raise ValueError(f"n_levels must be >= 2, got {self.n_levels}")
-        for key in ("base_channels", "bottleneck_channels"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
-        if self.merge_mode not in MERGE_MODES:
-            raise ValueError(f"merge_mode {self.merge_mode!r} not in {MERGE_MODES}")
-        if len(self.disc_channels) != 4:
-            raise ValueError("disc_channels must list four widths")
+    n_levels: int = setting(3, at_least(2))
+    base_channels: int = setting(32, at_least(1))
+    bottleneck_channels: int = setting(64, at_least(1))
+    merge_mode: str = setting("sgu", choice(MERGE_MODES))
+    in_channels: int = setting(3, at_least(1))
+    disc_channels: tuple[int, ...] = setting((32, 64, 128, 256), WIDTHS)
 
     @property
     def divisor(self) -> int:

@@ -127,6 +127,13 @@ def test_train_rejects_invalid_config_values(tmp_path, capsys, line, key):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_train_rejects_a_negative_seed_override(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # restore
 

@@ -1,5 +1,7 @@
 """Run-configuration parsing, serialization, and derived objects."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from sgen import (
     serialize_config,
 )
 from sgen.data import EVAL_SCALES
+from sgen.settings import Kind
 
 
 def test_defaults_round_trip_through_text():
@@ -101,11 +104,128 @@ def test_bad_scalar_value_reports_line_and_key():
         ("lambda_mse = inf", "lambda_mse"),
         ("noise_sigma = nan", "noise_sigma"),
         ("noise_sigma = inf", "noise_sigma"),
+        ("seed = -1", "seed"),
+        ("synthetic_count = -3", "synthetic_count"),
+        ("synthetic_size = 0x0", "synthetic_size"),
+        ("scales = 0x0", "scales"),
+        ("disc_channels = 0,0,0,0", "disc_channels"),
+        ("disc_channels = -8,16,32,64", "disc_channels"),
+        ("steps = 1\nsteps = 2", "steps"),
     ],
 )
 def test_invalid_values_fail_at_parse_time(line, key):
     with pytest.raises(ConfigError, match=key):
-        parse_config(f"seed = 1\n{line}\n")
+        parse_config(f"report_out = out\n{line}\n")
+
+
+@pytest.mark.parametrize(
+    "cls, values, key",
+    [
+        (DegradeSpec, dict(seed=-1), "seed"),
+        (RunConfig, dict(seed=-1), "seed"),
+        (RunConfig, dict(synthetic_count=-3), "synthetic_count"),
+        (RunConfig, dict(synthetic_size=(0, 0)), "synthetic_size"),
+        (DegradeSpec, dict(scales=((0, 0),)), "scales"),
+        (SgenConfig, dict(disc_channels=(0, 0, 0, 0)), "disc_channels"),
+        (SgenConfig, dict(disc_channels=(-8, 16, 32, 64)), "disc_channels"),
+        (SgenConfig, dict(in_channels=0), "in_channels"),
+        (SgenConfig, dict(n_levels="3"), "n_levels"),
+        (SgenConfig, dict(disc_channels=32), "disc_channels"),
+        (DegradeSpec, dict(scales=(128, 96)), "scales"),
+    ],
+)
+def test_invalid_values_fail_at_construction(cls, values, key):
+    with pytest.raises(ConfigError, match=key):
+        cls(**values)
+
+
+# the config-file keys, in file order, from the field table
+KEYS = [f.name for f in fields(RunConfig) if f.name != "in_channels"]
+# boundary texts (negative, zero, nan, inf, empty, a "#" that cuts the
+# line) and malformed sizes and width lists
+BOUNDARY = ("-1", "0", "nan", "inf", "", "#1", "0x0", "-8x8", "8x8,0x8", "0,0,0,0", "-8,16,32,64")
+# per key, the boundary texts its domain admits
+ADMITTED = {
+    "n_levels": (),
+    "base_channels": (),
+    "bottleneck_channels": (),
+    "merge_mode": (),
+    "disc_channels": (),
+    "scales": (),
+    "down_factor": (),
+    "noise_sigma": ("0",),
+    "seed": ("0",),
+    "gan_loss": (),
+    "lambda_mse": ("0",),
+    "learning_rate": (),
+    "batch_size": (),
+    "steps": ("0",),
+    "eval_every": ("0",),
+    "data_root": BOUNDARY,
+    "synthetic_count": ("0",),
+    "synthetic_size": (),
+    "checkpoint_out": BOUNDARY,
+    "report_out": BOUNDARY,
+    "log_out": BOUNDARY,
+}
+
+
+def test_every_field_declares_a_kind_and_every_key_a_domain():
+    assert all(isinstance(f.metadata.get("kind"), Kind) for f in fields(RunConfig))
+    assert list(ADMITTED) == KEYS
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_boundary_values_outside_the_domain_are_rejected(key):
+    kind = next(f.metadata["kind"] for f in fields(RunConfig) if f.name == key)
+    for text in BOUNDARY:
+        if text in ADMITTED[key]:
+            parse_config(f"{key} = {text}\n")
+            continue
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = {text}\n")
+        # a value that parses but lies outside the domain is refused by
+        # every config type that declares the field
+        try:
+            value = kind.parse(text.split("#")[0])
+        except ValueError:
+            continue
+        for cls in (SgenConfig, DegradeSpec, RunConfig):
+            if key in {f.name for f in fields(cls)}:
+                with pytest.raises(ConfigError, match=key):
+                    cls(**{key: value})
+
+
+def test_duplicate_key_names_both_lines():
+    message = "line 4: duplicate config key 'steps', first set on line 2"
+    with pytest.raises(ConfigError, match=message):
+        parse_config("seed = 1\nsteps = 1\n\nsteps = 2\n")
+
+
+def test_default_config_text_is_pinned():
+    assert serialize_config(RunConfig()) == (
+        "n_levels = 3\n"
+        "base_channels = 32\n"
+        "bottleneck_channels = 64\n"
+        "merge_mode = sgu\n"
+        "disc_channels = 32,64,128,256\n"
+        "scales = 128x96,144x112,160x128,176x144,192x160,208x176\n"
+        "down_factor = 4\n"
+        "noise_sigma = 30.0\n"
+        "seed = 0\n"
+        "gan_loss = minimax\n"
+        "lambda_mse = 0.1\n"
+        "learning_rate = 0.0002\n"
+        "batch_size = 64\n"
+        "steps = 0\n"
+        "eval_every = 0\n"
+        "data_root = \n"
+        "synthetic_count = 0\n"
+        "synthetic_size = 128x96\n"
+        "checkpoint_out = sgen.ckpt\n"
+        "report_out = report\n"
+        "log_out = \n"
+    )
 
 
 def test_in_channels_is_not_a_config_key():

@@ -245,6 +245,26 @@ def test_evaluate_rows_are_sorted_by_scale():
     assert [(r.height, r.width) for r in report.rows] == [(32, 32), (32, 48), (48, 32)]
 
 
+def test_evaluate_restores_the_largest_scale_first():
+    rng = np.random.default_rng(8)
+    cfg = _tiny_cfg()
+    store = build_generator(cfg, rng)
+    pairs = _pairs_at(rng, [(32, 32), (48, 32), (32, 48), (32, 32)])
+    seen = []
+
+    def restorer(c):
+        seen.append(c.shape[2:])
+        return c
+
+    report = evaluate(store, cfg, pairs, restorer=restorer)
+    assert seen == [(48, 32), (32, 48), (32, 32), (32, 32)]
+    assert [(r.height, r.width, r.count) for r in report.rows] == [
+        (32, 32, 2),
+        (32, 48, 1),
+        (48, 32, 1),
+    ]
+
+
 def test_evaluate_default_restorer_runs_the_generator():
     rng = np.random.default_rng(9)
     cfg = _tiny_cfg()
