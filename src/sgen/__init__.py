@@ -21,6 +21,7 @@ from .data import (
     bilinear_resize,
     degrade,
     degraded_dataset,
+    degraded_pairs,
     denormalize,
     make_synthetic_corpus,
     normalize,

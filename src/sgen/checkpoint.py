@@ -91,6 +91,8 @@ def load_checkpoint(path) -> ParamStore:
             name = need(name_len, f"entry {index} name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"entry {index} at byte {entry_off}: name is not UTF-8") from exc
+        if name in store:
+            raise CheckpointError(f"entry {index} at byte {entry_off}: duplicate name {name!r}")
         dims = struct.unpack("<4I", need(16, f"entry {name!r} dims"))
         size = 1
         for d in dims:

@@ -20,7 +20,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint
 from .checks import run_gradient_battery
 from .config import ConfigError, RunConfig, load_config
-from .data import bilinear_resize, degrade, degraded_dataset, denormalize, normalize
+from .data import degraded_dataset, degraded_pairs, denormalize, normalize
 from .metrics import evaluate
 from .model import build_generator, generator_forward
 from .ppm import PpmError, load_image, save_image
@@ -112,16 +112,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _degrade_one(task):
-    image, stem, h, w, spec, seed_parts, out_dir = task
-    clean = bilinear_resize(image, h, w)
-    rng = np.random.default_rng(seed_parts)
-    pair = degrade(clean, spec, rng)
-    save_image(pair.clean, out_dir / f"{stem}_scale{h}x{w}_clean.ppm")
-    save_image(pair.corrupted, out_dir / f"{stem}_scale{h}x{w}_noisy.ppm")
-    return stem
-
-
 def cmd_degrade(args) -> int:
     cfg = _resolve_config(args)
     in_dir = Path(args.in_path)
@@ -130,15 +120,19 @@ def cmd_degrade(args) -> int:
     if not paths:
         raise ConfigError(f"no .ppm files under {str(in_dir)!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    # per-task seeds depend only on (seed, image, scale), not worker order
-    tasks = []
-    for i, path in enumerate(paths):
-        image = load_image(path)
-        for j, (h, w) in enumerate(cfg.scales):
-            tasks.append((image, path.stem, h, w, cfg, (cfg.seed, i, j), out_dir))
+
+    # one task per image; a pair's noise depends on its image's place in
+    # the sorted list, not on worker order
+    def write_pairs(task) -> None:
+        index, path = task
+        for pair in degraded_pairs(load_image(path), index, cfg):
+            _, _, h, w = pair.clean.shape
+            save_image(pair.clean, out_dir / f"{path.stem}_scale{h}x{w}_clean.ppm")
+            save_image(pair.corrupted, out_dir / f"{path.stem}_scale{h}x{w}_noisy.ppm")
+
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        list(pool.map(_degrade_one, tasks))
-    print(f"wrote {2 * len(tasks)} images to {out_dir}", file=sys.stderr)
+        list(pool.map(write_pairs, enumerate(paths)))
+    print(f"wrote {2 * len(paths) * len(cfg.scales)} images to {out_dir}", file=sys.stderr)
     return 0
 
 

@@ -25,7 +25,7 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "load_config", "serialize
 GAN_LOSSES = ("none",) + G_LOSS_VARIANTS
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig(DegradeSpec, SgenConfig):
     """Inherited architecture and degradation fields plus training, data and output settings."""
 

@@ -6,6 +6,11 @@ low-resolution domain with clamping to [0, 255], then nearest-neighbor
 upsample back to the original size.  Values stay float throughout; the
 only quantization in the pipeline is PPM I/O.
 
+``degraded_pairs`` is the one recipe from a corpus image to its pairs: it
+resizes the image to every scale, corrupts each copy with ``degrade`` and
+seeds that noise with (seed, image index, scale index).  Training,
+``evaluate`` and ``sgen degrade`` all take their pairs from it.
+
 All randomness flows through explicitly seeded numpy Generators, so every
 dataset and batch order is reproducible from integers.
 """
@@ -24,6 +29,7 @@ __all__ = [
     "DegradeSpec",
     "SamplePair",
     "degrade",
+    "degraded_pairs",
     "degraded_dataset",
     "box_downsample",
     "nearest_upsample",
@@ -45,7 +51,7 @@ EVAL_SCALES: tuple[tuple[int, int], ...] = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegradeSpec(Settings):
     """Parameters of the corruption protocol; ``RunConfig`` inherits them."""
 
@@ -96,36 +102,34 @@ def nearest_upsample(arr: np.ndarray, factor: int) -> np.ndarray:
     return arr.repeat(factor, axis=2).repeat(factor, axis=3)
 
 
-def degrade(clean: Tensor, spec: DegradeSpec, rng: np.random.Generator) -> SamplePair:
-    """Corrupt one clean image per the protocol; draws noise from ``rng``."""
-    _, _, h, w = clean.shape
+def degrade(clean: Tensor, spec: DegradeSpec, rng: np.random.Generator) -> Tensor:
+    """The corrupted copy of one clean image; draws its noise from ``rng``."""
     small = box_downsample(clean.data, spec.down_factor)
     if spec.noise_sigma > 0:
         noise = rng.normal(0.0, spec.noise_sigma, size=small.shape)
         small = np.clip(small + noise, 0.0, 255.0).astype(clean.dtype)
-    corrupted = nearest_upsample(small, spec.down_factor)
-    try:
-        scale_index = spec.scales.index((h, w))
-    except ValueError:
-        scale_index = -1
-    return SamplePair(clean=clean, corrupted=Tensor(corrupted), scale_index=scale_index)
+    return Tensor(nearest_upsample(small, spec.down_factor))
+
+
+def degraded_pairs(image: Tensor, index: int, spec: DegradeSpec) -> list[SamplePair]:
+    """Corpus image ``index`` resized to every scale j and corrupted.
+
+    The noise at scale j comes from a generator seeded with
+    (spec.seed, index, j), so a pair depends only on its image, its place
+    in the corpus and its scale, not on what else is processed or in which
+    order.
+    """
+    pairs = []
+    for j, (h, w) in enumerate(spec.scales):
+        clean = bilinear_resize(image, h, w)
+        corrupted = degrade(clean, spec, np.random.default_rng((spec.seed, index, j)))
+        pairs.append(SamplePair(clean=clean, corrupted=corrupted, scale_index=j))
+    return pairs
 
 
 def degraded_dataset(images: list[Tensor], spec: DegradeSpec) -> list[SamplePair]:
-    """Resize every image to every scale and corrupt it; fully deterministic.
-
-    Noise for image i at scale j comes from a generator seeded with
-    (spec.seed, i, j), so the result is independent of processing order.
-    """
-    pairs = []
-    for i, image in enumerate(images):
-        for j, (h, w) in enumerate(spec.scales):
-            clean = bilinear_resize(image, h, w)
-            rng = np.random.default_rng((spec.seed, i, j))
-            pair = degrade(clean, spec, rng)
-            pair.scale_index = j
-            pairs.append(pair)
-    return pairs
+    """Every image's ``degraded_pairs``, in corpus order."""
+    return [pair for i, image in enumerate(images) for pair in degraded_pairs(image, i, spec)]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SgenConfig(Settings):
     """The network architecture; RunConfig adds degradation and training.
 

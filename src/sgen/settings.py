@@ -43,7 +43,7 @@ def setting(default, kind: Kind):
 
 
 class Settings:
-    """Base of the config dataclasses: checks every field against its kind."""
+    """Base of the frozen config dataclasses: checks every field against its kind."""
 
     def __post_init__(self):
         for f in fields(self):

@@ -218,3 +218,17 @@ def test_oversized_dims_are_reported_as_truncation(tmp_path):
     with pytest.raises(CheckpointError, match=r"entry 'w' data") as exc:
         load_checkpoint(path)
     assert "truncated" in str(exc.value)
+
+
+def test_duplicate_entry_name_is_rejected_with_its_offset(tmp_path):
+    path = tmp_path / "dup.ckpt"
+    store = ParamStore()
+    store.add("w", Tensor(np.ones((1, 1, 2, 2), dtype=np.float32)))
+    save_checkpoint(store, path)
+    blob = path.read_bytes()
+    entry = blob[len(MAGIC) + 8 :]
+    # the same entry twice, with the header's count raised to 2
+    path.write_bytes(MAGIC + struct.pack("<II", 1, 2) + entry + entry)
+    second = len(MAGIC) + 8 + len(entry)
+    with pytest.raises(CheckpointError, match=rf"entry 1 at byte {second}: duplicate name 'w'"):
+        load_checkpoint(path)

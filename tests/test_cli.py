@@ -8,7 +8,9 @@ from sgen import (
     SgenConfig,
     Tensor,
     build_generator,
+    degraded_dataset,
     load_checkpoint,
+    load_config,
     save_checkpoint,
     save_image,
     serialize_config,
@@ -339,6 +341,27 @@ def test_degrade_is_deterministic_across_worker_counts(tmp_path, monkeypatch):
         )
         blobs[label] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert blobs["serial"] == blobs["pooled"]
+
+
+def test_degrade_writes_the_pairs_degraded_dataset_makes(tmp_path):
+    cfg_path, in_dir, out_dir = _degrade_setup(tmp_path, sigma=30.0)
+    assert (
+        main(["degrade", "--config", str(cfg_path), "--in", str(in_dir), "--out", str(out_dir)])
+        == 0
+    )
+    paths = sorted(in_dir.glob("*.ppm"))
+    cfg = load_config(cfg_path)
+    pairs = degraded_dataset([load_image(p) for p in paths], cfg)
+    want_dir = tmp_path / "want"
+    want_dir.mkdir()
+    for k, pair in enumerate(pairs):
+        stem = paths[k // len(cfg.scales)].stem
+        h, w = cfg.scales[pair.scale_index]
+        for kind, image in (("clean", pair.clean), ("noisy", pair.corrupted)):
+            save_image(image, want_dir / f"{stem}_scale{h}x{w}_{kind}.ppm")
+    written = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert written == {p.name: p.read_bytes() for p in want_dir.iterdir()}
+    assert len(written) == 2 * 2 * 2
 
 
 def test_degrade_sigma_zero_noisy_equals_block_average(tmp_path):

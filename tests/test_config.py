@@ -1,6 +1,6 @@
 """Run-configuration parsing, serialization, and derived objects."""
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -137,6 +137,13 @@ def test_invalid_values_fail_at_parse_time(line, key):
 def test_invalid_values_fail_at_construction(cls, values, key):
     with pytest.raises(ConfigError, match=key):
         cls(**values)
+
+
+@pytest.mark.parametrize("cls", [SgenConfig, DegradeSpec, RunConfig])
+def test_configs_are_frozen(cls):
+    cfg = cls()
+    with pytest.raises(FrozenInstanceError):
+        cfg.seed = -1
 
 
 # the config-file keys, in file order, from the field table

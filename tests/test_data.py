@@ -12,6 +12,7 @@ from sgen import (
     bilinear_resize,
     degrade,
     degraded_dataset,
+    degraded_pairs,
     denormalize,
     make_synthetic_corpus,
     normalize,
@@ -106,10 +107,9 @@ def test_degrade_sigma_zero_is_pure_resampling():
     rng = np.random.default_rng(2)
     clean = Tensor(rng.uniform(0, 255, size=(1, 3, 32, 32)).astype(np.float32))
     spec = DegradeSpec(scales=((32, 32),), noise_sigma=0.0)
-    pair = degrade(clean, spec, np.random.default_rng(0))
+    corrupted = degrade(clean, spec, np.random.default_rng(0))
     want = nearest_upsample(box_downsample(clean.data, 4), 4)
-    np.testing.assert_array_equal(pair.corrupted.data, want)
-    assert pair.clean is clean
+    np.testing.assert_array_equal(corrupted.data, want)
 
 
 def test_degrade_noise_statistics_match_sigma():
@@ -119,8 +119,8 @@ def test_degrade_noise_statistics_match_sigma():
     small_clean = box_downsample(clean.data, 4)
     samples = []
     for trial in range(20):
-        pair = degrade(clean, spec, np.random.default_rng(trial))
-        small_noisy = box_downsample(pair.corrupted.data, 4)  # exact: blocks constant
+        corrupted = degrade(clean, spec, np.random.default_rng(trial))
+        small_noisy = box_downsample(corrupted.data, 4)  # exact: blocks constant
         samples.append((small_noisy - small_clean).ravel())
     noise = np.concatenate(samples)  # 20 * 52 * 44 * 3 = 137k draws
     assert abs(noise.mean()) < 0.5
@@ -130,30 +130,21 @@ def test_degrade_noise_statistics_match_sigma():
 def test_degrade_clamps_to_pixel_range():
     spec = DegradeSpec(scales=((32, 32),), noise_sigma=200.0)
     clean = Tensor(np.full((1, 3, 32, 32), 128.0, dtype=np.float32))
-    pair = degrade(clean, spec, np.random.default_rng(3))
-    assert pair.corrupted.data.min() >= 0.0
-    assert pair.corrupted.data.max() <= 255.0
+    corrupted = degrade(clean, spec, np.random.default_rng(3)).data
+    assert corrupted.min() >= 0.0
+    assert corrupted.max() <= 255.0
     # sigma 200 on mid-gray saturates both ends somewhere in the image
-    assert (pair.corrupted.data == 0.0).any()
-    assert (pair.corrupted.data == 255.0).any()
+    assert (corrupted == 0.0).any()
+    assert (corrupted == 255.0).any()
 
 
 def test_degrade_output_is_blockwise_constant():
     rng = np.random.default_rng(4)
     clean = Tensor(rng.uniform(0, 255, size=(1, 3, 16, 16)).astype(np.float32))
     spec = DegradeSpec(scales=((16, 16),))
-    pair = degrade(clean, spec, np.random.default_rng(5))
-    arr = pair.corrupted.data
+    arr = degrade(clean, spec, np.random.default_rng(5)).data
     blocks = arr.reshape(1, 3, 4, 4, 4, 4)
     np.testing.assert_array_equal(blocks, np.broadcast_to(blocks[:, :, :, :1, :, :1], blocks.shape))
-
-
-def test_degrade_scale_index_lookup():
-    spec = DegradeSpec()
-    listed = Tensor(np.zeros((1, 3, 144, 112), dtype=np.float32))
-    assert degrade(listed, spec, np.random.default_rng(0)).scale_index == 1
-    unlisted = Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32))
-    assert degrade(unlisted, spec, np.random.default_rng(0)).scale_index == -1
 
 
 def test_degraded_dataset_layout_and_determinism():
@@ -179,6 +170,17 @@ def test_degraded_dataset_noise_is_per_image_and_scale():
     solo = degraded_dataset(images[:1], spec)
     both = degraded_dataset(images, spec)
     for a, b in zip(solo, both[:6]):
+        assert a.corrupted.data.tobytes() == b.corrupted.data.tobytes()
+
+
+def test_degraded_dataset_is_each_images_pairs_in_corpus_order():
+    images = make_synthetic_corpus(3, seed=12)
+    spec = DegradeSpec(scales=((32, 32), (48, 32)), seed=4)
+    want = [p for i, image in enumerate(images) for p in degraded_pairs(image, i, spec)]
+    got = degraded_dataset(images, spec)
+    assert [p.scale_index for p in got] == [0, 1] * 3
+    for a, b in zip(got, want, strict=True):
+        assert a.clean.data.tobytes() == b.clean.data.tobytes()
         assert a.corrupted.data.tobytes() == b.corrupted.data.tobytes()
 
 

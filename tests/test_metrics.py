@@ -10,6 +10,7 @@ from oracles import ssim_windows
 from sgen import (
     DegradeSpec,
     QualityReport,
+    SamplePair,
     SgenConfig,
     Tensor,
     build_generator,
@@ -180,7 +181,7 @@ def _pairs_at(rng, sizes, sigma=30.0):
     for h, w in sizes:
         clean = Tensor(np.full((1, 3, h, w), 128.0, dtype=np.float32))
         spec = DegradeSpec(scales=((h, w),), noise_sigma=sigma)
-        pairs.append(degrade(clean, spec, rng))
+        pairs.append(SamplePair(clean, degrade(clean, spec, rng), scale_index=0))
     return pairs
 
 
