@@ -2,9 +2,10 @@
 
 Every value in the network is a (batch, channel, height, width) array of
 float32 or float64.  Operations executed while a ``Tape`` is active append
-their backward rules in execution order; ``backward`` replays the tape in
-reverse and accumulates gradients into the leaves.  Running without an
-active tape gives plain forward evaluation with no recording overhead,
+their backward rules in execution order; ``backward`` consumes the tape in
+reverse, freeing each node as it runs, and accumulates gradients into the
+leaves.  A consumed tape cannot be replayed or re-entered.  Running without
+an active tape gives plain forward evaluation with no recording overhead,
 which is what inference and finite-difference probes use.
 
 Two precision paths are supported: float32 for training, float64 for
@@ -102,8 +103,10 @@ class _Node:
     """One recorded operation: inputs, the produced tensor, a backward rule.
 
     ``backward`` maps the output adjoint to one gradient array (or None)
-    per input, in input order.  The strong reference to ``output`` keeps
-    id() values unique for the lifetime of the tape.
+    per input, in input order.  Adjoints are keyed by id(): the strong
+    reference to ``output`` keeps a node's key unique until the node runs,
+    and each adjoint entry holds its tensor until it is popped, so a tensor
+    freed once its node ran cannot lend its id to a live key.
     """
 
     __slots__ = ("inputs", "output", "backward")
@@ -122,12 +125,18 @@ def _active_tape():
 
 
 class Tape:
-    """Records one forward pass.  Use as a context manager; one per thread."""
+    """Records one forward pass.  Use as a context manager; one per thread.
+
+    ``backward`` consumes the tape: afterwards it holds no node, reads
+    length 0, and both another ``backward`` and re-entering it raise.
+    """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[_Node] | None = []  # None once consumed
 
     def __enter__(self) -> "Tape":
+        if self._nodes is None:
+            raise RuntimeError("this Tape was consumed by backward")
         if _active_tape() is not None:
             raise RuntimeError("a Tape is already active in this thread")
         _tls.tape = self
@@ -138,7 +147,7 @@ class Tape:
         return False
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return 0 if self._nodes is None else len(self._nodes)
 
 
 def record(inputs: Sequence[Tensor], output: Tensor, backward_fn) -> Tensor:
@@ -157,21 +166,34 @@ def record(inputs: Sequence[Tensor], output: Tensor, backward_fn) -> Tensor:
 def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's grad buffer.
 
-    Walks the tape in reverse execution order, which is a valid reverse
-    topological order because operations were recorded as they ran.
-    Adjoints are computed fresh per call, so calling backward twice
-    without zeroing grads accumulates twice.
+    Consumes the tape in reverse execution order, which is a valid reverse
+    topological order because operations were recorded as they ran.  Each
+    node is popped before its rule runs, and nothing here refers to it, its
+    inputs or its output by the time the next rule runs, so the arrays a
+    rule captured are freed as the pass goes.  A second call on the same
+    tape raises, and so does a call inside the tape's own ``with`` block;
+    calling backward on two tapes of the same graph without zeroing grads
+    accumulates twice.
     """
     if loss.shape != (1, 1, 1, 1):
         raise ValueError(f"backward: loss must have shape (1, 1, 1, 1), got {loss.shape}")
+    if _active_tape() is tape:
+        raise RuntimeError("backward: the Tape is still recording; call backward after its with block")
+    nodes, tape._nodes = tape._nodes, None
+    if nodes is None:
+        raise RuntimeError("backward: this Tape was already consumed by an earlier backward")
     adjoints: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
-    for node in reversed(tape._nodes):
-        if id(node.output) not in adjoints:
+    while nodes:
+        node = nodes.pop()
+        key = id(node.output)
+        if key not in adjoints:
             continue  # not on the path from loss
+        inputs, rule = node.inputs, node.backward
+        del node  # the rule's closure is now the only owner of what it captured
         # the adjoint is popped into the call and nothing else here refers to
         # it, so a rule that maps it first (a fused activation) frees it
         # before its heavy work
-        _accumulate(adjoints, node.inputs, node.backward(adjoints.pop(id(node.output))[1]))
+        _accumulate(adjoints, inputs, rule(adjoints.pop(key)[1]))
     # every node's output adjoint was popped when the node ran, since all its
     # consumers were recorded after it: only leaves hold an adjoint here
     for tensor, adj in adjoints.values():

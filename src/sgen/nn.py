@@ -50,8 +50,10 @@ side, [lo, hi) on the fine side), so ``_image`` is a pure layout copy.
 checking that it is finite.  The op records one node whose output is the
 activated y.  Its backward first maps the adjoint through the derivative
 read off y alone (y > 0 for relu and lrelu, y(1 - y) for sigmoid, 1 - y^2
-for tanh), takes the bias gradient, and drops the adjoint once its planes
-are built, before the kernel backward.  So the pre-activation is never a
+for tanh) and drops its reference to y, takes the bias gradient, and drops
+the adjoint once its planes are built, before the kernel backward.  Since
+``backward`` frees each node before running its rule, y is then freed
+unless a later consumer still holds it.  So the pre-activation is never a
 tensor and never held on the tape, and the numbers are those of the
 activation applied after the op, bit for bit.
 """
@@ -262,14 +264,20 @@ def _taps(weight: np.ndarray, g: _Grid, coarse: bool) -> np.ndarray:
 
 
 def _untap(dw: np.ndarray, g: _Grid, coarse: bool) -> np.ndarray:
-    """Inverse of ``_taps`` on a gradient: (o, c, k, k)."""
+    """Inverse of ``_taps`` on a gradient: (o, c, k, k).
+
+    Two copies: first to (o, k*k, c), which keeps c innermost as both
+    layouts have it, then one transpose of each (k*k, c) block.  A direct
+    permute reads c at a large stride: 2-4x slower at strides 2 and 4.
+    """
     t, s = g.t, g.s
     if coarse:
-        d6 = dw.reshape(t, t, -1, s, s, dw.shape[1] // (s * s)).transpose(2, 5, 0, 3, 1, 4)
+        d6 = dw.reshape(t, t, -1, s, s, dw.shape[1] // (s * s)).transpose(2, 0, 3, 1, 4, 5)
     else:
-        d6 = dw.reshape(dw.shape[0], t, t, s, s, -1).transpose(0, 5, 1, 3, 2, 4)
-    o, c = d6.shape[:2]
-    return np.ascontiguousarray(d6.reshape(o, c, t * s, t * s))
+        d6 = dw.reshape(dw.shape[0], t, t, s, s, -1).transpose(0, 1, 3, 2, 4, 5)
+    o, c, k = d6.shape[0], d6.shape[5], t * s
+    taps = np.ascontiguousarray(d6).reshape(o, k * k, c)
+    return np.ascontiguousarray(taps.transpose(0, 2, 1)).reshape(o, c, k, k)
 
 
 def _fine_cols(xf: np.ndarray, g: _Grid) -> np.ndarray:
@@ -373,7 +381,9 @@ def conv2d(x: Tensor, p: ConvParams, act: str | None = None) -> Tensor:
     weight, bias = p.weight, p.bias
 
     def bwd(gy):
+        nonlocal pre_activation_grad
         gy = pre_activation_grad(gy)
+        pre_activation_grad = None  # this node's last hold on y: free it before the kernel backward
         db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1) if bias.requires_grad else None
         cf = _planes(gy, g, 1, 0)
         del gy  # free before the kernel backward
@@ -413,7 +423,9 @@ def deconv2d(x: Tensor, p: ConvParams, act: str | None = None) -> Tensor:
     weight, bias = p.weight, p.bias
 
     def bwd(gy):
+        nonlocal pre_activation_grad
         gy = pre_activation_grad(gy)
+        pre_activation_grad = None  # this node's last hold on y: free it before the kernel backward
         db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1) if bias.requires_grad else None
         xf = _planes(gy, g, s, pad)
         del gy  # free before the kernel backward

@@ -178,7 +178,6 @@ def _adversarial_step(s, t, gen, disc, gen_state, disc_state, cfg: RunConfig):
         score_fake = discriminator_forward(pred.detach(), disc, cfg)
         loss_d = d_loss(score_real, score_fake)
     backward(tape, loss_d)
-    del tape  # release the critic graph before the generator backward
     adam_step(disc, disc_state, cfg.learning_rate)
 
     # generator step: gradient flows through the updated discriminator,

@@ -235,8 +235,9 @@ def _gating_grads(dtype, fused, alias):
         out = gated_sum(ga, a, gp, p) if fused else add(mul(ga, a), mul(gp, p))
         after = mul(p, Tensor(w2))
         loss = sum_all(mul(add(add(before, out), after), Tensor(proj)))
+    nodes = len(tape)
     backward(tape, loss)
-    return [out.data, ga.grad, a.grad, gp.grad, p.grad], len(tape)
+    return [out.data, ga.grad, a.grad, gp.grad, p.grad], nodes
 
 
 @pytest.mark.parametrize("alias", [False, True])
@@ -266,15 +267,58 @@ def test_diamond_graph_accumulates_both_paths():
     np.testing.assert_allclose(x.grad.ravel(), [3.0, -3.0, 7.0], rtol=1e-6)
 
 
-def test_repeated_backward_accumulates():
+def test_backward_over_two_tapes_of_one_forward_accumulates():
     x = t4([2.0], requires_grad=True)
-    with Tape() as tape:
-        loss = sum_all(mul(x, x))
-    backward(tape, loss)
-    backward(tape, loss)
+    for _ in range(2):
+        with Tape() as tape:
+            loss = sum_all(mul(x, x))
+        backward(tape, loss)
     np.testing.assert_allclose(x.grad.ravel(), [8.0], rtol=1e-6)
     x.zero_grad()
     assert x.grad is None
+
+
+def test_a_consumed_tape_cannot_be_replayed_or_reentered():
+    x = t4([2.0], requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(mul(x, x))
+        with pytest.raises(RuntimeError, match="still recording"):
+            backward(tape, loss)
+    assert len(tape) == 2
+    backward(tape, loss)
+    assert len(tape) == 0
+    with pytest.raises(RuntimeError, match="already consumed by an earlier backward"):
+        backward(tape, loss)
+    np.testing.assert_allclose(x.grad.ravel(), [4.0], rtol=1e-6)
+    with pytest.raises(RuntimeError, match="consumed by backward"):
+        with tape:
+            pass
+    with Tape() as fresh:  # the refused enter left no tape active
+        loss = sum_all(x)
+    backward(fresh, loss)
+    np.testing.assert_allclose(x.grad.ravel(), [5.0], rtol=1e-6)
+
+
+def test_backward_frees_what_only_finished_nodes_used():
+    """b is used only by the two nodes recorded after the first one, which
+    run before it: by the time the first node's rule runs, backward and the
+    spent nodes hold nothing that keeps b's array alive."""
+    x = t4([1.0, -2.0], requires_grad=True)
+    watched, freed = [], []
+
+    def rule(g):
+        freed.append(watched[0]() is None)
+        return (g * 2.0,)
+
+    with Tape() as tape:
+        a = record((x,), Tensor(x.data * 2.0), rule)
+        b = mul(a, a)
+        loss = sum_all(mul(b, b))
+    watched.append(weakref.ref(b.data))
+    del a, b
+    backward(tape, loss)
+    assert freed == [True]
+    np.testing.assert_allclose(x.grad.ravel(), [64.0, -512.0], rtol=1e-6)  # d/dx (2x)^4 = 64x^3
 
 
 def test_non_grad_input_receives_no_gradient():

@@ -47,3 +47,49 @@ def test_runs_with_the_same_seed_are_refused_not_collapsed(tmp_path):
             (folder / f"run{i}.json").write_text(json.dumps(_result(seed, value)), encoding="utf-8")
     with pytest.raises(SystemExit, match="train-mse: the change side has 2 runs with seed 3"):
         tool.main(["bench_record.py", str(old), str(new)])
+
+
+PARENT = [100.0 + i for i in range(10)]  # seeds 1-10: median 104.5, quartiles 102.25 and 106.75
+
+
+def _record(tmp_path, capsys, change: list[float]) -> dict:
+    tool = _load_tool()
+    for name, values in (("old", PARENT), ("new", change)):
+        folder = tmp_path / name
+        folder.mkdir()
+        for seed, value in enumerate(values, start=1):
+            (folder / f"run{seed}.json").write_text(json.dumps(_result(seed, value)), encoding="utf-8")
+    assert tool.main(["bench_record.py", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    return json.loads(capsys.readouterr().out)["workloads"]["train-mse"]["metrics"]
+
+
+@pytest.mark.parametrize(
+    "change, gain_resolved",
+    [
+        ([v - 10.0 for v in PARENT[:9]] + [PARENT[9] + 1.0], True),  # 9/10 wins, gap 10 > IQR 4.5
+        ([v - 10.0 for v in PARENT[:8]] + [v + 1.0 for v in PARENT[8:]], False),  # 8/10 wins
+        ([v - 1.0 for v in PARENT], False),  # 10/10 wins, but the gap lies inside the IQR
+    ],
+    ids=["nine_of_ten_beyond_the_iqr", "eight_of_ten", "gap_inside_the_iqr"],
+)
+def test_a_gain_is_resolved_only_by_the_claim_rule(tmp_path, capsys, change, gain_resolved):
+    entry = _record(tmp_path, capsys, change)["op_ms_p50"]
+    assert entry["gain_resolved"] is gain_resolved
+    assert entry["regressed"] is False
+
+
+def test_a_regression_is_a_median_worse_than_the_bound(tmp_path, capsys):
+    """Every metric here reads 1.3x the parent: beyond op_ms_p50's 0.24
+    bound, while on images_per_s (higher is better) it is a gain."""
+    metrics = _record(tmp_path, capsys, [v * 1.3 for v in PARENT])
+    bounds = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+    assert bounds["op_ms_p50"] < 0.3
+    assert metrics["op_ms_p50"]["regressed"] is True
+    assert metrics["op_ms_p50"]["gain_resolved"] is False
+    assert metrics["images_per_s"]["regressed"] is False
+    assert metrics["images_per_s"]["gain_resolved"] is True
+
+
+def test_a_change_within_the_bound_is_no_regression(tmp_path, capsys):
+    metrics = _record(tmp_path, capsys, [v * 1.2 for v in PARENT])
+    assert metrics["op_ms_p50"]["regressed"] is False

@@ -538,8 +538,9 @@ def test_fused_activation_equals_unfused_bit_for_bit(act, kind, dtype):
         with Tape() as tape:
             y = op(x, p, act) if fused else _STANDALONE[act](op(x, p))
             loss = sum_all(mul(y, Tensor(proj)))
+        nodes = len(tape)
         backward(tape, loss)
-        return [y.data, x.grad, p.weight.grad, p.bias.grad], len(tape)
+        return [y.data, x.grad, p.weight.grad, p.bias.grad], nodes
 
     (fused, fused_nodes), (plain, plain_nodes) = run(True), run(False)
     for got, want in zip(fused, plain):
@@ -603,3 +604,34 @@ def test_backward_frees_the_output_adjoint_before_the_weight_gradient(monkeypatc
     backward(tape, loss)
     assert freed == [True]
     assert x.grad is not None and p.bias.grad is not None
+
+
+@pytest.mark.parametrize("kind", ["conv", "deconv"])
+def test_backward_frees_the_activated_output_before_the_weight_gradient(monkeypatch, kind):
+    """The epilogue's derivative is the last hold on y: the backward drops it
+    once the adjoint is mapped, so y is gone when the weight-gradient kernel
+    runs."""
+    import sgen.nn as nn_module
+
+    rng = np.random.default_rng(32)
+    if kind == "conv":
+        op, p, x_shape = conv2d, conv_params(2, 3, 2, rng), (2, 2, 8, 8)
+    else:
+        op, p, x_shape = deconv2d, deconv_params(3, 2, 2, rng), (2, 3, 4, 4)
+    x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
+    output, freed = [], []
+    wgrad = nn_module._wgrad
+
+    def watched(*args, **kwargs):
+        freed.append(output[0]() is None)
+        return wgrad(*args, **kwargs)
+
+    monkeypatch.setattr(nn_module, "_wgrad", watched)
+    with Tape() as tape:
+        y = op(x, p, "sigmoid")
+        loss = sum_all(y)
+    output.append(weakref.ref(y.data))
+    del y
+    backward(tape, loss)
+    assert freed == [True]
+    assert x.grad is not None and p.weight.grad is not None

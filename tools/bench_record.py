@@ -9,7 +9,12 @@ the change, run as alternating pairs with one seed per pair.  Per workload
 and per end-to-end metric of ``BENCHMARK.json`` the record gives each
 side's median (the number ``perfbench/run.py --compare OLD NEW`` prints),
 its quartiles and run count, and how many same-seed pairs the change won;
-ties count for neither side.  Runs made with ``--heldout`` are kept out of
+ties count for neither side.  Two verdicts follow the claim rule:
+``gain_resolved`` when the change won at least nine tenths of the pairs and
+its median beats the parent's by more than the parent's quartile distance
+(q3 - q1), and ``regressed`` when its median is worse than the parent's by
+more than the metric's ``BENCHMARK.json`` bound times the parent's median.
+Runs made with ``--heldout`` are kept out of
 those figures and listed per seed under ``heldout``, with the pairs won.
 Two runs of one workload, side and seed set with the same seed stop the
 tool with an error, since pairing by seed would drop one of them.
@@ -47,6 +52,18 @@ def compare(runs: dict[str, list[dict]], m: dict) -> tuple[dict, dict]:
     return by_seed, dict(pairs=len(seeds), change_won=won, change_lost=lost)
 
 
+def verdicts(parent: dict, change: dict, wins: dict, m: dict) -> dict:
+    """The claim rule on one metric: a resolved gain, and a regression beyond the bound."""
+    sign = 1 if m["better"] == "lower" else -1
+    gain = sign * (parent["median"] - change["median"])
+    return dict(
+        gain_resolved=wins["pairs"] > 0
+        and wins["change_won"] >= 0.9 * wins["pairs"]
+        and gain > parent["q3"] - parent["q1"],
+        regressed=-gain > m["bound"] * parent["median"],
+    )
+
+
 def workload_record(workload: str, sides: dict[str, list[dict]], metrics: list[dict]) -> dict:
     ours = {label: [r for r in side if r["workload"] == workload] for label, side in sides.items()}
     runs = {label: [r for r in side if r.get("seed_set") != "heldout"] for label, side in ours.items()}
@@ -70,7 +87,7 @@ def workload_record(workload: str, sides: dict[str, list[dict]], metrics: list[d
     for m in metrics:
         by_seed, wins = compare(runs, m)
         entry = {label: summary(list(values.values())) for label, values in by_seed.items()}
-        entry.update(unit=m["unit"], better=m["better"], **wins)
+        entry.update(unit=m["unit"], better=m["better"], **wins, **verdicts(entry["parent"], entry["change"], wins, m))
         record["metrics"][m["name"]] = entry
     if all(heldout.values()):
         record["heldout"] = {}
