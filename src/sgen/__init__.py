@@ -26,9 +26,9 @@ from .data import (
     make_synthetic_corpus,
     normalize,
 )
-from .ensemble import MERGE_MODES, SguParams, merge, sgu, sgu_params
+from .ensemble import MERGE_MODES, MERGE_SITES, merge, merge_convs, sgu
 from .losses import d_loss, g_loss, mse_loss
-from .metrics import QualityReport, ScaleRow, evaluate, psnr, ssim
+from .metrics import QualityReport, ScaleRow, evaluate, psnr, restore, ssim
 from .model import (
     ParamStore,
     SgenConfig,

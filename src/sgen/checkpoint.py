@@ -8,9 +8,10 @@ Layout, all integers little-endian uint32:
 Tensors are stored as little-endian float32, so a save/load round trip is
 bit-exact; a save refuses any other dtype before writing a byte instead
 of casting it.  A save writes entry by entry, without building the file
-in memory, to a temporary file in the same directory and renames it over
-the target, so a process killed mid-write leaves the previous checkpoint
-as it was.
+in memory, to a temporary file in the same directory, syncs it to disk,
+renames it over the target and syncs the directory, so a process killed
+mid-write, or a machine that crashes, leaves the previous checkpoint or the
+new one.
 Loading validates sizes as it walks the file and reports the byte offset
 and entry name on any corruption.
 """
@@ -51,10 +52,17 @@ def save_checkpoint(params: ParamStore, path) -> None:
                 raw = name.encode("utf-8")
                 f.write(struct.pack("<I", len(raw)) + raw + struct.pack("<4I", *tensor.shape))
                 f.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)  # makes the rename itself durable
+    finally:
+        os.close(directory)
 
 
 def load_checkpoint(path) -> ParamStore:

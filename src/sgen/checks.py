@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
-from .ensemble import SguParams, sgu, sgu_params
+from .ensemble import merge_convs, sgu
 from .losses import d_loss, g_loss, mse_loss
 from .model import (
     ParamStore,
@@ -215,17 +215,16 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
         layer_checks(f"deconv2d.{cin}to{cout}.s{factor}", deconv2d, p, x0, w_out)
 
     # --- SGU: both inputs and all four gate parameters ---------------------
-    gates = sgu_params(3, rng, dtype=np.float64, weight_std=0.15)
     gate_store = ParamStore()
-    _add_conv(gate_store, "gate_a", gates.gate_a)
-    _add_conv(gate_store, "gate_p", gates.gate_p)
+    for name, p in merge_convs("sgu", 3, rng, dtype=np.float64, weight_std=0.15).items():
+        _add_conv(gate_store, name, p)
     active0 = _rand(rng, (2, 3, 5, 5))
     passive0 = _rand(rng, (2, 3, 5, 5))
     sgu_w = _signed_unit(rng, (2, 3, 5, 5))
 
     def sgu_loss(active, passive, store=gate_store):
-        params = SguParams(gate_a=_at(store, "gate_a"), gate_p=_at(store, "gate_p"))
-        return _weighted_sum(sgu(active, passive, params), sgu_w)
+        gates = {name: _at(store, name) for name in ("gate_a", "gate_p")}
+        return _weighted_sum(sgu(active, passive, gates), sgu_w)
 
     check("sgu.active", lambda x: sgu_loss(x, Tensor(passive0)), active0)
     check("sgu.passive", lambda x: sgu_loss(Tensor(active0), x), passive0)

@@ -20,9 +20,9 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint
 from .checks import run_gradient_battery
 from .config import ConfigError, RunConfig, load_config
-from .data import degraded_dataset, degraded_pairs, denormalize, normalize
-from .metrics import evaluate
-from .model import build_generator, generator_forward
+from .data import degraded_dataset, degraded_pairs
+from .metrics import evaluate, restore
+from .model import build_generator
 from .ppm import PpmError, load_image, save_image
 from .train import load_corpus, run_training
 
@@ -83,8 +83,7 @@ def cmd_restore(args) -> int:
     params = load_checkpoint(args.checkpoint)
     _require_matching_architecture(params, cfg, args.checkpoint)
     image = load_image(args.in_path)
-    out = denormalize(generator_forward(normalize(image), params, cfg))
-    save_image(out, args.out_path)
+    save_image(restore(image, params, cfg), args.out_path)
     return 0
 
 

@@ -15,11 +15,16 @@ so training starts at the average-ensemble operating point.
 ``merge`` dispatches between sgu and the three baselines: elementwise max
 (ties go to the active input), plain averaging, and channel concatenation
 followed by a learned 1x1 projection back to the original width.
+
+``MERGE_SITES`` is the one statement of what a merge site holds: per mode,
+the checkpoint prefix of its convs and each conv's name and shape.
+``merge_convs`` draws them and ``merge`` takes them as a name -> ConvParams
+dict, so the network builds and reads every site from the table alone.
+The convs' own ops check their shapes: ``conv2d`` rejects a wrong input
+width, and ``gated_sum`` any gate whose output differs from the inputs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,80 +38,65 @@ from .autodiff import (
 )
 from .nn import ConvParams, conv2d, conv_params
 
-__all__ = ["SguParams", "sgu", "merge", "sgu_params", "MERGE_MODES"]
+__all__ = ["sgu", "merge", "merge_convs", "MERGE_SITES", "MERGE_MODES"]
 
-MERGE_MODES = ("sgu", "max", "average", "concat")
-
-
-@dataclass
-class SguParams:
-    """Two independent gate convolutions, both reading the active input."""
-
-    gate_a: ConvParams  # gates the active input
-    gate_p: ConvParams  # gates the passive input
-
-    def __post_init__(self):
-        for name, p in (("gate_a", self.gate_a), ("gate_p", self.gate_p)):
-            if p.in_channels != p.out_channels:
-                raise ValueError(
-                    f"SguParams: {name} must preserve channels,"
-                    f" got {p.in_channels} -> {p.out_channels}"
-                )
-            if p.stride != 1:
-                raise ValueError(f"SguParams: {name} must have stride 1, got {p.stride}")
-        if self.gate_a.weight is self.gate_p.weight:
-            raise ValueError("SguParams: gate convs must not share weights")
+# mode -> (checkpoint prefix, convs in draw order); each conv reads
+# (input width in merged widths, kernel, init std, None for the He scale)
+MERGE_SITES: dict[str, tuple[str, dict[str, tuple[int, int, float | None]]]] = {
+    "sgu": ("sgu", {"gate_a": (1, 3, 0.0), "gate_p": (1, 3, 0.0)}),
+    "max": ("merge", {}),
+    "average": ("merge", {}),
+    "concat": ("merge", {"proj": (2, 1, None)}),
+}
+MERGE_MODES = tuple(MERGE_SITES)
 
 
-def sgu_params(
+def merge_convs(
+    mode: str,
     channels: int,
     rng: np.random.Generator,
     dtype=np.float32,
-    weight_std: float = 0.0,
-) -> SguParams:
-    """Fresh gate convs; zero weights by default (average operating point)."""
-    return SguParams(
-        gate_a=conv_params(channels, channels, 1, rng, dtype=dtype, weight_std=weight_std),
-        gate_p=conv_params(channels, channels, 1, rng, dtype=dtype, weight_std=weight_std),
-    )
+    weight_std: float | None = None,
+) -> dict[str, ConvParams]:
+    """Fresh convs for one ``mode`` site merging ``channels``-wide features.
 
-
-def sgu(active: Tensor, passive: Tensor, params: SguParams) -> Tensor:
-    """Gated fusion of two same-shape feature maps; see module docstring."""
-    if active.shape != passive.shape:
-        raise ValueError(f"sgu: shape mismatch {active.shape} vs {passive.shape}")
-    if active.shape[1] != params.gate_a.in_channels:
-        raise ValueError(
-            f"sgu: inputs have {active.shape[1]} channels,"
-            f" gates expect {params.gate_a.in_channels}"
+    weight_std, when given, replaces every conv's declared init std; by
+    default the SGU gates start at zero (the average operating point).
+    """
+    _, convs = MERGE_SITES[mode]
+    return {
+        name: conv_params(
+            fan * channels, channels, 1, rng, dtype, kernel=k,
+            weight_std=std if weight_std is None else weight_std,
         )
-    gate_a = conv2d(active, params.gate_a, "sigmoid")
-    gate_p = conv2d(active, params.gate_p, "sigmoid")
+        for name, (fan, k, std) in convs.items()
+    }
+
+
+def sgu(active: Tensor, passive: Tensor, convs: dict[str, ConvParams]) -> Tensor:
+    """Gated fusion of two same-shape feature maps; see module docstring."""
+    gate_a = conv2d(active, convs["gate_a"], "sigmoid")
+    gate_p = conv2d(active, convs["gate_p"], "sigmoid")
     return gated_sum(gate_a, active, gate_p, passive)
 
 
-def merge(mode: str, new: Tensor, prev: Tensor, params=None) -> Tensor:
+def merge(mode: str, new: Tensor, prev: Tensor, convs: dict[str, ConvParams] | None = None) -> Tensor:
     """Fuse the new feature with the ensemble so far.
 
-    mode 'sgu' needs SguParams, 'concat' needs a 1x1 projection ConvParams
-    mapping 2c -> c; 'max' and 'average' are parameter-free.
+    ``convs`` holds exactly the convs ``MERGE_SITES`` names for the mode
+    ('sgu': gate_a and gate_p, 'concat': proj); 'max' and 'average' take none.
     """
+    if mode not in MERGE_SITES:
+        raise ValueError(f"merge: unknown mode {mode!r}; expected one of {MERGE_MODES}")
+    convs = convs or {}
+    if convs.keys() != MERGE_SITES[mode][1].keys():
+        raise ValueError(
+            f"merge: mode {mode!r} takes convs {sorted(MERGE_SITES[mode][1])}, got {sorted(convs)}"
+        )
     if mode == "sgu":
-        if not isinstance(params, SguParams):
-            raise ValueError("merge: mode 'sgu' requires SguParams")
-        return sgu(new, prev, params)
+        return sgu(new, prev, convs)
     if mode == "max":
         return maximum(new, prev)
     if mode == "average":
         return mul_const(add(new, prev), 0.5)
-    if mode == "concat":
-        if not isinstance(params, ConvParams):
-            raise ValueError("merge: mode 'concat' requires a projection ConvParams")
-        c = new.shape[1]
-        if params.in_channels != 2 * c or params.out_channels != c:
-            raise ValueError(
-                f"merge: concat projection must map {2 * c} -> {c} channels,"
-                f" got {params.in_channels} -> {params.out_channels}"
-            )
-        return conv2d(concat_channels(new, prev), params)
-    raise ValueError(f"merge: unknown mode {mode!r}; expected one of {MERGE_MODES}")
+    return conv2d(concat_channels(new, prev), convs["proj"])

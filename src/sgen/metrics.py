@@ -20,7 +20,7 @@ from .autodiff import Tensor
 from .data import SamplePair, denormalize, normalize
 from .model import ParamStore, SgenConfig, generator_forward
 
-__all__ = ["psnr", "ssim", "ScaleRow", "QualityReport", "evaluate"]
+__all__ = ["psnr", "ssim", "ScaleRow", "QualityReport", "restore", "evaluate"]
 
 _WINDOW = 11
 _SIGMA = 1.5
@@ -118,12 +118,9 @@ class QualityReport:
         return "\n".join(lines) + "\n"
 
 
-def _default_restorer(params: ParamStore, cfg: SgenConfig) -> Callable[[Tensor], Tensor]:
-    def restore(corrupted: Tensor) -> Tensor:
-        out = generator_forward(normalize(corrupted), params, cfg)
-        return denormalize(out)
-
-    return restore
+def restore(image: Tensor, params: ParamStore, cfg: SgenConfig) -> Tensor:
+    """Restore a batch of 0-255 images with the generator, in 0-255."""
+    return denormalize(generator_forward(normalize(image), params, cfg))
 
 
 def evaluate(
@@ -139,10 +136,11 @@ def evaluate(
     Scales whose dimensions the model cannot process (see
     ``SgenConfig.fits``) get a warning row with count 0 instead of failing
     the whole run.  Infinite PSNR values are excluded from the means; a scale
-    where every image restores perfectly reports inf.
+    where every image restores perfectly reports inf.  ``restorer``
+    defaults to ``restore`` with this generator.
     """
     if restorer is None:
-        restorer = _default_restorer(params, cfg)
+        restorer = lambda image: restore(image, params, cfg)
     by_scale: dict[tuple[int, int], list[SamplePair]] = {}
     for pair in pairs:
         _, _, h, w = pair.clean.shape

@@ -14,7 +14,8 @@ output), so a taped pass records one node per conv site.
 Parameters live in a flat name -> Tensor store so checkpointing and the
 optimizer stay structure-agnostic.  The build fixes each site's geometry
 in the size of its kernel; forward passes wrap each stored kernel in a
-``ConvParams``, which reads its stride back, and never state one.
+``ConvParams``, which reads its stride back, and never state one.  Each
+merge site's convs and their names come from ``sgen.ensemble.MERGE_SITES``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, sigmoid
-from .ensemble import MERGE_MODES, SguParams, merge, sgu_params
+from .ensemble import MERGE_MODES, MERGE_SITES, merge, merge_convs
 from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool
 from .settings import WIDTHS, Settings, at_least, choice, setting
 
@@ -161,29 +162,14 @@ def build_generator(cfg: SgenConfig, rng: np.random.Generator, dtype=np.float32)
 
 
 def _build_merge_sites(store, cfg, stage: str, rng, dtype) -> None:
-    c = cfg.bottleneck_channels
+    prefix = MERGE_SITES[cfg.merge_mode][0]
     for k in range(2, cfg.n_levels + 1):
-        if cfg.merge_mode == "sgu":
-            gates = sgu_params(c, rng, dtype)
-            _add_conv(store, f"sgu.{stage}.{k}.gate_a", gates.gate_a)
-            _add_conv(store, f"sgu.{stage}.{k}.gate_p", gates.gate_p)
-        elif cfg.merge_mode == "concat":
-            _add_conv(store, f"merge.{stage}.{k}.proj", conv_params(2 * c, c, 1, rng, dtype, kernel=1))
+        for name, p in merge_convs(cfg.merge_mode, cfg.bottleneck_channels, rng, dtype).items():
+            _add_conv(store, f"{prefix}.{stage}.{k}.{name}", p)
 
 
 def _at(store: ParamStore, name: str) -> ConvParams:
     return ConvParams(store[f"{name}.weight"], store[f"{name}.bias"])
-
-
-def _merge_params_at(store: ParamStore, cfg: SgenConfig, stage: str, k: int):
-    if cfg.merge_mode == "sgu":
-        return SguParams(
-            gate_a=_at(store, f"sgu.{stage}.{k}.gate_a"),
-            gate_p=_at(store, f"sgu.{stage}.{k}.gate_p"),
-        )
-    if cfg.merge_mode == "concat":
-        return _at(store, f"merge.{stage}.{k}.proj")
-    return None
 
 
 def _nearest_multiples(size: int, d: int) -> str:
@@ -220,6 +206,12 @@ def generator_forward(
         if trace is not None:
             trace[key] = t
 
+    prefix, conv_names = MERGE_SITES[cfg.merge_mode]
+
+    def merged(stage, k, new, prev):
+        site = f"{prefix}.{stage}.{k}"
+        return merge(cfg.merge_mode, new, prev, {name: _at(params, f"{site}.{name}") for name in conv_names})
+
     x = conv2d(s, _at(params, "enc.trunk.0"), "lrelu")
     x = conv2d(x, _at(params, "enc.trunk.1"), "lrelu")
     trunk = [x]
@@ -238,7 +230,7 @@ def generator_forward(
 
     fused = [enc[0]]
     for k in range(2, n + 1):
-        m = merge(cfg.merge_mode, enc[k - 1], fused[-1], _merge_params_at(params, cfg, "enc", k))
+        m = merged("enc", k, enc[k - 1], fused[-1])
         fused.append(m)
         note(f"merged_enc.{k}", m)
 
@@ -252,7 +244,7 @@ def generator_forward(
     up = deconv2d(dec[0], _at(params, "dec.up.1"), "relu")
     note("up_dec.1", up)
     for k in range(2, n + 1):
-        m = merge(cfg.merge_mode, dec[k - 1], up, _merge_params_at(params, cfg, "dec", k))
+        m = merged("dec", k, dec[k - 1], up)
         up = deconv2d(m, _at(params, f"dec.up.{k}"), "relu")
         note(f"up_dec.{k}", up)
 
@@ -276,18 +268,21 @@ def build_discriminator(cfg: SgenConfig, rng: np.random.Generator, dtype=np.floa
 def discriminator_forward(x: Tensor, params: ParamStore, cfg: SgenConfig) -> Tensor:
     """Realness score in (0, 1) per batch element, shape (n, 1, 1, 1).
 
-    Four stride-2 convs need height and width divisible by 16; global
-    average pooling then makes the head size-independent.
+    One stride-2 conv per ``disc_channels`` width: height and width must be
+    divisible by 2^depth (16 for four widths); global average pooling then
+    makes the head size-independent.
     """
     n_batch, c, h, w = x.shape
     if c != cfg.in_channels:
         raise ValueError(f"discriminator: input has {c} channels, config expects {cfg.in_channels}")
-    if h < 16 or w < 16 or h % 16 or w % 16:
+    depth = len(cfg.disc_channels)
+    d = 1 << depth
+    if h < d or w < d or h % d or w % d:
         raise ValueError(
-            f"discriminator: input spatial dims ({h}, {w}) must be >= 16 and divisible by 16"
+            f"discriminator: input spatial dims ({h}, {w}) must be >= {d} and divisible by {d}"
         )
     out = x
-    for i in range(1, 5):
+    for i in range(1, depth + 1):
         out = conv2d(out, _at(params, f"disc.conv.{i}"), "lrelu")
     out = conv2d(out, _at(params, "disc.head"))
     return sigmoid(global_avg_pool(out))

@@ -35,7 +35,7 @@ from sgen import (
 )
 from sgen.checks import run_gradient_battery
 from sgen.data import nearest_upsample
-from sgen.ensemble import MERGE_MODES, merge, sgu, sgu_params
+from sgen.ensemble import MERGE_MODES, merge, merge_convs, sgu
 from sgen.model import (
     SgenConfig,
     build_discriminator,
@@ -124,19 +124,19 @@ def test_criterion_03_sgu_algebra():
         x_p = Tensor(rng.normal(0.0, 1.0, (2, 3, 8, 6)).astype(np.float32))
 
         # zero-initialized gates reproduce the average ensemble bit for bit
-        p0 = sgu_params(3, rng)
+        p0 = merge_convs("sgu", 3, rng)
         assert_array_equal(sgu(x_a, x_p, p0).data, merge("average", x_a, x_p).data)
 
         # saturated-positive gate bias passes both inputs through unscaled
-        p1 = sgu_params(3, rng)
-        p1.gate_a.bias.data[:] = 1e4
-        p1.gate_p.bias.data[:] = 1e4
+        p1 = merge_convs("sgu", 3, rng)
+        p1["gate_a"].bias.data[:] = 1e4
+        p1["gate_p"].bias.data[:] = 1e4
         np.testing.assert_allclose(
             sgu(x_a, x_p, p1).data, x_a.data + x_p.data, rtol=0.0, atol=1e-6
         )
 
         # nonzero gates are not symmetric in their arguments
-        p2 = sgu_params(3, rng, weight_std=0.5)
+        p2 = merge_convs("sgu", 3, rng, weight_std=0.5)
         swap_gap = np.abs(sgu(x_a, x_p, p2).data - sgu(x_p, x_a, p2).data).max()
         assert swap_gap > 1e-3
 

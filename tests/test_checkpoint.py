@@ -1,6 +1,9 @@
 """Checkpoint format tests: bit-exact round trips and corruption reporting."""
 
+import os
+import stat
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +119,33 @@ def test_failed_write_keeps_the_old_checkpoint(tmp_path, monkeypatch):
         save_checkpoint(_tiny_store(rng), path)
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_save_syncs_the_file_before_the_rename_and_the_directory_after(tmp_path, monkeypatch):
+    """A machine crash cannot leave the renamed file without its data, or
+    the rename unrecorded: the file's bytes reach the disk before the
+    rename, and the directory entry after it."""
+    path = tmp_path / "model.ckpt"
+    store = _tiny_store(np.random.default_rng(13))
+    save_checkpoint(store, tmp_path / "reference.ckpt")
+    size = (tmp_path / "reference.ckpt").stat().st_size
+    calls = []
+    real_replace = os.replace
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        calls.append(("fsync", "dir" if stat.S_ISDIR(info.st_mode) else info.st_size))
+
+    def replace(src, dst):
+        calls.append(("replace", Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_checkpoint(store, path)
+    # the size shows the data was flushed from Python's buffer before the sync
+    assert calls == [("fsync", size), ("replace", "model.ckpt"), ("fsync", "dir")]
+    assert path.read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
 
 
 def test_save_refuses_non_float32_data(tmp_path):

@@ -11,6 +11,7 @@ from sgen import (
     degraded_dataset,
     load_checkpoint,
     load_config,
+    restore,
     save_checkpoint,
     save_image,
     serialize_config,
@@ -194,6 +195,20 @@ def test_restore_trained_checkpoint_round_trips(tmp_path):
     first = dst.read_bytes()
     assert main(args) == 0
     assert dst.read_bytes() == first  # restoration is deterministic
+
+
+def test_restore_writes_what_the_restore_function_returns(tmp_path):
+    cfg_path = write_cfg(tmp_path)
+    cfg = load_config(cfg_path)
+    store = build_generator(cfg, np.random.default_rng(5))
+    ckpt = tmp_path / "fresh.ckpt"
+    save_checkpoint(store, ckpt)
+    src, dst, want = tmp_path / "in.ppm", tmp_path / "out.ppm", tmp_path / "want.ppm"
+    _random_ppm(src, 32, 32, seed=6)
+    args = ["restore", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--in", str(src), "--out", str(dst)]
+    assert main(args) == 0
+    save_image(restore(load_image(src), store, cfg), want)
+    assert dst.read_bytes() == want.read_bytes()
 
 
 def test_restore_reports_nearest_valid_sizes(tmp_path, capsys):

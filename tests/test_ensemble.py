@@ -5,9 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from sgen import MERGE_MODES, Tape, Tensor, backward, merge, sgu, sgu_params
-from sgen.autodiff import sum_all
-from sgen.ensemble import SguParams
+from sgen import MERGE_MODES, MERGE_SITES, Tape, Tensor, backward, merge, merge_convs, sgu
+from sgen.autodiff import mul, sum_all
 from sgen.nn import ConvParams, conv_params
 
 
@@ -26,7 +25,7 @@ def test_zero_gates_reduce_to_exact_average(seed):
     """sigmoid(0) = 1/2, so fresh zero-weight gates average the inputs."""
     rng = np.random.default_rng(seed)
     active, passive = _pair(rng)
-    params = sgu_params(3, rng)
+    params = merge_convs("sgu", 3, rng)
     got = sgu(active, passive, params).data
     want = 0.5 * active.data + 0.5 * passive.data
     np.testing.assert_array_equal(got, want)
@@ -36,9 +35,9 @@ def test_saturated_gates_pass_sum_through():
     """Huge gate biases drive both sigmoids to 1, leaving active + passive."""
     rng = np.random.default_rng(1)
     active, passive = _pair(rng, dtype=np.float64)
-    params = sgu_params(3, rng, dtype=np.float64)
-    params.gate_a.bias.data[:] = 1e4
-    params.gate_p.bias.data[:] = 1e4
+    params = merge_convs("sgu", 3, rng, dtype=np.float64)
+    params["gate_a"].bias.data[:] = 1e4
+    params["gate_p"].bias.data[:] = 1e4
     got = sgu(active, passive, params).data
     np.testing.assert_allclose(got, active.data + passive.data, atol=1e-6)
 
@@ -48,7 +47,7 @@ def test_gates_read_only_the_active_input():
     rng = np.random.default_rng(2)
     active, passive_1 = _pair(rng)
     _, passive_2 = _pair(rng)
-    params = sgu_params(3, rng, weight_std=0.3)
+    params = merge_convs("sgu", 3, rng, weight_std=0.3)
     out_1 = sgu(active, passive_1, params).data
     out_2 = sgu(active, passive_2, params).data
     # difference must be exactly gate_p * (passive_1 - passive_2), i.e. linear
@@ -78,7 +77,7 @@ def test_taped_sgu_keeps_no_product():
     output's own."""
     rng = np.random.default_rng(5)
     active, passive = (Tensor(x.data, requires_grad=True) for x in _pair(rng))
-    params = sgu_params(3, rng, weight_std=0.3)
+    params = merge_convs("sgu", 3, rng, weight_std=0.3)
     active.data, passive.data = active.data.view(_Tracked), passive.data.view(_Tracked)
     _derived.clear()
     with Tape() as tape:
@@ -92,7 +91,7 @@ def test_taped_sgu_keeps_no_product():
 def test_sgu_is_asymmetric_in_its_inputs():
     rng = np.random.default_rng(3)
     active, passive = _pair(rng)
-    params = sgu_params(3, rng, weight_std=0.5)
+    params = merge_convs("sgu", 3, rng, weight_std=0.5)
     ab = sgu(active, passive, params).data
     ba = sgu(passive, active, params).data
     assert np.abs(ab - ba).max() > 1e-3
@@ -104,40 +103,82 @@ def test_sgu_is_asymmetric_in_its_inputs():
 
 def test_sgu_params_must_preserve_channels():
     rng = np.random.default_rng(4)
-    with pytest.raises(ValueError, match="preserve channels"):
-        SguParams(
-            gate_a=conv_params(3, 4, 1, rng),
-            gate_p=conv_params(3, 3, 1, rng),
-        )
+    active, passive = _pair(rng)
+    gates = {"gate_a": conv_params(3, 4, 1, rng), "gate_p": conv_params(3, 3, 1, rng)}
+    with pytest.raises(ValueError, match="gated_sum: shape mismatch"):
+        sgu(active, passive, gates)
+    gates["gate_a"] = conv_params(4, 3, 1, rng)
+    with pytest.raises(ValueError, match="input has 3 channels, kernel expects 4"):
+        sgu(active, passive, gates)
 
 
 def test_sgu_params_must_have_stride_1():
     rng = np.random.default_rng(5)
-    with pytest.raises(ValueError, match="must have stride 1, got 2"):
-        SguParams(gate_a=conv_params(3, 3, 1, rng), gate_p=conv_params(3, 3, 2, rng))
-
-
-def test_sgu_params_reject_shared_weights():
-    rng = np.random.default_rng(6)
-    g = conv_params(3, 3, 1, rng)
-    with pytest.raises(ValueError, match="share"):
-        SguParams(gate_a=g, gate_p=g)
+    active, passive = _pair(rng)
+    gates = {"gate_a": conv_params(3, 3, 1, rng), "gate_p": conv_params(3, 3, 2, rng)}
+    with pytest.raises(ValueError, match="gated_sum: shape mismatch"):
+        sgu(active, passive, gates)
 
 
 def test_sgu_rejects_shape_and_channel_mismatch():
     rng = np.random.default_rng(7)
-    params = sgu_params(3, rng)
+    params = merge_convs("sgu", 3, rng)
     a = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
     b = Tensor(np.zeros((1, 3, 4, 8), dtype=np.float32))
     with pytest.raises(ValueError, match="shape mismatch"):
         sgu(a, b, params)
     c = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
-    with pytest.raises(ValueError, match="gates expect 3"):
+    with pytest.raises(ValueError, match="kernel expects 3"):
         sgu(c, c.detach(), params)
+
+
+def test_a_gate_in_both_slots_gets_both_gradients():
+    """One conv passed as both gates is legal: its gradient is the sum of
+    the two gradients that distinct copies of it receive."""
+    rng = np.random.default_rng(6)
+    active, passive = _pair(rng, dtype=np.float64)
+    w = Tensor(rng.normal(size=active.shape))
+
+    def weight_grads(gates):
+        with Tape() as tape:
+            loss = sum_all(mul(sgu(active, passive, gates), w))
+        backward(tape, loss)
+        return [gates[name].weight.grad for name in ("gate_a", "gate_p")]
+
+    gate = merge_convs("sgu", 3, rng, dtype=np.float64, weight_std=0.3)["gate_a"]
+    shared, _ = weight_grads({"gate_a": gate, "gate_p": gate})
+    copies = {
+        name: ConvParams(Tensor(gate.weight.data.copy(), requires_grad=True), Tensor(gate.bias.data.copy()))
+        for name in ("gate_a", "gate_p")
+    }
+    grad_a, grad_p = weight_grads(copies)
+    np.testing.assert_allclose(shared, grad_a + grad_p, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # merge dispatch
+
+
+@pytest.mark.parametrize("mode", MERGE_MODES)
+def test_merge_convs_follow_the_declared_sites(mode):
+    """Names in draw order, an input width in merged widths and a kernel
+    per conv; gates start at zero, the projection at the He scale."""
+    c = 4
+    convs = merge_convs(mode, c, np.random.default_rng(13))
+    declared = MERGE_SITES[mode][1]
+    assert list(convs) == list(declared)
+    for name, (fan, kernel, std) in declared.items():
+        p = convs[name]
+        assert p.weight.shape == (c, fan * c, kernel, kernel) and p.stride == 1
+        assert (np.abs(p.weight.data).sum() == 0) == (std == 0.0)
+        np.testing.assert_array_equal(p.bias.data, 0.0)
+
+
+def test_merge_rejects_convs_its_mode_does_not_take():
+    rng = np.random.default_rng(14)
+    new, prev = _pair(rng)
+    with pytest.raises(ValueError, match=r"mode 'average' takes convs \[\], got \['gate_a', 'gate_p'\]"):
+        merge("average", new, prev, merge_convs("sgu", 3, rng))
 
 
 def test_merge_average_and_max_values():
@@ -172,7 +213,7 @@ def test_merge_concat_projection_can_select_either_input():
         block = w[:, :c, 0, 0] if grab_new else w[:, c:, 0, 0]
         block[:] = eye
         proj = ConvParams(weight=Tensor(w), bias=Tensor(np.zeros((1, c, 1, 1), dtype=np.float32)))
-        got = merge("concat", new, prev, proj).data
+        got = merge("concat", new, prev, {"proj": proj}).data
         want = new.data if grab_new else prev.data
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
 
@@ -180,7 +221,7 @@ def test_merge_concat_projection_can_select_either_input():
 def test_merge_sgu_with_zero_gates_matches_average():
     rng = np.random.default_rng(9)
     new, prev = _pair(rng)
-    params = sgu_params(3, rng)
+    params = merge_convs("sgu", 3, rng)
     np.testing.assert_array_equal(
         merge("sgu", new, prev, params).data,
         merge("average", new, prev).data,
@@ -190,12 +231,12 @@ def test_merge_sgu_with_zero_gates_matches_average():
 def test_merge_validates_params_and_mode():
     rng = np.random.default_rng(10)
     new, prev = _pair(rng)
-    with pytest.raises(ValueError, match="requires SguParams"):
+    with pytest.raises(ValueError, match=r"takes convs \['gate_a', 'gate_p'\], got \[\]"):
         merge("sgu", new, prev)
-    with pytest.raises(ValueError, match="requires a projection"):
+    with pytest.raises(ValueError, match=r"takes convs \['proj'\]"):
         merge("concat", new, prev)
-    with pytest.raises(ValueError, match="must map 6 -> 3"):
-        merge("concat", new, prev, conv_params(4, 3, 1, rng, kernel=1))
+    with pytest.raises(ValueError, match="input has 6 channels, kernel expects 4"):
+        merge("concat", new, prev, {"proj": conv_params(4, 3, 1, rng, kernel=1)})
     with pytest.raises(ValueError, match="unknown mode"):
         merge("blend", new, prev)
 
@@ -206,12 +247,7 @@ def test_merge_preserves_shape_in_every_mode(mode, shape):
     rng = np.random.default_rng(11)
     new, prev = _pair(rng, shape=shape)
     c = shape[1]
-    if mode == "sgu":
-        params = sgu_params(c, rng, weight_std=0.2)
-    elif mode == "concat":
-        params = conv_params(2 * c, c, 1, rng, kernel=1)
-    else:
-        params = None
+    params = merge_convs(mode, c, rng, weight_std=0.2 if mode == "sgu" else None)
     assert merge(mode, new, prev, params).shape == shape
 
 
@@ -221,12 +257,7 @@ def test_merge_propagates_gradients_to_both_inputs(mode):
     c = 2
     new = Tensor(rng.normal(size=(1, c, 4, 4)).astype(np.float32), requires_grad=True)
     prev = Tensor(rng.normal(size=(1, c, 4, 4)).astype(np.float32), requires_grad=True)
-    if mode == "sgu":
-        params = sgu_params(c, rng, weight_std=0.2)
-    elif mode == "concat":
-        params = conv_params(2 * c, c, 1, rng, kernel=1)
-    else:
-        params = None
+    params = merge_convs(mode, c, rng, weight_std=0.2 if mode == "sgu" else None)
     with Tape() as tape:
         loss = sum_all(merge(mode, new, prev, params))
     backward(tape, loss)

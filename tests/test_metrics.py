@@ -18,9 +18,12 @@ from sgen import (
     degraded_dataset,
     evaluate,
     psnr,
+    restore,
     ssim,
 )
+from sgen.data import denormalize, normalize
 from sgen.metrics import ScaleRow
+from sgen.model import generator_forward
 
 
 def _img(rng, shape=(1, 3, 16, 16)):
@@ -281,6 +284,20 @@ def test_evaluate_default_restorer_runs_the_generator():
     for row in report.rows:
         assert math.isfinite(row.mean_psnr)
         assert -1.0 < row.mean_ssim <= 1.0
+
+
+def test_restore_is_the_generator_between_pixel_ranges():
+    """restore maps 0-255 pixels through normalize, the generator and
+    denormalize, and evaluate uses it when given no restorer."""
+    rng = np.random.default_rng(11)
+    cfg = _tiny_cfg()
+    store = build_generator(cfg, rng)
+    image = _img(rng, (1, 3, 32, 32))
+    want = denormalize(generator_forward(normalize(image), store, cfg))
+    np.testing.assert_array_equal(restore(image, store, cfg).data, want.data)
+    pairs = _pairs_at(rng, [(32, 32), (48, 48)])
+    explicit = evaluate(store, cfg, pairs, restorer=lambda c: restore(c, store, cfg))
+    assert evaluate(store, cfg, pairs).to_csv() == explicit.to_csv()
 
 
 def test_evaluate_is_deterministic():

@@ -407,3 +407,17 @@ def test_discriminator_rejects_small_or_indivisible_input():
     for h, w in [(8, 16), (24, 16), (16, 40)]:
         with pytest.raises(ValueError, match="divisible by 16"):
             discriminator_forward(_norm_input(rng, (1, 3, h, w)), store, cfg)
+
+
+def test_discriminator_depth_is_read_from_its_widths():
+    """The forward runs the convs the build made: a three-width critic
+    (which the config's four-width rule otherwise refuses) needs inputs
+    divisible by 8 and runs disc.conv.1-3."""
+    rng = np.random.default_rng(15)
+    cfg = small_cfg()
+    object.__setattr__(cfg, "disc_channels", (2, 2, 2))
+    store = build_discriminator(cfg, rng)
+    assert "disc.conv.4.weight" not in store
+    assert discriminator_forward(_norm_input(rng, (1, 3, 8, 24)), store, cfg).shape == (1, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"\(8, 12\) must be >= 8 and divisible by 8"):
+        discriminator_forward(_norm_input(rng, (1, 3, 8, 12)), store, cfg)

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import sgen
 from sgen.autodiff import mean_all
@@ -49,3 +50,32 @@ def test_tracer_names_every_conv_site_forward_and_backward():
     forward = {s[tracer_module.ATTRS]["site"] for s in spans if not s[tracer_module.NAME].endswith(".bwd")}
     backward = {s[tracer_module.ATTRS]["site"] for s in spans if s[tracer_module.NAME].endswith(".bwd")}
     assert forward == backward == expected
+
+
+@pytest.mark.parametrize("mode", sgen.MERGE_MODES)
+def test_tracer_sees_one_merge_span_per_merge_site(mode):
+    """The ``ensemble.*`` metrics come from wrapping ``sgen.ensemble.merge``:
+    a generator that fused its features without calling it would leave
+    them at zero while ``tracer.missing`` stayed empty."""
+    tracer_module = _load_tracer()
+    name, parent, attrs = tracer_module.NAME, tracer_module.PARENT, tracer_module.ATTRS
+    tracer = tracer_module.Tracer()
+    cfg = sgen.SgenConfig(n_levels=3, base_channels=2, bottleneck_channels=2, merge_mode=mode)
+    rng = np.random.default_rng(1)
+    with tracer.installed():
+        gen = sgen.build_generator(cfg, rng)
+        x = sgen.Tensor(rng.uniform(-1.0, 1.0, size=(1, 3, 16, 16)).astype(np.float32))
+        sgen.generator_forward(x, gen, cfg)
+        with sgen.Tape():
+            sgen.generator_forward(x, gen, cfg)
+
+    assert tracer.missing == []
+    spans = tracer.spans
+    forwards = [i for i, s in enumerate(spans) if s[name] == "model.generator_forward"]
+    merges = [s[parent] for s in spans if s[name] == "ensemble.merge"]
+    assert len(forwards) == 2
+    assert merges == [i for i in forwards for _ in range(2 * (cfg.n_levels - 1))]
+    # the gate convs run inside their merge, so they feed ensemble.gate_conv_ms
+    gates = [s for s in spans if s[name] == "nn.conv2d" and ".gate_" in s[attrs]["site"]]
+    assert len(gates) == (2 * len(merges) if mode == "sgu" else 0)
+    assert all(spans[s[parent]][name] == "ensemble.merge" for s in gates)
