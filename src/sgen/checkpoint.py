@@ -106,7 +106,10 @@ def load_checkpoint(path) -> ParamStore:
         for d in dims:
             size *= d
         raw = need(4 * size, f"entry {name!r} data ({dims})")
-        data = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+        try:
+            data = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+        except ValueError as exc:  # a zero dim beside sides no array can have
+            raise CheckpointError(f"entry {name!r} at byte {entry_off}: no array has dims {dims}") from exc
         store.add(name, Tensor(data, requires_grad=True))
     if off != len(blob):
         raise CheckpointError(

@@ -15,14 +15,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import CheckpointError, load_checkpoint
 from .checks import run_gradient_battery
 from .config import ConfigError, RunConfig, load_config
 from .data import degraded_dataset, degraded_pairs
 from .metrics import evaluate, restore
-from .model import build_generator
+from .model import generator_sites
 from .ppm import PpmError, load_image, save_image
 from .train import load_corpus, run_training
 
@@ -62,7 +60,7 @@ def cmd_train(args) -> int:
 
 
 def _require_matching_architecture(params, cfg: RunConfig, checkpoint) -> None:
-    expected = build_generator(cfg, np.random.default_rng(0)).names()
+    expected = [f"{site}.{part}" for site in generator_sites(cfg) for part in ("weight", "bias")]
     have = set(params.names())
     missing = [n for n in expected if n not in have]
     extra = sorted(have - set(expected))

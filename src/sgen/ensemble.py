@@ -18,8 +18,9 @@ followed by a learned 1x1 projection back to the original width.
 
 ``MERGE_SITES`` is the one statement of what a merge site holds: per mode,
 the checkpoint prefix of its convs and each conv's name and shape.
-``merge_convs`` draws them and ``merge`` takes them as a name -> ConvParams
-dict, so the network builds and reads every site from the table alone.
+``sgen.model.generator_sites`` turns them into rows of the generator's
+site table, ``merge_convs`` draws one site's convs on their own, and
+``merge`` takes them as a name -> ConvParams dict.
 The convs' own ops check their shapes: ``conv2d`` rejects a wrong input
 width, and ``gated_sum`` any gate whose output differs from the inputs.
 """

@@ -7,32 +7,42 @@ features sequentially with the configured merge, then mirrors the process
 upward: one strided deconv per level back from the bottleneck, a second
 sequential fusion cascade interleaved with factor-2 deconvs, and a final
 3x3 conv + tanh.  Nothing shares parameters; every site has its own conv.
-Each conv applies its activation in its own op (lrelu on the trunk, the
-base encoders and the discriminator, relu on the deconvs, tanh at the
-output), so a taped pass records one node per conv site.
+
+Each network is one ordered table of sites, ``generator_sites(cfg)`` and
+``discriminator_sites(cfg)``: per site, its op (conv or deconv), input and
+output width, kernel, the activation its op applies (lrelu on the trunk,
+the base encoders and the critic, relu on the deconvs, tanh at the
+output) and its init std.  Merge-conv rows come from
+``sgen.ensemble.MERGE_SITES`` and carry no activation, since ``merge``
+applies it.  The builders draw the rows in table order, and the forwards
+apply a site by its name alone, so a taped pass records one node per conv
+site and the widths, kernels and activations are stated nowhere else.
 
 Parameters live in a flat name -> Tensor store so checkpointing and the
-optimizer stay structure-agnostic.  The build fixes each site's geometry
-in the size of its kernel; forward passes wrap each stored kernel in a
-``ConvParams``, which reads its stride back, and never state one.  Each
-merge site's convs and their names come from ``sgen.ensemble.MERGE_SITES``.
+optimizer stay structure-agnostic.  A forward reads every width from the
+stored weights and wraps each stored kernel in a ``ConvParams``, which
+reads its stride back, so it never states one.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, sigmoid
-from .ensemble import MERGE_MODES, MERGE_SITES, merge, merge_convs
-from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool
+from .ensemble import MERGE_MODES, MERGE_SITES, merge
+from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, geometry, global_avg_pool
 from .settings import WIDTHS, Settings, at_least, choice, setting
 
 __all__ = [
     "SgenConfig",
     "ParamStore",
+    "Site",
+    "generator_sites",
+    "discriminator_sites",
     "build_generator",
     "build_discriminator",
     "generator_forward",
@@ -126,50 +136,86 @@ class ParamStore:
 
 
 # ---------------------------------------------------------------------------
-# generator
+# site tables
+
+# a site's row: its op ("conv" or "deconv"), the op's input and output
+# widths, its kernel (which fixes its stride), the activation the op
+# applies, and the init std (None for the He scale)
+Site = namedtuple("Site", "op c_in c_out kernel act std", defaults=(None,))
+
+
+def generator_sites(cfg: SgenConfig) -> dict[str, Site]:
+    """Every generator site in draw order, keyed by its parameter prefix.
+
+    A conv with an even kernel 2f pools by f, and a deconv with one
+    upsamples by f.  Merge-conv rows come from ``MERGE_SITES`` and carry no
+    activation: ``merge`` applies it.
+    """
+    n, c, bot = cfg.n_levels, cfg.in_channels, cfg.bottleneck_channels
+    width = [cfg.base_channels] + [cfg.trunk_channels(k) for k in range(1, n + 1)]
+    levels = range(1, n + 1)
+    prefix, convs = MERGE_SITES[cfg.merge_mode]
+
+    def merges(stage):
+        return {f"{prefix}.{stage}.{k}.{name}": Site("conv", fan * bot, bot, kernel, None, std)
+                for k in range(2, n + 1) for name, (fan, kernel, std) in convs.items()}
+
+    return {
+        "enc.trunk.0": Site("conv", c, width[0], 3, "lrelu"),
+        **{f"enc.trunk.{k}": Site("conv", width[k - 1], width[k], 4, "lrelu") for k in levels},
+        # every level lands on the same bottleneck grid: 1/2^(n+1) of the input
+        **{f"enc.base.{k}": Site("conv", width[k], bot, 2 << (n - k + 1), "lrelu") for k in levels},
+        **merges("enc"),
+        # level k's deconv upsamples the bottleneck by 2^k
+        **{f"dec.base.{k}": Site("deconv", bot, bot, 2 << k, "relu") for k in levels},
+        **merges("dec"),
+        **{f"dec.up.{k}": Site("deconv", bot, bot, 4, "relu") for k in levels},
+        "out.conv": Site("conv", bot, c, 3, "tanh"),
+    }
+
+
+def discriminator_sites(cfg: SgenConfig) -> dict[str, Site]:
+    """One stride-2 lrelu conv per ``disc_channels`` width, then a 1x1 head."""
+    w = (cfg.in_channels, *cfg.disc_channels)
+    sites = {f"disc.conv.{i}": Site("conv", w[i - 1], w[i], 4, "lrelu") for i in range(1, len(w))}
+    return {**sites, "disc.head": Site("conv", w[-1], 1, 1, None)}
+
 
 def _add_conv(store: ParamStore, name: str, p) -> None:
     store.add(f"{name}.weight", p.weight)
     store.add(f"{name}.bias", p.bias)
 
 
-def build_generator(cfg: SgenConfig, rng: np.random.Generator, dtype=np.float32) -> ParamStore:
-    """He-initialized trunk/encoder/decoder convs; merge gates start at zero."""
-    n, c_bot = cfg.n_levels, cfg.bottleneck_channels
+def _build(sites: dict[str, Site], rng: np.random.Generator, dtype) -> ParamStore:
     store = ParamStore()
-    _add_conv(store, "enc.trunk.0", conv_params(cfg.in_channels, cfg.base_channels, 1, rng, dtype))
-    _add_conv(store, "enc.trunk.1", conv_params(cfg.base_channels, cfg.trunk_channels(1), 2, rng, dtype))
-    for k in range(2, n + 1):
-        _add_conv(
-            store,
-            f"enc.trunk.{k}",
-            conv_params(cfg.trunk_channels(k - 1), cfg.trunk_channels(k), 2, rng, dtype),
-        )
-    for k in range(1, n + 1):
-        _add_conv(
-            store,
-            f"enc.base.{k}",
-            conv_params(cfg.trunk_channels(k), c_bot, 1 << (n - k + 1), rng, dtype),
-        )
-    _build_merge_sites(store, cfg, "enc", rng, dtype)
-    for k in range(1, n + 1):
-        _add_conv(store, f"dec.base.{k}", deconv_params(c_bot, c_bot, 1 << k, rng, dtype))
-    _build_merge_sites(store, cfg, "dec", rng, dtype)
-    for k in range(1, n + 1):
-        _add_conv(store, f"dec.up.{k}", deconv_params(c_bot, c_bot, 2, rng, dtype))
-    _add_conv(store, "out.conv", conv_params(c_bot, cfg.in_channels, 1, rng, dtype))
+    for name, s in sites.items():
+        stride = geometry(s.kernel)[0]
+        if s.op == "conv":
+            p = conv_params(s.c_in, s.c_out, stride, rng, dtype, kernel=s.kernel, weight_std=s.std)
+        else:
+            p = deconv_params(s.c_in, s.c_out, stride, rng, dtype)
+        _add_conv(store, name, p)
     return store
-
-
-def _build_merge_sites(store, cfg, stage: str, rng, dtype) -> None:
-    prefix = MERGE_SITES[cfg.merge_mode][0]
-    for k in range(2, cfg.n_levels + 1):
-        for name, p in merge_convs(cfg.merge_mode, cfg.bottleneck_channels, rng, dtype).items():
-            _add_conv(store, f"{prefix}.{stage}.{k}.{name}", p)
 
 
 def _at(store: ParamStore, name: str) -> ConvParams:
     return ConvParams(store[f"{name}.weight"], store[f"{name}.bias"])
+
+
+def _applier(sites: dict[str, Site], params: ParamStore):
+    """``apply(name, x)`` runs site ``name``'s op, weights and activation on x."""
+    def apply(name: str, x: Tensor) -> Tensor:
+        s = sites[name]
+        return (conv2d if s.op == "conv" else deconv2d)(x, _at(params, name), s.act)
+    return apply
+
+
+# ---------------------------------------------------------------------------
+# generator
+
+def build_generator(cfg: SgenConfig, rng: np.random.Generator, dtype=np.float32) -> ParamStore:
+    """He-initialized trunk/encoder/decoder convs; merge gates start at zero."""
+    return _build(generator_sites(cfg), rng, dtype)
 
 
 def _nearest_multiples(size: int, d: int) -> str:
@@ -205,64 +251,37 @@ def generator_forward(
     def note(key, t):
         if trace is not None:
             trace[key] = t
+        return t
 
+    apply = _applier(generator_sites(cfg), params)
     prefix, conv_names = MERGE_SITES[cfg.merge_mode]
 
     def merged(stage, k, new, prev):
         site = f"{prefix}.{stage}.{k}"
         return merge(cfg.merge_mode, new, prev, {name: _at(params, f"{site}.{name}") for name in conv_names})
 
-    x = conv2d(s, _at(params, "enc.trunk.0"), "lrelu")
-    x = conv2d(x, _at(params, "enc.trunk.1"), "lrelu")
-    trunk = [x]
-    note("trunk.1", x)
-    for k in range(2, n + 1):
-        x = conv2d(x, _at(params, f"enc.trunk.{k}"), "lrelu")
-        trunk.append(x)
-        note(f"trunk.{k}", x)
-
-    # every level lands on the same bottleneck grid: 1/2^(n+1) of the input
-    enc = []
+    x = apply("enc.trunk.0", s)
+    trunk = []  # without trunk.0's output, which only trunk.1 reads
     for k in range(1, n + 1):
-        e = conv2d(trunk[k - 1], _at(params, f"enc.base.{k}"), "lrelu")
-        enc.append(e)
-        note(f"base_enc.{k}", e)
-
+        x = note(f"trunk.{k}", apply(f"enc.trunk.{k}", x))
+        trunk.append(x)
+    enc = [note(f"base_enc.{k}", apply(f"enc.base.{k}", trunk[k - 1])) for k in range(1, n + 1)]
     fused = [enc[0]]
     for k in range(2, n + 1):
-        m = merged("enc", k, enc[k - 1], fused[-1])
-        fused.append(m)
-        note(f"merged_enc.{k}", m)
-
-    # decode level k from the deepest unused fusion: deconv by 2^k
-    dec = []
-    for k in range(1, n + 1):
-        y = deconv2d(fused[n - k], _at(params, f"dec.base.{k}"), "relu")
-        dec.append(y)
-        note(f"base_dec.{k}", y)
-
-    up = deconv2d(dec[0], _at(params, "dec.up.1"), "relu")
-    note("up_dec.1", up)
+        fused.append(note(f"merged_enc.{k}", merged("enc", k, enc[k - 1], fused[-1])))
+    # level k decodes from the deepest unused fusion
+    dec = [note(f"base_dec.{k}", apply(f"dec.base.{k}", fused[n - k])) for k in range(1, n + 1)]
+    up = note("up_dec.1", apply("dec.up.1", dec[0]))
     for k in range(2, n + 1):
-        m = merged("dec", k, dec[k - 1], up)
-        up = deconv2d(m, _at(params, f"dec.up.{k}"), "relu")
-        note(f"up_dec.{k}", up)
-
-    return conv2d(up, _at(params, "out.conv"), "tanh")
+        up = note(f"up_dec.{k}", apply(f"dec.up.{k}", merged("dec", k, dec[k - 1], up)))
+    return apply("out.conv", up)
 
 
 # ---------------------------------------------------------------------------
 # discriminator
 
 def build_discriminator(cfg: SgenConfig, rng: np.random.Generator, dtype=np.float32) -> ParamStore:
-    store = ParamStore()
-    widths = cfg.disc_channels
-    prev = cfg.in_channels
-    for i, width in enumerate(widths, start=1):
-        _add_conv(store, f"disc.conv.{i}", conv_params(prev, width, 2, rng, dtype))
-        prev = width
-    _add_conv(store, "disc.head", conv_params(prev, 1, 1, rng, dtype, kernel=1))
-    return store
+    return _build(discriminator_sites(cfg), rng, dtype)
 
 
 def discriminator_forward(x: Tensor, params: ParamStore, cfg: SgenConfig) -> Tensor:
@@ -270,19 +289,19 @@ def discriminator_forward(x: Tensor, params: ParamStore, cfg: SgenConfig) -> Ten
 
     One stride-2 conv per ``disc_channels`` width: height and width must be
     divisible by 2^depth (16 for four widths); global average pooling then
-    makes the head size-independent.
+    makes the head size-independent, and a sigmoid of the pooled head is
+    the score.
     """
     n_batch, c, h, w = x.shape
     if c != cfg.in_channels:
         raise ValueError(f"discriminator: input has {c} channels, config expects {cfg.in_channels}")
-    depth = len(cfg.disc_channels)
-    d = 1 << depth
+    d = 1 << len(cfg.disc_channels)
     if h < d or w < d or h % d or w % d:
         raise ValueError(
             f"discriminator: input spatial dims ({h}, {w}) must be >= {d} and divisible by {d}"
         )
-    out = x
-    for i in range(1, depth + 1):
-        out = conv2d(out, _at(params, f"disc.conv.{i}"), "lrelu")
-    out = conv2d(out, _at(params, "disc.head"))
-    return sigmoid(global_avg_pool(out))
+    sites = discriminator_sites(cfg)
+    apply = _applier(sites, params)
+    for name in sites:
+        x = apply(name, x)
+    return sigmoid(global_avg_pool(x))

@@ -262,3 +262,60 @@ def test_duplicate_entry_name_is_rejected_with_its_offset(tmp_path):
     second = len(MAGIC) + 8 + len(entry)
     with pytest.raises(CheckpointError, match=rf"entry 1 at byte {second}: duplicate name 'w'"):
         load_checkpoint(path)
+
+
+def test_dims_no_array_can_have_name_entry_and_offset(tmp_path):
+    """A zero dim beside huge sides passes the size walk (the product is 0)
+    but describes no array numpy can make: a CheckpointError, not numpy's
+    bare reshape error."""
+    path = tmp_path / "dims.ckpt"
+    store = ParamStore()
+    store.add("w", Tensor(np.ones((1, 1, 2, 2), dtype=np.float32)))
+    save_checkpoint(store, path)
+    entry_off = len(MAGIC) + 8
+    dims_off = entry_off + 4 + 1
+    blob = path.read_bytes()[:dims_off] + struct.pack("<4I", 50331648, 33554432, 33554432, 0)
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match=rf"entry 'w' at byte {entry_off}: no array has dims"):
+        load_checkpoint(path)
+
+
+def test_zero_size_entries_round_trip(tmp_path):
+    store = ParamStore()
+    store.add("empty", Tensor(np.zeros((0, 3, 3, 3), dtype=np.float32)))
+    store.add("w", Tensor(np.ones((1, 1, 2, 2), dtype=np.float32)))
+    path = tmp_path / "zero.ckpt"
+    save_checkpoint(store, path)
+    loaded = load_checkpoint(path)
+    assert loaded["empty"].shape == (0, 3, 3, 3)
+    _assert_same(store, loaded)
+
+
+def test_every_truncation_and_byte_substitution_loads_or_raises_checkpoint_error(tmp_path):
+    """Fuzz a two-entry file: a zero-initialized gate weight and a random
+    bias.  Each byte is replaced by its two neighbours, its top bit
+    flipped and two seeded random values; no case may escape as any error
+    but CheckpointError."""
+    rng = np.random.default_rng(16)
+    store = ParamStore()
+    store.add("gate.weight", Tensor(np.zeros((2, 2, 3, 3), dtype=np.float32)))
+    store.add("gate.bias", Tensor(rng.normal(size=(1, 2, 1, 1)).astype(np.float32)))
+    path = tmp_path / "fuzz.ckpt"
+    save_checkpoint(store, path)
+    blob = path.read_bytes()
+    cases = [blob[:i] for i in range(len(blob))]
+    for i, byte in enumerate(blob):
+        for value in {(byte + 1) % 256, (byte - 1) % 256, byte ^ 0x80, *rng.integers(0, 256, size=2).tolist()}:
+            if value != byte:
+                cases.append(blob[:i] + bytes([value]) + blob[i + 1 :])
+    escaped = []
+    for case in cases:
+        path.write_bytes(case)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
+        except Exception as exc:  # any other type is the failure
+            escaped.append(f"{type(exc).__name__}: {exc}")
+    assert len(cases) >= 4 * len(blob)  # at least three substitutions per byte
+    assert escaped == []

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import sgen.model
+import sgen.nn
 from sgen import (
     RunConfig,
     SgenConfig,
@@ -255,6 +257,24 @@ def test_evaluate_rejects_architecture_mismatch(tmp_path, capsys):
     code = main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
     assert code == 2
     assert "does not fit the configured architecture" in capsys.readouterr().err
+
+
+def test_restore_and_evaluate_draw_no_weights(tmp_path, monkeypatch):
+    """The architecture check lists the expected names from the site table:
+    neither command builds a generator or draws a single weight."""
+    cfg_path = write_cfg(tmp_path, steps=0)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    src = tmp_path / "in.ppm"
+    _random_ppm(src, 32, 32)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew weights")
+
+    monkeypatch.setattr(sgen.model, "build_generator", no_draw)
+    monkeypatch.setattr(sgen.nn, "_fresh", no_draw)  # every conv and deconv draw goes through it
+    common = ["--config", str(cfg_path), "--checkpoint", str(tmp_path / "model.ckpt")]
+    assert main(["restore", *common, "--in", str(src), "--out", str(tmp_path / "x.ppm")]) == 0
+    assert main(["evaluate", *common]) == 0
 
 
 def test_restore_missing_checkpoint_fails_cleanly(tmp_path, capsys):

@@ -19,6 +19,7 @@ from sgen import (
 )
 from sgen.autodiff import sum_all
 from sgen.data import EVAL_SCALES
+from sgen.model import discriminator_sites, generator_sites
 
 
 def small_cfg(**kw):
@@ -173,6 +174,53 @@ def test_built_stores_match_declared_names(mode, n):
     store = build_generator(cfg, np.random.default_rng(0))
     assert store.names() == _declared_names(n, mode)
     assert all(t.requires_grad for t in store.tensors())
+
+
+def _row_shapes(row):
+    """The weight and bias a site row describes: a conv's weight is
+    (out, in, k, k), a deconv's the conv weight it is the adjoint of."""
+    pair = (row.c_out, row.c_in) if row.op == "conv" else (row.c_in, row.c_out)
+    return (*pair, row.kernel, row.kernel), (1, row.c_out, 1, 1)
+
+
+def _assert_rows_match_store(sites, store):
+    assert store.names() == [f"{site}.{part}" for site in sites for part in ("weight", "bias")]
+    for site, row in sites.items():
+        weight, bias = _row_shapes(row)
+        assert store[f"{site}.weight"].shape == weight, site
+        assert store[f"{site}.bias"].shape == bias, site
+
+
+@pytest.mark.parametrize("in_channels", [1, 3])
+@pytest.mark.parametrize("mode", ["sgu", "max", "average", "concat"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generator_site_rows_give_the_built_shapes(mode, n, in_channels):
+    cfg = small_cfg(n_levels=n, merge_mode=mode, in_channels=in_channels, base_channels=3, bottleneck_channels=5)
+    _assert_rows_match_store(generator_sites(cfg), build_generator(cfg, np.random.default_rng(0)))
+
+
+def test_generator_site_rows_state_ops_and_activations():
+    """Merge convs carry no activation of their own (the merge applies it);
+    every other site's op applies its own."""
+    rows = generator_sites(small_cfg(n_levels=3, merge_mode="sgu"))
+    assert rows["enc.trunk.0"] == ("conv", 3, 4, 3, "lrelu", None)
+    assert rows["enc.base.1"].kernel == 16 and rows["enc.base.3"].kernel == 4
+    assert rows["dec.base.1"] == ("deconv", 4, 4, 4, "relu", None)
+    assert rows["dec.base.3"].kernel == 16
+    assert rows["sgu.dec.2.gate_a"] == ("conv", 4, 4, 3, None, 0.0)
+    assert rows["out.conv"] == ("conv", 4, 3, 3, "tanh", None)
+    assert generator_sites(small_cfg(merge_mode="concat"))["merge.enc.2.proj"] == ("conv", 8, 4, 1, None, None)
+
+
+@pytest.mark.parametrize("widths", [(2, 3, 4, 5), (2, 2, 2)])
+def test_discriminator_site_rows_give_the_built_shapes(widths):
+    cfg = small_cfg()
+    object.__setattr__(cfg, "disc_channels", widths)  # three widths: the rig the config refuses
+    sites = discriminator_sites(cfg)
+    assert list(sites) == [f"disc.conv.{i}" for i in range(1, len(widths) + 1)] + ["disc.head"]
+    assert {row.act for name, row in sites.items() if name != "disc.head"} == {"lrelu"}
+    assert sites["disc.head"].act is None
+    _assert_rows_match_store(sites, build_discriminator(cfg, np.random.default_rng(0)))
 
 
 def test_merge_mode_changes_only_merge_site_names():
