@@ -12,8 +12,9 @@ in memory, to a temporary file in the same directory, syncs it to disk,
 renames it over the target and syncs the directory, so a process killed
 mid-write, or a machine that crashes, leaves the previous checkpoint or the
 new one.
-Loading validates sizes as it walks the file and reports the byte offset
-and entry name on any corruption.
+Loading validates sizes as it walks the file, reads each entry's data
+straight into its own array, and reports the byte offset and entry name on
+any corruption.
 """
 
 from __future__ import annotations
@@ -66,53 +67,68 @@ def save_checkpoint(params: ParamStore, path) -> None:
 
 
 def load_checkpoint(path) -> ParamStore:
-    """Parse a checkpoint into a fresh ParamStore of float32 leaf tensors."""
-    blob = Path(path).read_bytes()
-    off = 0
+    """Parse a checkpoint into a fresh ParamStore of float32 leaf tensors.
 
-    def need(count: int, what: str) -> bytes:
-        nonlocal off
-        if off + count > len(blob):
-            raise CheckpointError(
-                f"checkpoint truncated at byte {off}: needed {count} bytes for {what},"
-                f" file has {len(blob) - off} left"
-            )
-        piece = blob[off : off + count]
-        off += count
-        return piece
+    Each entry's data is read straight into its own array, after its size
+    has been checked against the bytes the file has left, so a corrupt dims
+    field allocates nothing and a load holds about one copy of the file.
+    """
+    with open(path, "rb") as f:
+        total = os.fstat(f.fileno()).st_size
+        off = 0
 
-    if need(len(MAGIC), "magic") != MAGIC:
-        raise CheckpointError(f"bad checkpoint magic at byte 0: expected {MAGIC!r}")
-    version, count = struct.unpack("<II", need(8, "header"))
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
+        def check(count: int, what: str, left: int) -> None:
+            if left < count:
+                raise CheckpointError(
+                    f"checkpoint truncated at byte {off}: needed {count} bytes for {what},"
+                    f" file has {left} left"
+                )
 
-    store = ParamStore()
-    for index in range(count):
-        entry_off = off
-        (name_len,) = struct.unpack("<I", need(4, f"entry {index} name length"))
-        if name_len == 0 or name_len > _MAX_NAME:
-            raise CheckpointError(
-                f"entry {index} at byte {entry_off}: implausible name length {name_len}"
-            )
-        try:
-            name = need(name_len, f"entry {index} name").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"entry {index} at byte {entry_off}: name is not UTF-8") from exc
-        if name in store:
-            raise CheckpointError(f"entry {index} at byte {entry_off}: duplicate name {name!r}")
-        dims = struct.unpack("<4I", need(16, f"entry {name!r} dims"))
-        size = 1
-        for d in dims:
-            size *= d
-        raw = need(4 * size, f"entry {name!r} data ({dims})")
-        try:
-            data = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
-        except ValueError as exc:  # a zero dim beside sides no array can have
-            raise CheckpointError(f"entry {name!r} at byte {entry_off}: no array has dims {dims}") from exc
-        store.add(name, Tensor(data, requires_grad=True))
-    if off != len(blob):
+        def read_into(buffer, count: int, what: str) -> None:
+            nonlocal off
+            check(count, what, total - off)
+            check(count, what, f.readinto(buffer))  # short if the file shrank after fstat
+            off += count
+
+        def need(count: int, what: str) -> bytearray:
+            piece = bytearray(count)
+            read_into(piece, count, what)
+            return piece
+
+        if need(len(MAGIC), "magic") != MAGIC:
+            raise CheckpointError(f"bad checkpoint magic at byte 0: expected {MAGIC!r}")
+        version, count = struct.unpack("<II", need(8, "header"))
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
+
+        store = ParamStore()
+        for index in range(count):
+            entry_off = off
+            (name_len,) = struct.unpack("<I", need(4, f"entry {index} name length"))
+            if name_len == 0 or name_len > _MAX_NAME:
+                raise CheckpointError(
+                    f"entry {index} at byte {entry_off}: implausible name length {name_len}"
+                )
+            try:
+                name = need(name_len, f"entry {index} name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"entry {index} at byte {entry_off}: name is not UTF-8") from exc
+            if name in store:
+                raise CheckpointError(f"entry {index} at byte {entry_off}: duplicate name {name!r}")
+            dims = struct.unpack("<4I", need(16, f"entry {name!r} dims"))
+            size = 1
+            for d in dims:
+                size *= d
+            what = f"entry {name!r} data ({dims})"
+            check(4 * size, what, total - off)  # before allocating anything
+            try:
+                data = np.empty(dims, dtype="<f4")
+            except ValueError as exc:  # a zero dim beside sides no array can have
+                raise CheckpointError(f"entry {name!r} at byte {entry_off}: no array has dims {dims}") from exc
+            read_into(data, 4 * size, what)
+            store.add(name, Tensor(data, requires_grad=True))
+    if off != total:
         raise CheckpointError(
-            f"{len(blob) - off} trailing bytes after the last entry (byte {off})"
+            f"{total - off} trailing bytes after the last entry (byte {off})"
         )
     return store

@@ -149,14 +149,23 @@ def bilinear_resize(t: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinear interpolation with half-pixel centers and edge replication."""
     if out_h < 1 or out_w < 1:
         raise ValueError(f"bilinear_resize: bad target size ({out_h}, {out_w})")
-    arr = t.data.astype(np.float64)
-    _, _, h, w = arr.shape
+    _, _, h, w = t.shape
     ylo, yhi, fy = _axis_weights(h, out_h)
     xlo, xhi, fx = _axis_weights(w, out_w)
-    top = arr[:, :, ylo][:, :, :, xlo] * (1 - fx) + arr[:, :, ylo][:, :, :, xhi] * fx
-    bot = arr[:, :, yhi][:, :, :, xlo] * (1 - fx) + arr[:, :, yhi][:, :, :, xhi] * fx
-    out = top * (1 - fy)[:, np.newaxis] + bot * fy[:, np.newaxis]
-    return Tensor(out.astype(t.dtype))
+    # each product is float64, as if the source were cast first (the cast is
+    # exact); each set of rows is gathered once and the sums are formed in place
+    rows = t.data[:, :, ylo]
+    top = rows[..., xlo] * (1 - fx)
+    tmp = rows[..., xhi] * fx
+    top += tmp
+    rows = t.data[:, :, yhi]
+    bot = rows[..., xlo] * (1 - fx)
+    np.multiply(rows[..., xhi], fx, out=tmp)
+    bot += tmp
+    top *= (1 - fy)[:, np.newaxis]
+    bot *= fy[:, np.newaxis]
+    top += bot
+    return Tensor(top.astype(t.dtype))
 
 
 # ---------------------------------------------------------------------------

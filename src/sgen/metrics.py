@@ -134,10 +134,11 @@ def evaluate(
     """Restore every pair and aggregate PSNR/SSIM per scale.
 
     Scales whose dimensions the model cannot process (see
-    ``SgenConfig.fits``) get a warning row with count 0 instead of failing
-    the whole run.  Infinite PSNR values are excluded from the means; a scale
-    where every image restores perfectly reports inf.  ``restorer``
-    defaults to ``restore`` with this generator.
+    ``SgenConfig.fits``), or that are smaller than the SSIM window, get a
+    warning row with count 0 instead of failing the whole run.  Infinite
+    PSNR values are excluded from the means; a scale where every image
+    restores perfectly reports inf.  ``restorer`` defaults to ``restore``
+    with this generator.
     """
     if restorer is None:
         restorer = lambda image: restore(image, params, cfg)
@@ -153,6 +154,11 @@ def evaluate(
         bucket = by_scale[(h, w)]
         if not cfg.fits(h, w):
             note = f"skipped: dims not divisible by {cfg.divisor}"
+        elif h < _WINDOW or w < _WINDOW:
+            note = f"skipped: smaller than the {_WINDOW}x{_WINDOW} SSIM window"
+        else:
+            note = ""
+        if note:
             report.rows.append(ScaleRow(h, w, math.nan, math.nan, 0, note))
             continue
         psnrs, ssims = [], []

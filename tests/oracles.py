@@ -110,3 +110,26 @@ def numeric_gradient(f, x, eps=1e-6):
         flat_x[i] = orig
         flat_g[i] = (fp - fm) / (2 * eps)
     return g
+
+
+def bilinear_resize_expression(arr, out_h, out_w):
+    """Bilinear resize with half-pixel centers and edge replication, written
+    as one float64 expression per blend over freshly gathered copies.
+
+    arr: (n, c, h, w).  Returns float64 (n, c, out_h, out_w).  The fast path
+    must match it bit for bit once cast to the input dtype.
+    """
+
+    def axis(src, dst):
+        coords = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
+        lo = np.floor(coords).astype(np.int64)
+        frac = coords - lo
+        return np.clip(lo, 0, src - 1), np.clip(lo + 1, 0, src - 1), frac
+
+    arr = arr.astype(np.float64)
+    _, _, h, w = arr.shape
+    ylo, yhi, fy = axis(h, out_h)
+    xlo, xhi, fx = axis(w, out_w)
+    top = arr[:, :, ylo][:, :, :, xlo] * (1 - fx) + arr[:, :, ylo][:, :, :, xhi] * fx
+    bot = arr[:, :, yhi][:, :, :, xlo] * (1 - fx) + arr[:, :, yhi][:, :, :, xhi] * fx
+    return top * (1 - fy)[:, np.newaxis] + bot * fy[:, np.newaxis]

@@ -3,7 +3,9 @@
 import os
 import stat
 import struct
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,6 +76,23 @@ def test_generator_round_trip_preserves_name_order(tmp_path):
     path = tmp_path / "gen.ckpt"
     save_checkpoint(store, path)
     _assert_same(store, load_checkpoint(path))
+
+
+def test_load_holds_about_one_copy_of_the_file(tmp_path):
+    """Each entry is read straight into its own array: no whole-file
+    buffer, per-entry slice or cast copy on top of the loaded arrays."""
+    path = tmp_path / "gen.ckpt"
+    save_checkpoint(build_generator(SgenConfig(), np.random.default_rng(2)), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(t.data.nbytes for t in store.tensors()) > 0.99 * size
+    assert peak < 1.25 * size, f"peak {peak} bytes for a {size}-byte file"
 
 
 def test_empty_store_round_trips(tmp_path):
@@ -198,6 +217,43 @@ def test_truncation_names_entry_and_offset(tmp_path):
         load_checkpoint(path)
     # the diagnostic names what it was reading when the data ran out
     assert "alpha" in str(exc.value) or "entry" in str(exc.value)
+
+
+def _fstat_reports_four_more(path, monkeypatch):
+    os.truncate(path, path.stat().st_size - 4)
+    real = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real(fd).st_size + 4))
+
+
+def _truncated_after_fstat(path, monkeypatch):
+    real = os.fstat
+
+    def fstat_then_truncate(fd):
+        info = real(fd)
+        os.truncate(path, info.st_size - 4)
+        return info
+
+    monkeypatch.setattr(os, "fstat", fstat_then_truncate)
+
+
+@pytest.mark.parametrize("shrink", [_fstat_reports_four_more, _truncated_after_fstat])
+def test_a_file_shorter_than_its_size_raises_with_entry_and_offset(tmp_path, monkeypatch, shrink):
+    """The file ends before the size the loader took from fstat: the short
+    read of the last entry's data is a truncation, not an array holding
+    unread memory."""
+    path = tmp_path / "short.ckpt"
+    store = ParamStore()
+    store.add("w", Tensor(np.ones((1, 1, 2, 2), dtype=np.float32)))
+    save_checkpoint(store, path)
+    data_off = len(MAGIC) + 8 + 4 + 1 + 16  # header, name length, name "w", dims
+    with monkeypatch.context() as patch:
+        shrink(path, patch)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+    assert str(exc.value) == (
+        f"checkpoint truncated at byte {data_off}: needed 16 bytes for"
+        " entry 'w' data ((1, 1, 2, 2)), file has 12 left"
+    )
 
 
 def test_truncated_header_is_rejected(tmp_path):

@@ -19,6 +19,8 @@ from sgen import (
 )
 from sgen.data import box_downsample, nearest_upsample
 
+from oracles import bilinear_resize_expression
+
 
 # ---------------------------------------------------------------------------
 # spec validation
@@ -223,6 +225,25 @@ def test_bilinear_downsample_averages_neighbors():
     np.testing.assert_allclose(
         bilinear_resize(t, 1, 2).data.ravel(), [50.0, 250.0], rtol=1e-6
     )
+
+
+_RESIZES = (
+    [((64, 48), s) for s in EVAL_SCALES]  # every evaluation scale, upscaling
+    + [((256, 224), s) for s in EVAL_SCALES]  # and downscaling
+    + [((37, 53), (300, 11)), ((37, 53), (5, 400)), ((37, 53), (37, 53))]
+)
+
+
+@pytest.mark.parametrize("src,dst", _RESIZES, ids=lambda s: "x".join(map(str, s)))
+def test_bilinear_matches_the_direct_expression_bit_for_bit(src, dst):
+    """Gathering rows once and summing in place keeps every float64
+    operation and its order, so the result is the same bits."""
+    rng = np.random.default_rng(src[0] * 1000 + dst[1])
+    arr = rng.uniform(0, 255, size=(2, 3, *src)).astype(np.float32)
+    want = bilinear_resize_expression(arr, *dst).astype(np.float32)
+    got = bilinear_resize(Tensor(arr), *dst).data
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
 
 
 def test_bilinear_rejects_bad_target():

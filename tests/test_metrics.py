@@ -10,6 +10,7 @@ from oracles import ssim_windows
 from sgen import (
     DegradeSpec,
     QualityReport,
+    RunConfig,
     SamplePair,
     SgenConfig,
     Tensor,
@@ -24,6 +25,7 @@ from sgen import (
 from sgen.data import denormalize, normalize
 from sgen.metrics import ScaleRow
 from sgen.model import generator_forward
+from sgen.train import load_corpus
 
 
 def _img(rng, shape=(1, 3, 16, 16)):
@@ -238,6 +240,24 @@ def test_evaluate_emits_warning_rows_for_indivisible_scales():
     assert "not divisible by 8" in bad.note
     good = rows[(32, 32)]
     assert good.count == 1 and math.isfinite(good.mean_psnr)
+
+
+def test_evaluate_emits_warning_rows_for_scales_below_the_ssim_window():
+    """8x8 passes config validation at n_levels=2 (divisor 8, down factor
+    4) but is smaller than SSIM's 11x11 window: a warning row, not a
+    ValueError that loses the whole report."""
+    cfg = RunConfig(
+        n_levels=2, base_channels=4, bottleneck_channels=4,
+        scales=((8, 8), (16, 16)), synthetic_count=2, synthetic_size=(16, 16),
+    )
+    store = build_generator(cfg, np.random.default_rng(9))
+    report = evaluate(store, cfg, degraded_dataset(load_corpus(cfg), cfg))
+    small, large = report.rows
+    assert (small.height, small.width, small.count) == (8, 8, 0)
+    assert math.isnan(small.mean_psnr) and math.isnan(small.mean_ssim)
+    assert small.note == "skipped: smaller than the 11x11 SSIM window"
+    assert (large.height, large.width, large.count, large.note) == (16, 16, 2, "")
+    assert math.isfinite(large.mean_psnr) and math.isfinite(large.mean_ssim)
 
 
 def test_evaluate_rows_are_sorted_by_scale():

@@ -11,7 +11,9 @@ Runs (all seed 3, eval_every 2, 3 steps, so each saves twice):
          images, batch 2; merges sgu/concat/max x gan_loss none/minimax
   paper  3 levels, widths 32/64, 128x96, 4 images, batch 4; sgu x none/minimax
 Then the ``evaluate`` report of the small sgu/none checkpoint on its own
-degraded corpus, and the battery's (name, error) pairs.
+degraded corpus, the battery's (name, error) pairs, and the clean and
+corrupted bytes of ``degraded_dataset`` at the six ``EVAL_SCALES`` from one
+seeded 208x176 synthetic image, which pins the resize and degradation bits.
 """
 
 from __future__ import annotations
@@ -21,7 +23,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-from sgen import RunConfig, degraded_dataset, evaluate, load_checkpoint, run_training
+from sgen import (
+    EVAL_SCALES,
+    DegradeSpec,
+    RunConfig,
+    degraded_dataset,
+    evaluate,
+    load_checkpoint,
+    make_synthetic_corpus,
+    run_training,
+)
 from sgen.checks import run_gradient_battery
 from sgen.train import load_corpus
 
@@ -74,6 +85,9 @@ def main() -> int:
     results = run_gradient_battery()
     pairs = "".join(f"{r.name} {r.error!r}\n" for r in results)
     print(f"battery {len(results)} checks", digest(pairs.encode()))
+    image = make_synthetic_corpus(1, seed=3, size=EVAL_SCALES[-1])
+    pairs = degraded_dataset(image, DegradeSpec(scales=EVAL_SCALES, seed=3))
+    print("pairs", digest(b"".join(p.clean.data.tobytes() + p.corrupted.data.tobytes() for p in pairs)))
     return 0
 
 
