@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, CheckpointError, PpmError, ValueError, RuntimeError, OSError) as exc:
+    except (ConfigError, CheckpointError, PpmError, ValueError, RuntimeError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,20 +26,26 @@ The weight is relaid out by one transpose to match.  Three primitives,
 (weight gradient), each run one GEMM whatever the stride, with the batch
 summed inside it.
 
-Unfold the thinner side: unfolding costs t*t x rows x columns, so compare
-the s*s*c rows of all fine planes with the o coarse channels.  The gather
-unfolds the fine planes when s*s*c <= o and the scatter the coarse side
-when o <= s*s*c; otherwise the GEMM runs first on the unshifted wide side
-and its t*t thin results are shift-added into place.  A backward that
-needs both the input and the weight gradient reads both off the same
-unfold; the conv backward takes the weight gradient first, so that its
-input planes are freed before the input gradient's planes are written.
-The choice depends only on shapes, so a run repeats bit for bit.
-
-``deconv2d`` reuses the three primitives with the roles swapped: its
+One body, ``_apply``, runs both ops once ``conv2d`` or ``deconv2d`` has
+checked its input and geometry and built its ``_Grid``; only the side the
+input sits on differs.  Each side is one tuple: its phase count and
+padding ((s, pad) on the fine side, (1, 0) on the coarse side), its
+unfold (``_fine_cols`` or ``_coarse_cols``) and the kernel that maps it
+onto the other side (``_gather`` or ``_scatter``).  ``conv2d`` takes its
+input on the fine side, ``deconv2d`` on the coarse side, so the deconv
 forward is the conv input gradient, its input gradient the conv forward,
-and its weight gradient the conv weight gradient with its input as the
-coarse side.
+and both take the same weight gradient.  A side has (phase count)^2 x
+channels rows.
+
+Unfold the thinner side: unfolding costs t*t x rows x columns.  The
+forward unfolds its input side when its rows are <= the output side's,
+and the backward its output side when its rows are <= the input side's;
+otherwise the GEMM runs first on the unshifted wide side and its t*t thin
+results are shift-added into place.  A backward that needs both the input
+and the weight gradient reads both off the same unfold; it takes the
+weight gradient first, building the input planes inside that call, so
+they are freed before the input gradient's planes are written.  The
+choice depends only on shapes, so a run repeats bit for bit.
 
 Epilogue: each op adds the bias on the GEMM's own contiguous buffer,
 over the columns that buffer holds values for ([0, span) on the coarse
@@ -363,41 +369,11 @@ def conv2d(x: Tensor, p: ConvParams, act: str | None = None) -> Tensor:
     """Strided cross-correlation plus bias, then the activation ``act``, if
     given, in place on that output; output spatial dims = input / stride."""
     _check("conv2d", x, p, p.in_channels, p.out_channels)
-    epilogue = activation(act)
-    n, c, h, w = x.shape
-    s, pad = p.stride, p.padding
+    n, _, h, w = x.shape
+    s = p.stride
     if h % s or w % s:
         raise ValueError(f"conv2d: spatial dims ({h}, {w}) not divisible by stride {s}")
-    g = _Grid(n, h // s, w // s, p)
-    o, sc = p.out_channels, s * s * c
-    xd, wd = x.data, p.weight.data
-    xf = _planes(xd, g, s, pad)
-    coarse = _gather(xf, wd, g, _fine_cols(xf, g) if sc <= o else None)
-    del xf  # free before the output image is built
-    coarse[:, : g.span] += p.bias.data.reshape(o, 1)
-    yd = _image(coarse, g, 1, 0)
-    del coarse  # free before the epilogue's scratch
-    pre_activation_grad = epilogue(yd)
-    weight, bias = p.weight, p.bias
-
-    def bwd(gy):
-        nonlocal pre_activation_grad
-        gy = pre_activation_grad(gy)
-        pre_activation_grad = None  # this node's last hold on y: free it before the kernel backward
-        db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1) if bias.requires_grad else None
-        cf = _planes(gy, g, 1, 0)
-        del gy  # free before the kernel backward
-        dx = dw = None
-        ccols = _coarse_cols(cf, g) if x.requires_grad and o <= sc else None
-        if weight.requires_grad:  # first, so its input planes are freed before dx is built
-            dw = _wgrad(cf, _planes(xd, g, s, pad), g, ccols=ccols)
-        if x.requires_grad:
-            fine = _scatter(cf, wd, g, ccols)
-            del ccols  # free before the image copy doubles the fine side
-            dx = _image(fine, g, s, pad)
-        return dx, dw, db
-
-    return record((x, weight, bias), Tensor(yd), bwd)
+    return _apply(x, p, act, _Grid(n, h // s, w // s, p), True)
 
 
 def deconv2d(x: Tensor, p: ConvParams, act: str | None = None) -> Tensor:
@@ -405,20 +381,30 @@ def deconv2d(x: Tensor, p: ConvParams, act: str | None = None) -> Tensor:
     if given, in place on that output; upsamples by p.stride.  Its input
     and output channels are the conv's output and input channels."""
     _check("deconv2d", x, p, p.out_channels, p.in_channels)
-    epilogue = activation(act)
-    n, c, h, w = x.shape
-    s, pad = p.stride, p.padding
+    n, _, h, w = x.shape
+    s = p.stride
     if s < 2 or s & (s - 1):
         raise ValueError(f"deconv2d: stride must be a power of two >= 2, got {s}")
-    g = _Grid(n, h, w, p)
-    o, sc = c, s * s * p.in_channels  # the conv's out channels and fine rows
+    return _apply(x, p, act, _Grid(n, h, w, p), False)
+
+
+def _apply(x: Tensor, p: ConvParams, act: str | None, g: _Grid, fine_in: bool) -> Tensor:
+    """The op body of ``conv2d`` (``fine_in``: its input is the fine side)
+    and of ``deconv2d`` (its input is the coarse side); see the module
+    docstring."""
+    epilogue = activation(act)
+    # each side: its phase count and padding, its unfold, its kernel onto the other side
+    fine, coarse = (g.s, p.padding, _fine_cols, _gather), (1, 0, _coarse_cols, _scatter)
+    (si, pi, unfold_in, kernel_in), (so, po, unfold_out, kernel_out) = (fine, coarse) if fine_in else (coarse, fine)
+    rows_in, rows_out = si * si * x.shape[1], so * so * p.bias.shape[1]
+    lo, hi = (0, g.span) if fine_in else (g.lo, g.hi)  # the output side's valid columns
     xd, wd = x.data, p.weight.data
-    cf = _planes(xd, g, 1, 0)
-    fine = _scatter(cf, wd, g, _coarse_cols(cf, g) if o <= sc else None)
-    del cf  # free before the output image is built
-    fine.reshape(s * s, -1, g.size)[:, :, g.lo : g.hi] += p.bias.data.reshape(1, -1, 1)
-    yd = _image(fine, g, s, pad)
-    del fine  # free before the epilogue's scratch
+    xp = _planes(xd, g, si, pi)
+    out = kernel_in(xp, wd, g, unfold_in(xp, g) if rows_in <= rows_out else None)
+    del xp  # free before the output image is built
+    out.reshape(so * so, -1, g.size)[:, :, lo:hi] += p.bias.data.reshape(1, -1, 1)
+    yd = _image(out, g, so, po)
+    del out  # free before the epilogue's scratch
     pre_activation_grad = epilogue(yd)
     weight, bias = p.weight, p.bias
 
@@ -427,15 +413,19 @@ def deconv2d(x: Tensor, p: ConvParams, act: str | None = None) -> Tensor:
         gy = pre_activation_grad(gy)
         pre_activation_grad = None  # this node's last hold on y: free it before the kernel backward
         db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1) if bias.requires_grad else None
-        xf = _planes(gy, g, s, pad)
+        gp = _planes(gy, g, so, po)
         del gy  # free before the kernel backward
-        cf = _planes(xd, g, 1, 0) if weight.requires_grad else None
         dx = dw = None
-        cols = _fine_cols(xf, g) if x.requires_grad and sc <= o else None
-        if cf is not None:
-            dw = _wgrad(cf, xf, g, cols=cols)
+        cols = unfold_out(gp, g) if x.requires_grad and rows_out <= rows_in else None
+        if weight.requires_grad:  # first, so its input planes are freed before dx is built
+            if fine_in:
+                dw = _wgrad(gp, _planes(xd, g, si, pi), g, ccols=cols)
+            else:
+                dw = _wgrad(_planes(xd, g, si, pi), gp, g, cols=cols)
         if x.requires_grad:
-            dx = _image(_gather(xf, wd, g, cols), g, 1, 0)
+            back = kernel_out(gp, wd, g, cols)
+            del cols  # free before the image copy doubles the input side
+            dx = _image(back, g, si, pi)
         return dx, dw, db
 
     return record((x, weight, bias), Tensor(yd), bwd)

@@ -6,7 +6,10 @@ discriminator step scores real targets against a detached copy of its
 output, and the generator step re-enters its tape to backpropagate through
 the discriminator into the generator weights.  Every step appends one
 ``step,loss_g,loss_d,loss_mse`` line to the loss log (loss_g/loss_d are
-nan under MSE-only training) and a non-finite loss aborts immediately.
+nan under MSE-only training) and a non-finite loss aborts immediately
+with ``RuntimeError``.  A non-finite activation aborts too, already in
+the forward, with the conv epilogue's ``FloatingPointError``; the ``sgen``
+command reports either as ``error:`` and exits 2.
 
 Everything is driven by integer seeds: parameter init, corpus synthesis,
 per-pair corruption noise, and per-epoch batch shuffles are all derived

@@ -107,6 +107,19 @@ def test_train_without_data_sources_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _assert_clean_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_train_with_non_finite_activations_fails_cleanly(tmp_path, capsys):
+    """A learning rate of 1e30 drives a conv's pre-activation non-finite by
+    step 2, before any loss is computed from it."""
+    cfg_path = write_cfg(tmp_path, learning_rate=1e30, steps=4)
+    _assert_clean_error(main(["train", "--config", str(cfg_path)]), capsys)
+
+
 @pytest.mark.parametrize(
     "line, key",
     [
@@ -275,6 +288,18 @@ def test_restore_and_evaluate_draw_no_weights(tmp_path, monkeypatch):
     common = ["--config", str(cfg_path), "--checkpoint", str(tmp_path / "model.ckpt")]
     assert main(["restore", *common, "--in", str(src), "--out", str(tmp_path / "x.ppm")]) == 0
     assert main(["evaluate", *common]) == 0
+
+
+def test_restore_of_a_checkpoint_with_a_nan_weight_fails_cleanly(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    store = build_generator(load_config(cfg_path), np.random.default_rng(0))
+    store.tensors()[0].data.flat[0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(store, ckpt)
+    src = tmp_path / "in.ppm"
+    _random_ppm(src, 32, 32)
+    args = ["restore", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--in", str(src)]
+    _assert_clean_error(main([*args, "--out", str(tmp_path / "out.ppm")]), capsys)
 
 
 def test_restore_missing_checkpoint_fails_cleanly(tmp_path, capsys):

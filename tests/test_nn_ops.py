@@ -635,3 +635,74 @@ def test_backward_frees_the_activated_output_before_the_weight_gradient(monkeypa
     backward(tape, loss)
     assert freed == [True]
     assert x.grad is not None and p.weight.grad is not None
+
+
+@pytest.mark.parametrize("kind", ["conv", "deconv"])
+def test_backward_frees_the_input_planes_before_the_input_gradient_copy(monkeypatch, kind):
+    """The weight gradient builds the input's planes inside its own call, so
+    they, like the forward's, are gone when dx's image copy runs."""
+    import sgen.nn as nn_module
+
+    rng = np.random.default_rng(33)
+    if kind == "conv":
+        op, p, x_shape = conv2d, conv_params(2, 3, 2, rng), (2, 2, 8, 8)
+    else:
+        op, p, x_shape = deconv2d, deconv_params(3, 2, 2, rng), (2, 3, 4, 4)
+    x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
+    built, dead = [], []
+    planes, image = nn_module._planes, nn_module._image
+
+    def watched_planes(a, *args):
+        out = planes(a, *args)
+        if a is x.data:
+            built.append(weakref.ref(out))
+        return out
+
+    def watched_image(*args):
+        dead.append([ref() is None for ref in built])
+        return image(*args)
+
+    monkeypatch.setattr(nn_module, "_planes", watched_planes)
+    with Tape() as tape:
+        loss = sum_all(op(x, p))
+    monkeypatch.setattr(nn_module, "_image", watched_image)
+    backward(tape, loss)
+    assert dead == [[True, True]]
+    assert x.grad is not None and p.weight.grad is not None
+
+
+@pytest.mark.parametrize("kind", ["conv", "deconv"])
+def test_the_tie_unfolds_the_input_forward_and_the_output_backward(monkeypatch, kind):
+    """At s*s*c == o both sides have as many rows: the forward unfolds its
+    input side and the backward its output side, one unfold each, and the
+    kernel that maps that side onto the other runs on it."""
+    import sgen.nn as nn_module
+
+    rng = np.random.default_rng(34)
+    fine = ["_fine_cols", ("_gather", True)]
+    coarse = ["_coarse_cols", ("_scatter", True)]
+    if kind == "conv":  # 1 -> 4 at stride 2: input fine, output coarse
+        op, p, x_shape, want = conv2d, conv_params(1, 4, 2, rng), (2, 1, 8, 8), (fine, coarse)
+    else:  # 4 -> 1 at stride 2: input coarse, output fine
+        op, p, x_shape, want = deconv2d, deconv_params(4, 1, 2, rng), (2, 4, 4, 4), (coarse, fine)
+    calls = []
+
+    def watched(name):
+        fn = getattr(nn_module, name)
+
+        def run(*args):  # a kernel's fourth argument is the unfold it runs on
+            calls.append(name if name.endswith("_cols") else (name, args[3] is not None))
+            return fn(*args)
+
+        return run
+
+    for name in ("_fine_cols", "_coarse_cols", "_gather", "_scatter"):
+        monkeypatch.setattr(nn_module, name, watched(name))
+    x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(op(x, p))
+    forward = calls[:]
+    calls.clear()
+    backward(tape, loss)
+    assert (forward, calls) == want
+    assert x.grad is not None and p.weight.grad is not None

@@ -14,6 +14,10 @@ Then the ``evaluate`` report of the small sgu/none checkpoint on its own
 degraded corpus, the battery's (name, error) pairs, and the clean and
 corrupted bytes of ``degraded_dataset`` at the six ``EVAL_SCALES`` from one
 seeded 208x176 synthetic image, which pins the resize and degradation bits.
+Last, ``kernels``: the float32 bytes of y, dx, dw and db of a taped
+``conv2d`` and ``deconv2d`` on seeded inputs at strides 1 (conv only), 2, 4
+and 8, with the input unfolded, the GEMM first and the two at the tie, each
+without an activation and with each of the four.
 """
 
 from __future__ import annotations
@@ -23,16 +27,25 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from sgen import (
     EVAL_SCALES,
+    ConvParams,
     DegradeSpec,
     RunConfig,
+    Tape,
+    Tensor,
+    backward,
+    conv2d,
+    deconv2d,
     degraded_dataset,
     evaluate,
     load_checkpoint,
     make_synthetic_corpus,
     run_training,
 )
+from sgen.autodiff import mul, sum_all
 from sgen.checks import run_gradient_battery
 from sgen.train import load_corpus
 
@@ -65,6 +78,37 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def kernel_bytes() -> bytes:
+    """y, dx, dw and db of every op, stride, unfold side and activation.
+
+    At stride s a conv's input side has s*s*c rows and its output side o;
+    a deconv's input side has the conv's o and its output side s*s*c.  The
+    (conv o, conv c) pairs below make either side the thinner one, and the
+    two the same width.
+    """
+    rng = np.random.default_rng(3)
+    out = []
+    for op, strides in ((conv2d, (1, 2, 4, 8)), (deconv2d, (2, 4, 8))):
+        for s in strides:
+            k = 3 if s == 1 else 2 * s
+            thin, wide, tie = (s * s + 1, 1), (1, 3), (2 * s * s, 2)
+            for o, c in (thin, wide, tie):
+                c_in, c_out, hw = (c, o, (3 * s, 4 * s)) if op is conv2d else (o, c, (3, 4))
+                for act in (None, "relu", "lrelu", "sigmoid", "tanh"):
+                    x = Tensor(rng.normal(size=(2, c_in) + hw).astype(np.float32), requires_grad=True)
+                    p = ConvParams(
+                        Tensor(rng.normal(size=(o, c, k, k)).astype(np.float32), requires_grad=True),
+                        Tensor(rng.normal(size=(1, c_out, 1, 1)).astype(np.float32), requires_grad=True),
+                    )
+                    with Tape() as tape:
+                        y = op(x, p, act)
+                        proj = Tensor(rng.normal(size=y.shape).astype(np.float32))
+                        loss = sum_all(mul(y, proj))
+                    backward(tape, loss)
+                    out += [a.tobytes() for a in (y.data, x.grad, p.weight.grad, p.bias.grad)]
+    return b"".join(out)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for label, arch, merge, gan in RUNS:
@@ -88,6 +132,7 @@ def main() -> int:
     image = make_synthetic_corpus(1, seed=3, size=EVAL_SCALES[-1])
     pairs = degraded_dataset(image, DegradeSpec(scales=EVAL_SCALES, seed=3))
     print("pairs", digest(b"".join(p.clean.data.tobytes() + p.corrupted.data.tobytes() for p in pairs)))
+    print("kernels", digest(kernel_bytes()))
     return 0
 
 
