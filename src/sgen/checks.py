@@ -179,9 +179,9 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
 
     # --- conv2d / deconv2d: input, weight, and bias gradients -------------
     # Both channel orders, so every kernel runs with either side unfolded,
-    # plus factor 8, the factor of enc.base.1 and dec.base.3 in the paper
-    # config.  The added shapes draw from their own streams, so every other
-    # probe stays as it was.  A 1 -> 5 conv and a 5 -> 1 deconv at stride 2
+    # plus kernel 16 (stride 8), the kernel of enc.base.1 and dec.base.3 in
+    # the paper config.  The added shapes draw from their own streams, so
+    # every other probe stays as it was.  A 1 -> 5 conv and a 5 -> 1 deconv at stride 2
     # have s*s*c <= o, so they unfold the fine side where the other pairs
     # run the GEMM first, and the deconv's scatter shift-adds.
     def layer_checks(label, op, p, x0, w_out):
@@ -194,25 +194,25 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
 
     more = np.random.default_rng([seed, 1])
     thin = np.random.default_rng([seed, 2])
-    for r, cin, cout, factor, hw in (
-        (rng, 2, 3, 1, 6), (rng, 2, 3, 2, 6), (rng, 2, 3, 4, 8),
-        (more, 3, 2, 1, 6), (more, 3, 2, 2, 6), (more, 3, 2, 4, 8), (more, 2, 3, 8, 16),
-        (thin, 1, 5, 2, 6),
+    for r, cin, cout, k, hw in (
+        (rng, 2, 3, 3, 6), (rng, 2, 3, 4, 6), (rng, 2, 3, 8, 8),
+        (more, 3, 2, 3, 6), (more, 3, 2, 4, 6), (more, 3, 2, 8, 8), (more, 2, 3, 16, 16),
+        (thin, 1, 5, 4, 6),
     ):
-        p = conv_params(cin, cout, factor, r, dtype=np.float64)
+        p = conv_params(cin, cout, k, r, dtype=np.float64)
         x0 = _rand(r, (2, cin, hw, hw))
-        w_out = _signed_unit(r, (2, cout, hw // factor, hw // factor))
-        layer_checks(f"conv2d.{cin}to{cout}.s{factor}", conv2d, p, x0, w_out)
+        w_out = _signed_unit(r, (2, cout, hw // p.stride, hw // p.stride))
+        layer_checks(f"conv2d.{cin}to{cout}.s{p.stride}", conv2d, p, x0, w_out)
 
-    for r, cin, cout, factor, hw in (
-        (rng, 3, 2, 2, 3), (rng, 3, 2, 4, 2),
-        (more, 2, 3, 2, 3), (more, 2, 3, 4, 2), (more, 3, 2, 8, 2),
-        (thin, 5, 1, 2, 3),
+    for r, cin, cout, k, hw in (
+        (rng, 3, 2, 4, 3), (rng, 3, 2, 8, 2),
+        (more, 2, 3, 4, 3), (more, 2, 3, 8, 2), (more, 3, 2, 16, 2),
+        (thin, 5, 1, 4, 3),
     ):
-        p = deconv_params(cin, cout, factor, r, dtype=np.float64)
+        p = deconv_params(cin, cout, k, r, dtype=np.float64)
         x0 = _rand(r, (2, cin, hw, hw))
-        w_out = _signed_unit(r, (2, cout, hw * factor, hw * factor))
-        layer_checks(f"deconv2d.{cin}to{cout}.s{factor}", deconv2d, p, x0, w_out)
+        w_out = _signed_unit(r, (2, cout, hw * p.stride, hw * p.stride))
+        layer_checks(f"deconv2d.{cin}to{cout}.s{p.stride}", deconv2d, p, x0, w_out)
 
     # --- SGU: both inputs and all four gate parameters ---------------------
     gate_store = ParamStore()
@@ -330,19 +330,19 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
     # lrelu layer is redrawn until no pre-activation lies within 1e-3 of the
     # kink, far more than an eps-step moves one.
     fused = np.random.default_rng([seed, 3])
-    for op, make, act, cin, cout, factor, hw, out_hw in (
-        (conv2d, conv_params, "lrelu", 2, 3, 2, 6, 3),
-        (deconv2d, deconv_params, "relu", 3, 2, 2, 3, 6),
-        (conv2d, conv_params, "sigmoid", 2, 3, 1, 5, 5),
-        (conv2d, conv_params, "tanh", 2, 3, 1, 5, 5),
+    for op, make, act, cin, cout, k, hw, out_hw in (
+        (conv2d, conv_params, "lrelu", 2, 3, 4, 6, 3),
+        (deconv2d, deconv_params, "relu", 3, 2, 4, 3, 6),
+        (conv2d, conv_params, "sigmoid", 2, 3, 3, 5, 5),
+        (conv2d, conv_params, "tanh", 2, 3, 3, 5, 5),
     ):
         while True:
-            p = make(cin, cout, factor, fused, dtype=np.float64)
+            p = make(cin, cout, k, fused, dtype=np.float64)
             x0 = _rand(fused, (2, cin, hw, hw))
             if act not in ("relu", "lrelu") or np.abs(op(Tensor(x0), p).data).min() > 1e-3:
                 break
         w_out = _signed_unit(fused, (2, cout, out_hw, out_hw))
-        label = f"{op.__name__}.{act}.{cin}to{cout}.s{factor}"
+        label = f"{op.__name__}.{act}.{cin}to{cout}.s{p.stride}"
         layer_checks(label, lambda x, q, op=op, act=act: op(x, q, act), p, x0, w_out)
 
     # --- the SGU's gating node, ga*a + gp*p: all four inputs -----------------

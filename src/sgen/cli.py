@@ -2,7 +2,10 @@
 
 Subcommands: train, restore, evaluate, degrade, gradcheck.  Settings come
 from a key=value config file (--config); --seed overrides the config
-seed.  SGEN_THREADS caps the worker pool used for per-image work.
+seed.  SGEN_THREADS caps the worker pool used for per-image work.  A
+failure prints one ``error:`` line and exits 2; numpy's overflow and
+invalid-value warnings are off, since the finite checks report a
+diverging run.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
 from .checks import run_gradient_battery
@@ -176,7 +181,9 @@ def main(argv=None) -> int:
         "gradcheck": cmd_gradcheck,
     }
     try:
-        return handlers[args.command](args)
+        # a diverging run overflows in a GEMM before the epilogue's finite check raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handlers[args.command](args)
     except (ConfigError, CheckpointError, PpmError, ValueError, RuntimeError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

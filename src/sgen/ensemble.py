@@ -66,10 +66,7 @@ def merge_convs(
     """
     _, convs = MERGE_SITES[mode]
     return {
-        name: conv_params(
-            fan * channels, channels, 1, rng, dtype, kernel=k,
-            weight_std=std if weight_std is None else weight_std,
-        )
+        name: conv_params(fan * channels, channels, k, rng, dtype, std if weight_std is None else weight_std)
         for name, (fan, k, std) in convs.items()
     }
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -129,7 +128,6 @@ def evaluate(
     pairs: list[SamplePair],
     model_id: str = "",
     degradation: str = "",
-    restorer: Callable[[Tensor], Tensor] | None = None,
 ) -> QualityReport:
     """Restore every pair and aggregate PSNR/SSIM per scale.
 
@@ -137,11 +135,8 @@ def evaluate(
     ``SgenConfig.fits``), or that are smaller than the SSIM window, get a
     warning row with count 0 instead of failing the whole run.  Infinite
     PSNR values are excluded from the means; a scale where every image
-    restores perfectly reports inf.  ``restorer`` defaults to ``restore``
-    with this generator.
+    restores perfectly reports inf.
     """
-    if restorer is None:
-        restorer = lambda image: restore(image, params, cfg)
     by_scale: dict[tuple[int, int], list[SamplePair]] = {}
     for pair in pairs:
         _, _, h, w = pair.clean.shape
@@ -163,7 +158,7 @@ def evaluate(
             continue
         psnrs, ssims = [], []
         for pair in bucket:
-            restored = restorer(pair.corrupted)
+            restored = restore(pair.corrupted, params, cfg)
             psnrs.append(psnr(restored, pair.clean))
             ssims.append(ssim(restored, pair.clean))
         finite = [v for v in psnrs if math.isfinite(v)]

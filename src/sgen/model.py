@@ -14,9 +14,10 @@ output width, kernel, the activation its op applies (lrelu on the trunk,
 the base encoders and the critic, relu on the deconvs, tanh at the
 output) and its init std.  Merge-conv rows come from
 ``sgen.ensemble.MERGE_SITES`` and carry no activation, since ``merge``
-applies it.  The builders draw the rows in table order, and the forwards
-apply a site by its name alone, so a taped pass records one node per conv
-site and the widths, kernels and activations are stated nowhere else.
+applies it.  The builders draw each row from its own kernel and init std
+in table order, and the forwards apply a site by its name alone, so a
+taped pass records one node per conv site and the widths, kernels and
+activations are stated nowhere else.
 
 Parameters live in a flat name -> Tensor store so checkpointing and the
 optimizer stay structure-agnostic.  A forward reads every width from the
@@ -34,7 +35,7 @@ import numpy as np
 
 from .autodiff import Tensor, sigmoid
 from .ensemble import MERGE_MODES, MERGE_SITES, merge
-from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, geometry, global_avg_pool
+from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool
 from .settings import WIDTHS, Settings, at_least, choice, setting
 
 __all__ = [
@@ -76,6 +77,12 @@ class SgenConfig(Settings):
     def fits(self, h: int, w: int) -> bool:
         """Whether an h x w input passes through the generator."""
         return h % self.divisor == 0 and w % self.divisor == 0
+
+    @property
+    def disc_divisor(self) -> int:
+        """Required divisibility of the discriminator's input: one stride-2
+        conv per ``disc_channels`` width."""
+        return 1 << len(self.disc_channels)
 
     def trunk_channels(self, k: int) -> int:
         """Width of trunk level k (1-based): base_channels * 2^(k-1)."""
@@ -189,12 +196,8 @@ def _add_conv(store: ParamStore, name: str, p) -> None:
 def _build(sites: dict[str, Site], rng: np.random.Generator, dtype) -> ParamStore:
     store = ParamStore()
     for name, s in sites.items():
-        stride = geometry(s.kernel)[0]
-        if s.op == "conv":
-            p = conv_params(s.c_in, s.c_out, stride, rng, dtype, kernel=s.kernel, weight_std=s.std)
-        else:
-            p = deconv_params(s.c_in, s.c_out, stride, rng, dtype)
-        _add_conv(store, name, p)
+        make = conv_params if s.op == "conv" else deconv_params
+        _add_conv(store, name, make(s.c_in, s.c_out, s.kernel, rng, dtype, s.std))
     return store
 
 
@@ -295,7 +298,7 @@ def discriminator_forward(x: Tensor, params: ParamStore, cfg: SgenConfig) -> Ten
     n_batch, c, h, w = x.shape
     if c != cfg.in_channels:
         raise ValueError(f"discriminator: input has {c} channels, config expects {cfg.in_channels}")
-    d = 1 << len(cfg.disc_channels)
+    d = cfg.disc_divisor
     if h < d or w < d or h % d or w % d:
         raise ValueError(
             f"discriminator: input spatial dims ({h}, {w}) must be >= {d} and divisible by {d}"

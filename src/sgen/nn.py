@@ -8,7 +8,9 @@ stride and padding by one rule, ``geometry``: an even kernel 2f pools by
 stride f with f/2 padding, an odd kernel k runs at stride 1 with (k-1)/2
 padding.  So a conv's output is exactly its input divided by the stride,
 its adjoint upsamples by exactly the stride, and a ``ConvParams`` is
-just its weight and bias.
+just its weight and bias.  The factories ``conv_params`` and
+``deconv_params`` draw one from the kernel a site declares, so
+``geometry`` is the only place a kernel becomes a stride.
 
 Kernels: pad-first phase planes.  Call the conv input the fine side and
 its output the coarse side.  Pad the fine side first: fine pixel y sits at
@@ -93,8 +95,11 @@ def geometry(k: int) -> tuple[int, int]:
     """The (stride, padding) a k x k kernel runs at: the pooling rule.
 
     An even kernel 2f pools by f with padding f/2, so f must be even; an
-    odd kernel runs at stride 1 with the padding that keeps the size.
+    odd kernel runs at stride 1 with the padding that keeps the size.  A
+    kernel below 1 has no taps and no stride.
     """
+    if k < 1:
+        raise ValueError(f"kernel {k} pools by no factor: a kernel must be at least 1")
     if k % 2:
         return 1, (k - 1) // 2
     if k % 4:
@@ -138,50 +143,32 @@ class ConvParams:
         return self.weight.shape[2]
 
 
-def _fresh(in_channels: int, out_channels: int, shape, rng, dtype, weight_std: float | None):
+def _fresh(shape, in_channels: int, out_channels: int, rng, dtype, weight_std: float | None) -> ConvParams:
     """A He-scaled (zero at weight_std 0.0) weight of ``shape`` and a zero bias."""
     std = he_std(in_channels, shape[2], shape[3]) if weight_std is None else weight_std
     w = rng.normal(0.0, std, size=shape) if std > 0 else np.zeros(shape)
     weight = Tensor(w.astype(dtype), requires_grad=True)
     bias = Tensor(np.zeros((1, out_channels, 1, 1), dtype=dtype), requires_grad=True)
-    return weight, bias
+    return ConvParams(weight, bias)
 
 
 def conv_params(
-    in_channels: int,
-    out_channels: int,
-    factor: int,
-    rng: np.random.Generator,
-    dtype=np.float32,
-    kernel: int | None = None,
-    weight_std: float | None = None,
+    in_channels: int, out_channels: int, kernel: int, rng: np.random.Generator,
+    dtype=np.float32, weight_std: float | None = None,
 ) -> ConvParams:
-    """Fresh conv weights for spatial pooling by ``factor``.
-
-    kernel defaults to 3 at factor 1, else 2*factor, and may be overridden
-    by any kernel that ``geometry`` runs at this factor, e.g. 1 for
-    channel-projection convs.  weight_std defaults to the He scale; pass
-    0.0 for zero-initialized gates.
-    """
-    if factor < 1:
-        raise ValueError(f"conv_params: factor must be >= 1, got {factor}")
-    k = (3 if factor == 1 else 2 * factor) if kernel is None else kernel
-    if geometry(k)[0] != factor:
-        raise ValueError(f"conv_params: kernel {k} incompatible with stride {factor}")
-    shape = (out_channels, in_channels, k, k)
-    return ConvParams(*_fresh(in_channels, out_channels, shape, rng, dtype, weight_std))
+    """Fresh conv weights with a ``kernel`` x ``kernel`` kernel, which sets
+    the stride (see ``geometry``).  weight_std defaults to the He scale;
+    pass 0.0 for zero-initialized gates."""
+    return _fresh((out_channels, in_channels, kernel, kernel), in_channels, out_channels, rng, dtype, weight_std)
 
 
 def deconv_params(
-    in_channels: int,
-    out_channels: int,
-    factor: int,
-    rng: np.random.Generator,
-    dtype=np.float32,
+    in_channels: int, out_channels: int, kernel: int, rng: np.random.Generator,
+    dtype=np.float32, weight_std: float | None = None,
 ) -> ConvParams:
-    """Fresh transposed-conv weights for upsampling by ``factor``."""
-    shape = (in_channels, out_channels, 2 * factor, 2 * factor)
-    return ConvParams(*_fresh(in_channels, out_channels, shape, rng, dtype, None))
+    """Fresh transposed-conv weights with a ``kernel`` x ``kernel`` kernel,
+    upsampling by its stride; weight_std as for ``conv_params``."""
+    return _fresh((in_channels, out_channels, kernel, kernel), in_channels, out_channels, rng, dtype, weight_std)
 
 
 # ---------------------------------------------------------------------------

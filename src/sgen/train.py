@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,21 +78,21 @@ def load_corpus(cfg: RunConfig, split: str = "train") -> list[Tensor]:
 
 
 def build_training_pairs(cfg: RunConfig, images: list[Tensor]) -> list[SamplePair]:
-    """Degrade the corpus at every configured scale the model can consume.
+    """Degrade the corpus at every configured scale the networks can consume.
 
-    Scales the generator cannot take (see ``SgenConfig.fits``) are
-    dropped here with a warning on stderr.
+    A scale must fit the generator (see ``SgenConfig.fits``) and, in an
+    adversarial run, the critic (``SgenConfig.disc_divisor``); the others
+    are dropped here with a warning on stderr.  The kept pairs are those of
+    ``degraded_dataset(images, cfg)``, so each keeps its noise seed.
     """
-    usable = tuple(s for s in cfg.scales if cfg.fits(*s))
+    d = math.lcm(cfg.divisor, cfg.disc_divisor) if cfg.adversarial else cfg.divisor
+    usable = [(h, w) for h, w in cfg.scales if h % d == 0 and w % d == 0]
     for h, w in cfg.scales:
         if (h, w) not in usable:
-            print(
-                f"warning: scale {h}x{w} skipped for training, not divisible by {cfg.divisor}",
-                file=sys.stderr,
-            )
+            print(f"warning: scale {h}x{w} skipped for training, not divisible by {d}", file=sys.stderr)
     if not usable:
-        raise ConfigError(f"no configured scale is divisible by {cfg.divisor}")
-    return degraded_dataset(images, replace(cfg, scales=usable))
+        raise ConfigError(f"no configured scale is divisible by {d}")
+    return [p for p in degraded_dataset(images, cfg) if p.clean.shape[2:] in usable]
 
 
 def _epoch_batches(pairs, cfg: RunConfig, epoch: int):

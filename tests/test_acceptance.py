@@ -144,8 +144,9 @@ def test_criterion_03_sgu_algebra():
 def test_criterion_04_convolution_oracles():
     with criterion(4, "conv/deconv vs loop oracles 1e-6, adjoint identity 1e-5"):
         rng = np.random.default_rng(4)
-        for n, cin, cout, factor in product((1, 2), (1, 4), (2, 3), (1, 2, 4, 8)):
-            p = conv_params(cin, cout, factor, rng, dtype=np.float64)
+        for n, cin, cout, k in product((1, 2), (1, 4), (2, 3), (3, 4, 8, 16)):
+            p = conv_params(cin, cout, k, rng, dtype=np.float64)
+            factor = p.stride
             p.bias.data[:] = rng.normal(0.0, 0.5, p.bias.shape)
             x = Tensor(rng.uniform(-1.0, 1.0, (n, cin, 16, 16)))
             ref = conv2d_loops(
@@ -157,7 +158,7 @@ def test_criterion_04_convolution_oracles():
 
             if factor == 1:
                 continue  # no transposed counterpart below factor 2
-            pd = deconv_params(cin, cout, factor, rng, dtype=np.float64)
+            pd = deconv_params(cin, cout, k, rng, dtype=np.float64)
             pd.bias.data[:] = rng.normal(0.0, 0.5, pd.bias.shape)
             xs = Tensor(rng.uniform(-1.0, 1.0, (n, cin, 16 // factor, 16 // factor)))
             ref = deconv2d_scatter(
@@ -168,7 +169,7 @@ def test_criterion_04_convolution_oracles():
             )
 
             # <conv(x), y> == <x, deconv(y)> when the kernel is shared
-            pc = conv_params(cin, cout, factor, rng, dtype=np.float64)
+            pc = conv_params(cin, cout, k, rng, dtype=np.float64)
             pc.bias.data[:] = 0.0
             pt = ConvParams(weight=Tensor(pc.weight.data), bias=Tensor(np.zeros((1, cin, 1, 1))))
             xa = Tensor(rng.uniform(-1.0, 1.0, (n, cin, 16, 16)))

@@ -1,5 +1,7 @@
 """End-to-end command-line tests driving main() in process."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,13 +113,20 @@ def _assert_clean_error(code, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err, err
+    return err
 
 
 def test_train_with_non_finite_activations_fails_cleanly(tmp_path, capsys):
     """A learning rate of 1e30 drives a conv's pre-activation non-finite by
-    step 2, before any loss is computed from it."""
+    step 2, before any loss is computed from it.  The GEMM overflows before
+    the epilogue's finite check raises, and that error alone is reported,
+    without numpy's overflow or invalid-value warnings."""
     cfg_path = write_cfg(tmp_path, learning_rate=1e30, steps=4)
-    _assert_clean_error(main(["train", "--config", str(cfg_path)]), capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--config", str(cfg_path)])
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "non-finite" in _assert_clean_error(code, capsys)
 
 
 @pytest.mark.parametrize(
@@ -300,6 +309,21 @@ def test_restore_of_a_checkpoint_with_a_nan_weight_fails_cleanly(tmp_path, capsy
     _random_ppm(src, 32, 32)
     args = ["restore", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--in", str(src)]
     _assert_clean_error(main([*args, "--out", str(tmp_path / "out.ppm")]), capsys)
+
+
+def test_restore_of_a_checkpoint_with_an_empty_kernel_fails_cleanly(tmp_path, capsys):
+    """A (3, 4, 0, 0) weight loads, but a kernel without taps has no stride."""
+    cfg_path = write_cfg(tmp_path)
+    store = build_generator(load_config(cfg_path), np.random.default_rng(0))
+    store["out.conv.weight"].data = np.zeros((3, 4, 0, 0), dtype=np.float32)
+    ckpt = tmp_path / "empty.ckpt"
+    save_checkpoint(store, ckpt)
+    assert load_checkpoint(ckpt)["out.conv.weight"].shape == (3, 4, 0, 0)
+    src = tmp_path / "in.ppm"
+    _random_ppm(src, 32, 32)
+    args = ["restore", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--in", str(src)]
+    err = _assert_clean_error(main([*args, "--out", str(tmp_path / "out.ppm")]), capsys)
+    assert "kernel 0 pools by no factor" in err
 
 
 def test_restore_missing_checkpoint_fails_cleanly(tmp_path, capsys):

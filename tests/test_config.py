@@ -139,6 +139,16 @@ def test_invalid_values_fail_at_construction(cls, values, key):
         cls(**values)
 
 
+def test_duplicated_scales_are_rejected_with_the_key():
+    """Evaluation would merge two equal scales into one row and batching
+    keep them apart, so a scale may be listed once."""
+    with pytest.raises(ConfigError, match="key 'scales': scales must .*distinct"):
+        parse_config("scales = 32x32,48x32,32x32\n")
+    with pytest.raises(ConfigError, match="scales must .*distinct"):
+        DegradeSpec(scales=((32, 32), (32, 32)))
+    assert parse_config("scales = 32x32,48x32\n").scales == ((32, 32), (48, 32))
+
+
 @pytest.mark.parametrize("cls", [SgenConfig, DegradeSpec, RunConfig])
 def test_configs_are_frozen(cls):
     cfg = cls()

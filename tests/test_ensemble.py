@@ -104,10 +104,10 @@ def test_sgu_is_asymmetric_in_its_inputs():
 def test_sgu_params_must_preserve_channels():
     rng = np.random.default_rng(4)
     active, passive = _pair(rng)
-    gates = {"gate_a": conv_params(3, 4, 1, rng), "gate_p": conv_params(3, 3, 1, rng)}
+    gates = {"gate_a": conv_params(3, 4, 3, rng), "gate_p": conv_params(3, 3, 3, rng)}
     with pytest.raises(ValueError, match="gated_sum: shape mismatch"):
         sgu(active, passive, gates)
-    gates["gate_a"] = conv_params(4, 3, 1, rng)
+    gates["gate_a"] = conv_params(4, 3, 3, rng)
     with pytest.raises(ValueError, match="input has 3 channels, kernel expects 4"):
         sgu(active, passive, gates)
 
@@ -115,7 +115,7 @@ def test_sgu_params_must_preserve_channels():
 def test_sgu_params_must_have_stride_1():
     rng = np.random.default_rng(5)
     active, passive = _pair(rng)
-    gates = {"gate_a": conv_params(3, 3, 1, rng), "gate_p": conv_params(3, 3, 2, rng)}
+    gates = {"gate_a": conv_params(3, 3, 3, rng), "gate_p": conv_params(3, 3, 4, rng)}
     with pytest.raises(ValueError, match="gated_sum: shape mismatch"):
         sgu(active, passive, gates)
 
@@ -236,7 +236,7 @@ def test_merge_validates_params_and_mode():
     with pytest.raises(ValueError, match=r"takes convs \['proj'\]"):
         merge("concat", new, prev)
     with pytest.raises(ValueError, match="input has 6 channels, kernel expects 4"):
-        merge("concat", new, prev, {"proj": conv_params(4, 3, 1, rng, kernel=1)})
+        merge("concat", new, prev, {"proj": conv_params(4, 3, 1, rng)})
     with pytest.raises(ValueError, match="unknown mode"):
         merge("blend", new, prev)
 

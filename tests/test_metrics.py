@@ -22,6 +22,7 @@ from sgen import (
     restore,
     ssim,
 )
+import sgen.metrics as metrics_module
 from sgen.data import denormalize, normalize
 from sgen.metrics import ScaleRow
 from sgen.model import generator_forward
@@ -190,20 +191,20 @@ def _pairs_at(rng, sizes, sigma=30.0):
     return pairs
 
 
-def test_evaluate_with_perfect_restorer():
+def _restoring_with(monkeypatch, restorer):
+    """Make ``evaluate`` restore each corrupted image with ``restorer``."""
+    monkeypatch.setattr(metrics_module, "restore", lambda image, params, cfg: restorer(image))
+
+
+def test_evaluate_with_perfect_restorer(monkeypatch):
     rng = np.random.default_rng(5)
     cfg = _tiny_cfg()
     store = build_generator(cfg, rng)
     pairs = _pairs_at(rng, [(32, 32), (32, 32), (48, 32)])
     # a perfect restorer maps each corrupted tensor back to its clean source
     lookup = {id(p.corrupted): p.clean for p in pairs}
-    report = evaluate(
-        params=store,
-        cfg=cfg,
-        pairs=pairs,
-        model_id="perfect",
-        restorer=lambda c: lookup[id(c)],
-    )
+    _restoring_with(monkeypatch, lambda c: lookup[id(c)])
+    report = evaluate(params=store, cfg=cfg, pairs=pairs, model_id="perfect")
     assert [(r.height, r.width, r.count) for r in report.rows] == [
         (32, 32, 2),
         (48, 32, 1),
@@ -214,12 +215,13 @@ def test_evaluate_with_perfect_restorer():
         assert row.note == ""
 
 
-def test_evaluate_identity_restorer_reports_noise_psnr():
+def test_evaluate_identity_restorer_reports_noise_psnr(monkeypatch):
     rng = np.random.default_rng(6)
     cfg = _tiny_cfg()
     store = build_generator(cfg, rng)
     pairs = _pairs_at(rng, [(64, 64)] * 8)
-    report = evaluate(store, cfg, pairs, restorer=lambda c: c)
+    _restoring_with(monkeypatch, lambda c: c)
+    report = evaluate(store, cfg, pairs)
     row = report.rows[0]
     assert row.count == 8
     # corruption of a flat image is pure sigma-30 noise
@@ -260,16 +262,17 @@ def test_evaluate_emits_warning_rows_for_scales_below_the_ssim_window():
     assert math.isfinite(large.mean_psnr) and math.isfinite(large.mean_ssim)
 
 
-def test_evaluate_rows_are_sorted_by_scale():
+def test_evaluate_rows_are_sorted_by_scale(monkeypatch):
     rng = np.random.default_rng(8)
     cfg = _tiny_cfg()
     store = build_generator(cfg, rng)
     pairs = _pairs_at(rng, [(48, 32), (32, 48), (32, 32)])
-    report = evaluate(store, cfg, pairs, restorer=lambda c: c)
+    _restoring_with(monkeypatch, lambda c: c)
+    report = evaluate(store, cfg, pairs)
     assert [(r.height, r.width) for r in report.rows] == [(32, 32), (32, 48), (48, 32)]
 
 
-def test_evaluate_restores_the_largest_scale_first():
+def test_evaluate_restores_the_largest_scale_first(monkeypatch):
     rng = np.random.default_rng(8)
     cfg = _tiny_cfg()
     store = build_generator(cfg, rng)
@@ -280,7 +283,8 @@ def test_evaluate_restores_the_largest_scale_first():
         seen.append(c.shape[2:])
         return c
 
-    report = evaluate(store, cfg, pairs, restorer=restorer)
+    _restoring_with(monkeypatch, restorer)
+    report = evaluate(store, cfg, pairs)
     assert seen == [(48, 32), (32, 48), (32, 32), (32, 32)]
     assert [(r.height, r.width, r.count) for r in report.rows] == [
         (32, 32, 2),
@@ -306,9 +310,9 @@ def test_evaluate_default_restorer_runs_the_generator():
         assert -1.0 < row.mean_ssim <= 1.0
 
 
-def test_restore_is_the_generator_between_pixel_ranges():
+def test_restore_is_the_generator_between_pixel_ranges(monkeypatch):
     """restore maps 0-255 pixels through normalize, the generator and
-    denormalize, and evaluate uses it when given no restorer."""
+    denormalize, and evaluate restores every pair with it."""
     rng = np.random.default_rng(11)
     cfg = _tiny_cfg()
     store = build_generator(cfg, rng)
@@ -316,8 +320,16 @@ def test_restore_is_the_generator_between_pixel_ranges():
     want = denormalize(generator_forward(normalize(image), store, cfg))
     np.testing.assert_array_equal(restore(image, store, cfg).data, want.data)
     pairs = _pairs_at(rng, [(32, 32), (48, 48)])
-    explicit = evaluate(store, cfg, pairs, restorer=lambda c: restore(c, store, cfg))
-    assert evaluate(store, cfg, pairs).to_csv() == explicit.to_csv()
+    calls = []
+
+    def spy(image, params, c):
+        calls.append((image, params, c))
+        return restore(image, params, c)
+
+    monkeypatch.setattr(metrics_module, "restore", spy)
+    evaluate(store, cfg, pairs)
+    assert sorted(id(image) for image, _, _ in calls) == sorted(id(p.corrupted) for p in pairs)
+    assert all(params is store and c is cfg for _, params, c in calls)
 
 
 def test_evaluate_is_deterministic():

@@ -23,8 +23,12 @@ from sgen.autodiff import lrelu, mul, record, relu, sigmoid, sum_all, tanh
 from sgen.nn import he_std
 
 
+# the kernel these tests draw a conv or deconv with at each stride
+KERNEL = {1: 3, 2: 4, 4: 8, 8: 16}
+
+
 def _conv(rng, cin, cout, factor, dtype=np.float64, kernel=None):
-    return conv_params(cin, cout, factor, rng, dtype=dtype, kernel=kernel)
+    return conv_params(cin, cout, kernel or KERNEL[factor], rng, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -34,31 +38,29 @@ def _conv(rng, cin, cout, factor, dtype=np.float64, kernel=None):
 def test_pooling_kernel_rule():
     rng = np.random.default_rng(0)
     for factor, kernel, pad in [(1, 3, 1), (2, 4, 1), (4, 8, 2), (8, 16, 4)]:
-        p = _conv(rng, 2, 3, factor)
+        p = conv_params(2, 3, kernel, rng)
         assert p.kernel == kernel
         assert p.padding == pad
         assert p.stride == factor
 
 
-def test_kernel_override_and_compatibility():
+def test_odd_kernels_keep_the_size():
     rng = np.random.default_rng(0)
-    p1 = conv_params(4, 2, 1, rng, kernel=1)
-    assert (p1.kernel, p1.padding) == (1, 0)
-    p5 = conv_params(4, 2, 1, rng, kernel=5)
-    assert (p5.kernel, p5.padding) == (5, 2)
-    with pytest.raises(ValueError, match="kernel 4 incompatible with stride 1"):
-        conv_params(4, 2, 1, rng, kernel=4)
+    p1 = conv_params(4, 2, 1, rng)
+    assert (p1.kernel, p1.stride, p1.padding) == (1, 1, 0)
+    p5 = conv_params(4, 2, 5, rng)
+    assert (p5.kernel, p5.stride, p5.padding) == (5, 1, 2)
 
 
 def test_fresh_params_shapes_and_flags():
     rng = np.random.default_rng(1)
-    p = conv_params(3, 8, 2, rng, dtype=np.float32)
+    p = conv_params(3, 8, 4, rng, dtype=np.float32)
     assert p.weight.shape == (8, 3, 4, 4)
     assert p.bias.shape == (1, 8, 1, 1)
     assert p.weight.requires_grad and p.bias.requires_grad
     assert p.weight.dtype == np.float32
     np.testing.assert_array_equal(p.bias.data, 0.0)
-    d = deconv_params(8, 3, 2, rng)
+    d = deconv_params(8, 3, 4, rng)
     assert d.weight.shape == (8, 3, 4, 4)
     assert d.bias.shape == (1, 3, 1, 1)
 
@@ -67,19 +69,19 @@ def test_he_std_formula():
     assert he_std(4, 3, 3) == pytest.approx(np.sqrt(2.0 / 36.0))
     rng = np.random.default_rng(2)
     # large sample: empirical std within 5% of the target scale
-    p = conv_params(8, 256, 1, rng)
+    p = conv_params(8, 256, 3, rng)
     assert np.std(p.weight.data) == pytest.approx(he_std(8, 3, 3), rel=0.05)
 
 
 def test_zero_weight_std_gives_zero_weights():
     rng = np.random.default_rng(3)
-    p = conv_params(2, 2, 1, rng, weight_std=0.0)
+    p = conv_params(2, 2, 3, rng, weight_std=0.0)
     np.testing.assert_array_equal(p.weight.data, 0.0)
 
 
 def test_params_take_their_geometry_from_the_kernel_alone():
     b = Tensor(np.zeros((1, 2, 1, 1), dtype=np.float32))
-    for k in (2, 6):
+    for k in (0, 2, 6):
         w = Tensor(np.zeros((2, 3, k, k), dtype=np.float32))
         with pytest.raises(ValueError, match=f"kernel {k} pools by no factor"):
             ConvParams(weight=w, bias=b)
@@ -151,7 +153,7 @@ def test_conv2d_matches_loop_oracle(seed, factor):
 def test_deconv2d_matches_scatter_oracle(seed, factor):
     rng = np.random.default_rng(seed)
     cin, cout = 2, 3
-    p = deconv_params(cin, cout, factor, rng, dtype=np.float64)
+    p = deconv_params(cin, cout, KERNEL[factor], rng, dtype=np.float64)
     p.bias.data[:] = rng.normal(size=p.bias.shape)
     x = Tensor(rng.normal(size=(2, cin, 4, 4)))
     got = deconv2d(x, p).data
@@ -189,16 +191,16 @@ def test_conv_deconv_adjoint_identity(factor):
 def test_conv_halving_and_deconv_doubling_shapes(factor):
     rng = np.random.default_rng(6)
     x = Tensor(np.zeros((1, 2, 16, 32), dtype=np.float32))
-    p = conv_params(2, 5, factor, rng, dtype=np.float32)
+    p = conv_params(2, 5, KERNEL[factor], rng, dtype=np.float32)
     assert conv2d(x, p).shape == (1, 5, 16 // factor, 32 // factor)
     if factor >= 2:
-        d = deconv_params(2, 5, factor, rng, dtype=np.float32)
+        d = deconv_params(2, 5, KERNEL[factor], rng, dtype=np.float32)
         assert deconv2d(x, d).shape == (1, 5, 16 * factor, 32 * factor)
 
 
 def test_conv2d_rejects_channel_mismatch():
     rng = np.random.default_rng(7)
-    p = conv_params(3, 4, 1, rng, dtype=np.float32)
+    p = conv_params(3, 4, 3, rng, dtype=np.float32)
     x = Tensor(np.zeros((1, 5, 8, 8), dtype=np.float32))
     with pytest.raises(ValueError, match="input has 5 channels, kernel expects 3"):
         conv2d(x, p)
@@ -206,7 +208,7 @@ def test_conv2d_rejects_channel_mismatch():
 
 def test_conv2d_rejects_indivisible_spatial_dims():
     rng = np.random.default_rng(8)
-    p = conv_params(1, 1, 2, rng, dtype=np.float32)
+    p = conv_params(1, 1, 4, rng, dtype=np.float32)
     x = Tensor(np.zeros((1, 1, 7, 8), dtype=np.float32))
     with pytest.raises(ValueError, match=r"\(7, 8\) not divisible by stride 2"):
         conv2d(x, p)
@@ -214,7 +216,7 @@ def test_conv2d_rejects_indivisible_spatial_dims():
 
 def test_conv2d_rejects_dtype_mismatch():
     rng = np.random.default_rng(9)
-    p = conv_params(1, 1, 1, rng, dtype=np.float64)
+    p = conv_params(1, 1, 3, rng, dtype=np.float64)
     x = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="dtype mismatch"):
         conv2d(x, p)
@@ -222,7 +224,7 @@ def test_conv2d_rejects_dtype_mismatch():
 
 def test_deconv2d_rejects_channel_mismatch():
     rng = np.random.default_rng(10)
-    d = deconv_params(2, 3, 2, rng, dtype=np.float32)
+    d = deconv_params(2, 3, 4, rng, dtype=np.float32)
     x = Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="input has 4 channels, kernel expects 2"):
         deconv2d(x, d)
@@ -263,7 +265,7 @@ def test_conv2d_weight_and_bias_gradients_match_numeric():
 
 def test_deconv2d_input_gradient_matches_numeric():
     rng = np.random.default_rng(12)
-    d = deconv_params(2, 2, 2, rng, dtype=np.float64)
+    d = deconv_params(2, 2, 4, rng, dtype=np.float64)
     x_arr = rng.normal(size=(1, 2, 3, 3))
     proj = rng.normal(size=(1, 2, 6, 6))
 
@@ -324,7 +326,7 @@ def test_conv2d_matches_loop_oracle_on_both_unfold_sides(cin, cout, factor, kern
 @pytest.mark.parametrize("factor", [2, 4, 8])
 def test_deconv2d_matches_scatter_oracle_on_both_unfold_sides(cin, cout, factor):
     rng = np.random.default_rng(30 + factor)
-    p = deconv_params(cin, cout, factor, rng, dtype=np.float64)
+    p = deconv_params(cin, cout, KERNEL[factor], rng, dtype=np.float64)
     p.bias.data[:] = rng.normal(size=p.bias.shape)
     x = Tensor(rng.normal(size=(3, cin, 3, 2)))
     got = deconv2d(x, p).data
@@ -373,10 +375,10 @@ def _forward_backward(op, p, x_arr, proj):
 def test_forward_and_backward_repeat_byte_for_byte(kind, cin, cout):
     rng = np.random.default_rng(40)
     if kind == "conv":
-        op, p = conv2d, conv_params(cin, cout, 2, rng, dtype=np.float32)
+        op, p = conv2d, conv_params(cin, cout, 4, rng, dtype=np.float32)
         x_arr, out_hw = rng.normal(size=(3, cin, 8, 12)), (4, 6)
     else:
-        op, p = deconv2d, deconv_params(cin, cout, 4, rng, dtype=np.float32)
+        op, p = deconv2d, deconv_params(cin, cout, 8, rng, dtype=np.float32)
         x_arr, out_hw = rng.normal(size=(3, cin, 2, 3)), (8, 12)
     x_arr = x_arr.astype(np.float32)
     proj = rng.normal(size=(3, cout) + out_hw).astype(np.float32)
@@ -386,7 +388,7 @@ def test_forward_and_backward_repeat_byte_for_byte(kind, cin, cout):
 def test_thin_output_conv_does_not_unfold_its_wide_input():
     """A 64 -> 3 conv must not build the 9x-wide unfold of its input."""
     rng = np.random.default_rng(50)
-    p = conv_params(64, 3, 1, rng, dtype=np.float32)
+    p = conv_params(64, 3, 3, rng, dtype=np.float32)
     x = Tensor(rng.normal(size=(2, 64, 64, 48)).astype(np.float32), requires_grad=True)
     proj = Tensor(rng.normal(size=(2, 3, 64, 48)).astype(np.float32))
     tracemalloc.start()
@@ -486,10 +488,10 @@ def test_gemm_count_does_not_grow_with_stride(monkeypatch, kind, cin, cout):
     for stride in (2, 8):
         rng = np.random.default_rng(80 + stride)
         if kind == "conv":
-            op, p = conv2d, conv_params(cin, cout, stride, rng, dtype=np.float64)
+            op, p = conv2d, conv_params(cin, cout, KERNEL[stride], rng, dtype=np.float64)
             x_arr, out_hw = rng.normal(size=(2, cin, 2 * stride, 3 * stride)), (2, 3)
         else:
-            op, p = deconv2d, deconv_params(cin, cout, stride, rng, dtype=np.float64)
+            op, p = deconv2d, deconv_params(cin, cout, KERNEL[stride], rng, dtype=np.float64)
             x_arr, out_hw = rng.normal(size=(2, cin, 2, 3)), (2 * stride, 3 * stride)
         proj = rng.normal(size=(2, cout) + out_hw)
         counts[stride] = _gemms_per_step(monkeypatch, op, p, x_arr, proj)
@@ -567,7 +569,7 @@ def test_fused_activation_rejects_non_finite_pre_activation(kind, act):
 
 
 def test_unknown_activation_is_rejected():
-    p = conv_params(1, 1, 1, np.random.default_rng(0))
+    p = conv_params(1, 1, 3, np.random.default_rng(0))
     with pytest.raises(ValueError, match="unknown activation 'gelu'"):
         conv2d(Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32)), p, "gelu")
 
@@ -581,9 +583,9 @@ def test_backward_frees_the_output_adjoint_before_the_weight_gradient(monkeypatc
 
     rng = np.random.default_rng(31)
     if kind == "conv":
-        op, p, x_shape = conv2d, conv_params(2, 3, 2, rng), (2, 2, 8, 8)
+        op, p, x_shape = conv2d, conv_params(2, 3, 4, rng), (2, 2, 8, 8)
     else:
-        op, p, x_shape = deconv2d, deconv_params(3, 2, 2, rng), (2, 3, 4, 4)
+        op, p, x_shape = deconv2d, deconv_params(3, 2, 4, rng), (2, 3, 4, 4)
     x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
     incoming, freed = [], []
     wgrad = nn_module._wgrad
@@ -615,9 +617,9 @@ def test_backward_frees_the_activated_output_before_the_weight_gradient(monkeypa
 
     rng = np.random.default_rng(32)
     if kind == "conv":
-        op, p, x_shape = conv2d, conv_params(2, 3, 2, rng), (2, 2, 8, 8)
+        op, p, x_shape = conv2d, conv_params(2, 3, 4, rng), (2, 2, 8, 8)
     else:
-        op, p, x_shape = deconv2d, deconv_params(3, 2, 2, rng), (2, 3, 4, 4)
+        op, p, x_shape = deconv2d, deconv_params(3, 2, 4, rng), (2, 3, 4, 4)
     x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
     output, freed = [], []
     wgrad = nn_module._wgrad
@@ -645,9 +647,9 @@ def test_backward_frees_the_input_planes_before_the_input_gradient_copy(monkeypa
 
     rng = np.random.default_rng(33)
     if kind == "conv":
-        op, p, x_shape = conv2d, conv_params(2, 3, 2, rng), (2, 2, 8, 8)
+        op, p, x_shape = conv2d, conv_params(2, 3, 4, rng), (2, 2, 8, 8)
     else:
-        op, p, x_shape = deconv2d, deconv_params(3, 2, 2, rng), (2, 3, 4, 4)
+        op, p, x_shape = deconv2d, deconv_params(3, 2, 4, rng), (2, 3, 4, 4)
     x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
     built, dead = [], []
     planes, image = nn_module._planes, nn_module._image
@@ -682,9 +684,9 @@ def test_the_tie_unfolds_the_input_forward_and_the_output_backward(monkeypatch, 
     fine = ["_fine_cols", ("_gather", True)]
     coarse = ["_coarse_cols", ("_scatter", True)]
     if kind == "conv":  # 1 -> 4 at stride 2: input fine, output coarse
-        op, p, x_shape, want = conv2d, conv_params(1, 4, 2, rng), (2, 1, 8, 8), (fine, coarse)
+        op, p, x_shape, want = conv2d, conv_params(1, 4, 4, rng), (2, 1, 8, 8), (fine, coarse)
     else:  # 4 -> 1 at stride 2: input coarse, output fine
-        op, p, x_shape, want = deconv2d, deconv_params(4, 1, 2, rng), (2, 4, 4, 4), (coarse, fine)
+        op, p, x_shape, want = deconv2d, deconv_params(4, 1, 4, rng), (2, 4, 4, 4), (coarse, fine)
     calls = []
 
     def watched(name):

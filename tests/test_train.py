@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sgen import (
     RunConfig,
     Tensor,
     build_generator,
+    degraded_dataset,
     load_checkpoint,
     run_training,
     save_image,
@@ -95,6 +97,33 @@ def test_build_training_pairs_drops_incompatible_scales(tmp_path, capsys):
     assert all(p.clean.shape[2:] == (32, 32) for p in pairs)
     err = capsys.readouterr().err
     assert "36x36" in err and "divisible by 8" in err
+
+
+def test_kept_training_pairs_are_those_of_degraded_dataset(tmp_path):
+    """Dropping the first scale leaves each 32x32 pair with the noise seed
+    it has in ``degraded_dataset``, not that of a re-indexed scale list."""
+    cfg = fast_cfg(tmp_path, scales=((36, 36), (32, 32)))
+    images = load_corpus(cfg)
+    want = [p for p in degraded_dataset(images, cfg) if p.clean.shape[2:] == (32, 32)]
+    got = build_training_pairs(cfg, images)
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert g.clean.data.tobytes() == w.clean.data.tobytes()
+        assert g.corrupted.data.tobytes() == w.corrupted.data.tobytes()
+
+
+def test_adversarial_training_drops_scales_the_critic_cannot_take(tmp_path, capsys):
+    """40x40 fits the 2-level generator (divisor 8) but not the critic's
+    four stride-2 convs (divisor 16): an adversarial run drops it, an MSE
+    run keeps it."""
+    cfg = fast_cfg(tmp_path, gan_loss="minimax", scales=((40, 40), (32, 32)), steps=2)
+    assert (cfg.divisor, cfg.disc_divisor) == (8, 16)
+    pairs = build_training_pairs(cfg, load_corpus(cfg))
+    assert {p.clean.shape[2:] for p in pairs} == {(32, 32)}
+    assert "scale 40x40 skipped for training, not divisible by 16" in capsys.readouterr().err
+    assert run_training(cfg).steps == 2
+    mse = replace(cfg, gan_loss="none")
+    assert {p.clean.shape[2:] for p in build_training_pairs(mse, load_corpus(mse))} == {(40, 40), (32, 32)}
 
 
 def test_build_training_pairs_requires_a_usable_scale(tmp_path):

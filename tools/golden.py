@@ -14,10 +14,12 @@ Then the ``evaluate`` report of the small sgu/none checkpoint on its own
 degraded corpus, the battery's (name, error) pairs, and the clean and
 corrupted bytes of ``degraded_dataset`` at the six ``EVAL_SCALES`` from one
 seeded 208x176 synthetic image, which pins the resize and degradation bits.
-Last, ``kernels``: the float32 bytes of y, dx, dw and db of a taped
+Then ``kernels``: the float32 bytes of y, dx, dw and db of a taped
 ``conv2d`` and ``deconv2d`` on seeded inputs at strides 1 (conv only), 2, 4
 and 8, with the input unfolded, the GEMM first and the two at the tie, each
-without an activation and with each of the four.
+without an activation and with each of the four.  Last, ``dropped``: the
+small sgu/none run with scales 36x36 and 32x32, whose first scale training
+drops, which pins the noise seeds of the pairs it keeps.
 """
 
 from __future__ import annotations
@@ -109,30 +111,38 @@ def kernel_bytes() -> bytes:
     return b"".join(out)
 
 
+def train(tmp: str, label: str, arch: dict, merge: str, gan: str) -> tuple[RunConfig, list[str]]:
+    """Run one seeded 3-step training; its config and the digests of its
+    log, checkpoint and, when adversarial, critic checkpoint."""
+    ckpt = Path(tmp) / f"{label}-{merge}-{gan}.ckpt"
+    cfg = RunConfig(
+        **arch, merge_mode=merge, gan_loss=gan, seed=3, eval_every=2, steps=3,
+        checkpoint_out=str(ckpt),
+    )
+    log = "\n".join(run_training(cfg).log_lines)
+    files = [log.encode(), ckpt.read_bytes()]
+    if cfg.adversarial:
+        files.append(Path(f"{ckpt}.disc").read_bytes())
+    return cfg, [digest(f) for f in files]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for label, arch, merge, gan in RUNS:
-            ckpt = Path(tmp) / f"{label}-{merge}-{gan}.ckpt"
-            cfg = RunConfig(
-                **arch, merge_mode=merge, gan_loss=gan, seed=3, eval_every=2, steps=3,
-                checkpoint_out=str(ckpt),
-            )
-            log = "\n".join(run_training(cfg).log_lines)
-            files = [log.encode(), ckpt.read_bytes()]
-            if cfg.adversarial:
-                files.append(Path(f"{ckpt}.disc").read_bytes())
-            print(f"{label} {merge} {gan}", *map(digest, files))
+            cfg, digests = train(tmp, label, arch, merge, gan)
+            print(f"{label} {merge} {gan}", *digests)
             if (label, merge, gan) == ("small", "sgu", "none"):
                 pairs = degraded_dataset(load_corpus(cfg), cfg)
-                report = evaluate(load_checkpoint(ckpt), cfg, pairs).to_text()
-    print("evaluate", digest(report.encode()))
-    results = run_gradient_battery()
-    pairs = "".join(f"{r.name} {r.error!r}\n" for r in results)
-    print(f"battery {len(results)} checks", digest(pairs.encode()))
-    image = make_synthetic_corpus(1, seed=3, size=EVAL_SCALES[-1])
-    pairs = degraded_dataset(image, DegradeSpec(scales=EVAL_SCALES, seed=3))
-    print("pairs", digest(b"".join(p.clean.data.tobytes() + p.corrupted.data.tobytes() for p in pairs)))
-    print("kernels", digest(kernel_bytes()))
+                report = evaluate(load_checkpoint(cfg.checkpoint_out), cfg, pairs).to_text()
+        print("evaluate", digest(report.encode()))
+        results = run_gradient_battery()
+        pairs = "".join(f"{r.name} {r.error!r}\n" for r in results)
+        print(f"battery {len(results)} checks", digest(pairs.encode()))
+        image = make_synthetic_corpus(1, seed=3, size=EVAL_SCALES[-1])
+        pairs = degraded_dataset(image, DegradeSpec(scales=EVAL_SCALES, seed=3))
+        print("pairs", digest(b"".join(p.clean.data.tobytes() + p.corrupted.data.tobytes() for p in pairs)))
+        print("kernels", digest(kernel_bytes()))
+        print("dropped", *train(tmp, "dropped", {**SMALL, "scales": ((36, 36), (32, 32))}, "sgu", "none")[1])
     return 0
 
 
