@@ -65,16 +65,20 @@ def cmd_train(args) -> int:
 
 
 def _require_matching_architecture(params, cfg: RunConfig, checkpoint) -> None:
-    expected = [f"{site}.{part}" for site in generator_sites(cfg) for part in ("weight", "bias")]
+    """The checkpoint stores every ``generator_sites(cfg)`` site and nothing
+    else, each weight with the kernel its site declares.  Widths are not
+    checked: the forward reads them off the weights."""
+    sites = generator_sites(cfg)
+    expected = [f"{site}.{part}" for site in sites for part in ("weight", "bias")]
     have = set(params.names())
     missing = [n for n in expected if n not in have]
     extra = sorted(have - set(expected))
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"missing {missing[0]!r}")
-        if extra:
-            parts.append(f"unexpected {extra[0]!r}")
+    # once every site is stored, each weight's kernel (dims 2-3) must be the one its row declares
+    kernels = [(name, params[f"{name}.weight"].shape[2:], site.kernel) for name, site in sites.items() if not missing]
+    wrong = [f"site {n!r} stores a {h}x{w} kernel where it declares {k}x{k}"
+             for n, (h, w), k in kernels if h != k or w != k]
+    parts = [f"missing {n!r}" for n in missing[:1]] + [f"unexpected {n!r}" for n in extra[:1]] + wrong[:1]
+    if parts:
         raise CheckpointError(
             f"checkpoint {checkpoint} does not fit the configured architecture"
             f" ({', '.join(parts)}); pass the --config the model was trained with"

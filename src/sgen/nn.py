@@ -39,15 +39,20 @@ forward is the conv input gradient, its input gradient the conv forward,
 and both take the same weight gradient.  A side has (phase count)^2 x
 channels rows.
 
-Unfold the thinner side: unfolding costs t*t x rows x columns.  The
-forward unfolds its input side when its rows are <= the output side's,
-and the backward its output side when its rows are <= the input side's;
-otherwise the GEMM runs first on the unshifted wide side and its t*t thin
-results are shift-added into place.  A backward that needs both the input
-and the weight gradient reads both off the same unfold; it takes the
-weight gradient first, building the input planes inside that call, so
-they are freed before the input gradient's planes are written.  The
-choice depends only on shapes, so a run repeats bit for bit.
+Unfold the thinner side: unfolding costs t*t x rows x columns.  One
+rule, compared only in ``_apply``, picks every unfold.  The forward
+unfolds its input side when its rows are <= the output side's; otherwise
+the GEMM runs first on the unshifted wide side and its t*t thin results
+are shift-added into place.  The backward unfolds its output side when
+its rows are <= the input side's (the same rule seen from the other end),
+else its input side, and ``_wgrad`` reads the weight gradient off that one
+unfold.  The input gradient runs on the output-side unfold when there is
+one, GEMM-first otherwise.  The backward takes the weight gradient first,
+building the input planes, and their unfold when it is the one, inside
+that step, so they are freed before the input gradient's planes are
+written.  The choice depends only on shapes, not on which inputs need
+gradients, so a weight gradient has the same bits whether or not its
+input needs one, and a run repeats bit for bit.
 
 Epilogue: each op adds the bias on the GEMM's own contiguous buffer,
 over the columns that buffer holds values for ([0, span) on the coarse
@@ -326,20 +331,13 @@ def _scatter(cf: np.ndarray, weight: np.ndarray, g: _Grid, ccols=None) -> np.nda
     return out
 
 
-def _wgrad(cf: np.ndarray, xf: np.ndarray, g: _Grid, cols=None, ccols=None) -> np.ndarray:
-    """Weight gradient (o, c, k, k) of <cf, gather(xf)>.
-
-    Read off the fine unfold ``cols`` or the coarse unfold ``ccols`` when
-    the caller built one, else off an unfold of the thinner side.
-    """
-    if cols is None and ccols is None:
-        if xf.shape[0] <= cf.shape[0]:
-            cols = _fine_cols(xf, g)
-        else:
-            ccols = _coarse_cols(cf, g)
-    if cols is not None:
+def _wgrad(cf: np.ndarray, xf: np.ndarray, g: _Grid, cols: np.ndarray, fine: bool) -> np.ndarray:
+    """Weight gradient (o, c, k, k) of <cf, gather(xf)>, read off ``cols``:
+    the fine unfold of xf when ``fine``, else the coarse unfold of cf.  The
+    caller picks which; see ``_apply``."""
+    if fine:
         return _untap(np.matmul(cf[:, : g.span], cols.T), g, False)
-    return _untap(np.matmul(ccols, xf[:, g.lo : g.hi].T), g, True)
+    return _untap(np.matmul(cols, xf[:, g.lo : g.hi].T), g, True)
 
 
 def _check(op: str, x: Tensor, p: ConvParams, c_in: int, c_out: int) -> None:
@@ -403,12 +401,14 @@ def _apply(x: Tensor, p: ConvParams, act: str | None, g: _Grid, fine_in: bool) -
         gp = _planes(gy, g, so, po)
         del gy  # free before the kernel backward
         dx = dw = None
-        cols = unfold_out(gp, g) if x.requires_grad and rows_out <= rows_in else None
-        if weight.requires_grad:  # first, so its input planes are freed before dx is built
-            if fine_in:
-                dw = _wgrad(gp, _planes(xd, g, si, pi), g, ccols=cols)
-            else:
-                dw = _wgrad(_planes(xd, g, si, pi), gp, g, cols=cols)
+        thin_out = rows_out <= rows_in  # the forward's rule, seen from the output side
+        cols = unfold_out(gp, g) if thin_out else None
+        if weight.requires_grad:  # first, so the input planes and their unfold are freed before dx is built
+            xp = _planes(xd, g, si, pi)
+            coarse_fine = (gp, xp) if fine_in else (xp, gp)
+            # the fine unfold is a conv's input side or a deconv's output side
+            dw = _wgrad(*coarse_fine, g, cols if thin_out else unfold_in(xp, g), fine_in != thin_out)
+            del xp, coarse_fine
         if x.requires_grad:
             back = kernel_out(gp, wd, g, cols)
             del cols  # free before the image copy doubles the input side

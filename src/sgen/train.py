@@ -192,5 +192,4 @@ def _adversarial_step(s, t, gen, disc, gen_state, disc_state, cfg: RunConfig):
             loss_g = g_loss(score, pred, t, cfg.lambda_mse, cfg.gan_loss)
         backward(gen_tape, loss_g)
     adam_step(gen, gen_state, cfg.learning_rate)
-    mse_value = float(np.mean((pred.data - t.data) ** 2))
-    return loss_g.item(), loss_d.item(), mse_value
+    return loss_g.item(), loss_d.item(), mse_loss(pred, t).item()

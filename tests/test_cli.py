@@ -311,19 +311,34 @@ def test_restore_of_a_checkpoint_with_a_nan_weight_fails_cleanly(tmp_path, capsy
     _assert_clean_error(main([*args, "--out", str(tmp_path / "out.ppm")]), capsys)
 
 
-def test_restore_of_a_checkpoint_with_an_empty_kernel_fails_cleanly(tmp_path, capsys):
-    """A (3, 4, 0, 0) weight loads, but a kernel without taps has no stride."""
+def _restore_with_out_conv_weight(tmp_path, capsys, shape):
+    """Run ``sgen restore`` on a checkpoint whose ``out.conv`` weight has
+    ``shape``; it must fail cleanly, and its error text is returned."""
     cfg_path = write_cfg(tmp_path)
     store = build_generator(load_config(cfg_path), np.random.default_rng(0))
-    store["out.conv.weight"].data = np.zeros((3, 4, 0, 0), dtype=np.float32)
-    ckpt = tmp_path / "empty.ckpt"
+    store["out.conv.weight"].data = np.zeros(shape, dtype=np.float32)
+    ckpt = tmp_path / "odd.ckpt"
     save_checkpoint(store, ckpt)
-    assert load_checkpoint(ckpt)["out.conv.weight"].shape == (3, 4, 0, 0)
+    assert load_checkpoint(ckpt)["out.conv.weight"].shape == shape
     src = tmp_path / "in.ppm"
     _random_ppm(src, 32, 32)
     args = ["restore", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--in", str(src)]
     err = _assert_clean_error(main([*args, "--out", str(tmp_path / "out.ppm")]), capsys)
-    assert "kernel 0 pools by no factor" in err
+    assert not (tmp_path / "out.ppm").exists()
+    return err
+
+
+def test_restore_of_a_checkpoint_with_an_empty_kernel_fails_cleanly(tmp_path, capsys):
+    """A (3, 4, 0, 0) weight loads, but a kernel without taps has no stride."""
+    err = _restore_with_out_conv_weight(tmp_path, capsys, (3, 4, 0, 0))
+    assert "site 'out.conv' stores a 0x0 kernel where it declares 3x3" in err
+
+
+def test_restore_of_a_checkpoint_with_the_wrong_kernel_names_the_site(tmp_path, capsys):
+    """A 5x5 kernel would run, at stride 1 with padding 2, where the site
+    declares 3x3: the check compares each stored kernel with its site row."""
+    err = _restore_with_out_conv_weight(tmp_path, capsys, (3, 4, 5, 5))
+    assert "site 'out.conv' stores a 5x5 kernel where it declares 3x3" in err
 
 
 def test_restore_missing_checkpoint_fails_cleanly(tmp_path, capsys):

@@ -708,3 +708,28 @@ def test_the_tie_unfolds_the_input_forward_and_the_output_backward(monkeypatch, 
     backward(tape, loss)
     assert (forward, calls) == want
     assert x.grad is not None and p.weight.grad is not None
+
+
+@pytest.mark.parametrize("dtype, shape", [(np.float32, (4, 64, 64, 48)), (np.float64, (2, 4, 6, 5))])
+def test_the_tie_takes_the_same_weight_gradient_whether_or_not_the_input_needs_one(dtype, shape):
+    """Every SGU gate is a stride-1 3x3 conv that keeps its channels, so
+    s*s*c == o: the tie of the unfold rule.  Its backward unfolds the same
+    side either way, so the parameter gradients match bit for bit."""
+    rng = np.random.default_rng(35)
+    p = conv_params(shape[1], shape[1], 3, rng, dtype=dtype)
+    p.bias.data[...] = rng.normal(size=p.bias.shape)
+    xd, proj = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+
+    def grads(input_needs_grad):
+        p.weight.zero_grad()
+        p.bias.zero_grad()
+        x = Tensor(xd, requires_grad=input_needs_grad)
+        with Tape() as tape:
+            loss = sum_all(mul(conv2d(x, p, "sigmoid"), Tensor(proj)))
+        backward(tape, loss)
+        assert (x.grad is not None) == input_needs_grad
+        return p.weight.grad, p.bias.grad
+
+    for got, want in zip(grads(False), grads(True)):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
