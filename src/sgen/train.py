@@ -1,15 +1,23 @@
-"""Training loops: plain MSE and alternating adversarial.
+"""Training: one state advanced one step at a time, and the loop around it.
 
-Adversarial training runs one discriminator step then one generator step
-per minibatch.  The generator forward runs once per minibatch: the
-discriminator step scores real targets against a detached copy of its
-output, and the generator step re-enters its tape to backpropagate through
-the discriminator into the generator weights.  Every step appends one
-``step,loss_g,loss_d,loss_mse`` line to the loss log (loss_g/loss_d are
-nan under MSE-only training) and a non-finite loss aborts immediately
-with ``RuntimeError``.  A non-finite activation aborts too, already in
-the forward, with the conv epilogue's ``FloatingPointError``; the ``sgen``
-command reports either as ``error:`` and exits 2.
+``TrainState`` holds what a training step reads and advances: the generator
+and, in an adversarial run, the critic, each with its Adam state.  Its
+position is the generator Adam's step count; the critic takes one update
+per step too, so its count always equals it.  ``start(cfg)`` builds a fresh
+state from the config's seed and ``advance(state, s, t, cfg)`` runs one
+step on one batch.  These are the per-step entry points for any driver
+other than ``run_training``, such as resume or per-step telemetry.
+
+An MSE step is one generator forward, backward and Adam update.  An
+adversarial step runs one discriminator update then one generator update
+per minibatch, with one generator forward: the discriminator step scores
+real targets against a detached copy of its output, and the generator step
+re-enters its tape to backpropagate through the discriminator into the
+generator weights.
+
+``run_training`` is the driver the ``sgen train`` command uses: it starts a
+state, advances it over the seeded epoch stream for ``cfg.steps`` batches,
+logs each step and saves checkpoints (see its docstring).
 
 Everything is driven by integer seeds: parameter init, corpus synthesis,
 per-pair corruption noise, and per-epoch batch shuffles are all derived
@@ -19,6 +27,7 @@ logs and checkpoints.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -38,10 +47,10 @@ from .model import (
     discriminator_forward,
     generator_forward,
 )
-from .optim import adam_step, init_adam
+from .optim import AdamState, adam_step, init_adam
 from .ppm import load_image
 
-__all__ = ["TrainResult", "run_training", "load_corpus", "build_training_pairs"]
+__all__ = ["TrainResult", "TrainState", "start", "advance", "run_training", "load_corpus", "build_training_pairs"]
 
 LOG_HEADER = "step,loss_g,loss_d,loss_mse"
 
@@ -99,77 +108,98 @@ def _epoch_batches(pairs, cfg: RunConfig, epoch: int):
     return batch_iter(pairs, cfg.batch_size, _derived_seed(cfg.seed, 1, epoch))
 
 
-def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
-    """Train per the config; returns final losses and the checkpoint path."""
+@dataclass
+class TrainState:
+    """The networks and optimizer state one training step advances.
+
+    ``disc`` and ``disc_adam`` are None in an MSE-only run.
+    """
+
+    gen: ParamStore
+    gen_adam: AdamState
+    disc: ParamStore | None
+    disc_adam: AdamState | None
+
+    @property
+    def step(self) -> int:
+        """Training steps taken: the generator Adam's update count."""
+        return self.gen_adam.step
+
+
+def start(cfg: RunConfig) -> TrainState:
+    """Freshly initialized networks and zero Adam moments, seeded by cfg.seed."""
     init_rng = np.random.default_rng(_derived_seed(cfg.seed, 0))
     gen = build_generator(cfg, init_rng)
-    gen_state = init_adam(gen)
-    disc = disc_state = None
-    if cfg.adversarial:
-        disc = build_discriminator(cfg, init_rng)
-        disc_state = init_adam(disc)
+    disc = build_discriminator(cfg, init_rng) if cfg.adversarial else None
+    return TrainState(gen, init_adam(gen), disc, None if disc is None else init_adam(disc))
 
-    images = load_corpus(cfg)
-    pairs = build_training_pairs(cfg, images)
+
+def advance(state: TrainState, s: Tensor, t: Tensor, cfg: RunConfig) -> tuple[float, float, float]:
+    """Run one MSE or adversarial step on batch (s, t) in place.
+
+    Returns ``(loss_g, loss_d, loss_mse)``; under MSE-only training loss_g
+    is the MSE and loss_d is nan.
+    """
+    return (_adversarial_step if cfg.adversarial else _mse_step)(state, s, t, cfg)
+
+
+def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
+    """Train per the config; returns final losses and the checkpoint path.
+
+    Starts a state and advances it over ``cfg.steps`` batches of the epoch
+    stream, epoch after epoch.  Every step appends one
+    ``step,loss_g,loss_d,loss_mse`` line to the log (and to ``log_stream``)
+    and a non-finite loss aborts with ``RuntimeError``.  A non-finite
+    activation aborts too, already in the forward, with the conv
+    epilogue's ``FloatingPointError``; the ``sgen`` command reports either
+    as ``error:`` and exits 2.  The generator (and critic, to
+    ``<checkpoint_out>.disc``) is saved every ``eval_every`` steps and at
+    the end.
+    """
+    state = start(cfg)
+    pairs = build_training_pairs(cfg, load_corpus(cfg))
 
     log_lines = [LOG_HEADER]
     if log_stream is not None:
         print(LOG_HEADER, file=log_stream)
 
-    step = 0
-    epoch = 0
-    last_g = last_d = last_mse = math.nan
-    while step < cfg.steps:
-        for s, t, _scale in _epoch_batches(pairs, cfg, epoch):
-            if step >= cfg.steps:
-                break
-            step += 1
-            if cfg.adversarial:
-                last_g, last_d, last_mse = _adversarial_step(
-                    s, t, gen, disc, gen_state, disc_state, cfg
-                )
-            else:
-                last_g, last_d, last_mse = _mse_step(s, t, gen, gen_state, cfg)
-            line = f"{step},{last_g:.8e},{last_d:.8e},{last_mse:.8e}"
-            log_lines.append(line)
-            if log_stream is not None:
-                print(line, file=log_stream)
-            if not math.isfinite(last_mse) or (
-                cfg.adversarial and not (math.isfinite(last_g) and math.isfinite(last_d))
-            ):
-                raise RuntimeError(f"non-finite loss at step {step}: {line}")
-            if cfg.eval_every and step % cfg.eval_every == 0:
-                _save(gen, disc, cfg)
-        epoch += 1
-    _save(gen, disc, cfg)
+    g = d = mse = math.nan
+    stream = itertools.chain.from_iterable(_epoch_batches(pairs, cfg, e) for e in itertools.count())
+    for s, t, _scale in itertools.islice(stream, cfg.steps):
+        g, d, mse = advance(state, s, t, cfg)
+        line = f"{state.step},{g:.8e},{d:.8e},{mse:.8e}"
+        log_lines.append(line)
+        if log_stream is not None:
+            print(line, file=log_stream)
+        if not all(map(math.isfinite, (g, d, mse) if cfg.adversarial else (mse,))):
+            raise RuntimeError(f"non-finite loss at step {state.step}: {line}")
+        if cfg.eval_every and state.step % cfg.eval_every == 0:
+            _save(state, cfg)
+    _save(state, cfg)
     return TrainResult(
-        steps=step,
-        final_mse=last_mse,
-        final_g=last_g,
-        final_d=last_d,
-        checkpoint_path=cfg.checkpoint_out,
-        log_lines=log_lines,
+        steps=state.step, final_mse=mse, final_g=g, final_d=d, checkpoint_path=cfg.checkpoint_out, log_lines=log_lines
     )
 
 
-def _save(gen: ParamStore, disc: ParamStore | None, cfg: RunConfig) -> None:
-    save_checkpoint(gen, cfg.checkpoint_out)
-    if disc is not None:
-        save_checkpoint(disc, cfg.checkpoint_out + ".disc")
+def _save(state: TrainState, cfg: RunConfig) -> None:
+    save_checkpoint(state.gen, cfg.checkpoint_out)
+    if state.disc is not None:
+        save_checkpoint(state.disc, cfg.checkpoint_out + ".disc")
 
 
-def _mse_step(s, t, gen, gen_state, cfg: RunConfig):
-    gen.zero_grad()
+def _mse_step(state: TrainState, s, t, cfg: RunConfig):
+    state.gen.zero_grad()
     with Tape() as tape:
-        pred = generator_forward(s, gen, cfg)
+        pred = generator_forward(s, state.gen, cfg)
         loss = mse_loss(pred, t)
     backward(tape, loss)
-    adam_step(gen, gen_state, cfg.learning_rate)
+    adam_step(state.gen, state.gen_adam, cfg.learning_rate)
     value = loss.item()
     return value, math.nan, value
 
 
-def _adversarial_step(s, t, gen, disc, gen_state, disc_state, cfg: RunConfig):
+def _adversarial_step(state: TrainState, s, t, cfg: RunConfig):
+    gen, disc = state.gen, state.disc
     # one generator forward, recorded for the generator step below
     with Tape() as gen_tape:
         pred = generator_forward(s, gen, cfg)
@@ -181,7 +211,7 @@ def _adversarial_step(s, t, gen, disc, gen_state, disc_state, cfg: RunConfig):
         score_fake = discriminator_forward(pred.detach(), disc, cfg)
         loss_d = d_loss(score_real, score_fake)
     backward(tape, loss_d)
-    adam_step(disc, disc_state, cfg.learning_rate)
+    adam_step(disc, state.disc_adam, cfg.learning_rate)
 
     # generator step: gradient flows through the updated discriminator,
     # whose frozen weights take no gradient of their own
@@ -191,5 +221,5 @@ def _adversarial_step(s, t, gen, disc, gen_state, disc_state, cfg: RunConfig):
             score = discriminator_forward(pred, disc, cfg)
             loss_g = g_loss(score, pred, t, cfg.lambda_mse, cfg.gan_loss)
         backward(gen_tape, loss_g)
-    adam_step(gen, gen_state, cfg.learning_rate)
+    adam_step(gen, state.gen_adam, cfg.learning_rate)
     return loss_g.item(), loss_d.item(), mse_loss(pred, t).item()

@@ -18,7 +18,15 @@ from sgen import (
     save_image,
 )
 import sgen.train as train_module
-from sgen.train import LOG_HEADER, _derived_seed, build_training_pairs, load_corpus
+from sgen.train import (
+    LOG_HEADER,
+    _derived_seed,
+    _epoch_batches,
+    advance,
+    build_training_pairs,
+    load_corpus,
+    start,
+)
 
 
 def fast_cfg(tmp_path, **kw):
@@ -247,6 +255,45 @@ def test_non_finite_loss_aborts_with_context(tmp_path, monkeypatch):
     cfg = fast_cfg(tmp_path, steps=2)
     with pytest.raises(RuntimeError, match="non-finite loss at step 1"):
         run_training(cfg)
+
+
+@pytest.mark.parametrize("gan", ["none", "minimax"])
+def test_start_and_advance_by_hand_match_run_training(tmp_path, gan):
+    """Advancing one state over the epoch batches, past an epoch boundary
+    with two scale groups, then saving gives run_training's log, checkpoint
+    and critic byte for byte."""
+    cfg = fast_cfg(
+        tmp_path, gan_loss=gan, steps=6, scales=((32, 32), (48, 32)),
+        synthetic_count=3, synthetic_size=(48, 32),
+    )
+    pairs = build_training_pairs(cfg, load_corpus(cfg))
+    assert len(list(_epoch_batches(pairs, cfg, 0))) == 4  # 2 per scale, so step 5 opens epoch 1
+
+    state = start(cfg)
+    lines = [LOG_HEADER]
+    epoch = 0
+    while state.step < cfg.steps:
+        for s, t, _scale in _epoch_batches(pairs, cfg, epoch):
+            if state.step == cfg.steps:
+                break
+            g, d, mse = advance(state, s, t, cfg)
+            lines.append(f"{state.step},{g:.8e},{d:.8e},{mse:.8e}")
+        epoch += 1
+    assert epoch == 2
+    by_hand = tmp_path / "by_hand.ckpt"
+    train_module.save_checkpoint(state.gen, by_hand)
+    if cfg.adversarial:
+        assert state.disc_adam.step == state.step == cfg.steps
+        train_module.save_checkpoint(state.disc, f"{by_hand}.disc")
+    else:
+        assert state.disc is None and state.disc_adam is None
+
+    result = run_training(cfg)
+    assert result.steps == state.step
+    assert result.log_lines == lines
+    assert by_hand.read_bytes() == (tmp_path / "model.ckpt").read_bytes()
+    if cfg.adversarial:
+        assert (tmp_path / "by_hand.ckpt.disc").read_bytes() == (tmp_path / "model.ckpt.disc").read_bytes()
 
 
 # ---------------------------------------------------------------------------

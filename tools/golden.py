@@ -19,7 +19,10 @@ Then ``kernels``: the float32 bytes of y, dx, dw and db of a taped
 and 8, with the input unfolded, the GEMM first and the two at the tie, each
 without an activation and with each of the four.  Last, ``dropped``: the
 small sgu/none run with scales 36x36 and 32x32, whose first scale training
-drops, which pins the noise seeds of the pairs it keeps.
+drops, which pins the noise seeds of the pairs it keeps.  And ``epochs``:
+the small sgu none and minimax runs at 9 steps.  An epoch there is 4
+batches, two per scale with a partial last one, so the runs cross two
+epoch boundaries with both scale groups in play.
 """
 
 from __future__ import annotations
@@ -111,12 +114,14 @@ def kernel_bytes() -> bytes:
     return b"".join(out)
 
 
-def train(tmp: str, label: str, arch: dict, merge: str, gan: str) -> tuple[RunConfig, list[str]]:
-    """Run one seeded 3-step training; its config and the digests of its
-    log, checkpoint and, when adversarial, critic checkpoint."""
+def train(
+    tmp: str, label: str, arch: dict, merge: str, gan: str, steps: int = 3
+) -> tuple[RunConfig, list[str]]:
+    """Run one seeded training; its config and the digests of its log,
+    checkpoint and, when adversarial, critic checkpoint."""
     ckpt = Path(tmp) / f"{label}-{merge}-{gan}.ckpt"
     cfg = RunConfig(
-        **arch, merge_mode=merge, gan_loss=gan, seed=3, eval_every=2, steps=3,
+        **arch, merge_mode=merge, gan_loss=gan, seed=3, eval_every=2, steps=steps,
         checkpoint_out=str(ckpt),
     )
     log = "\n".join(run_training(cfg).log_lines)
@@ -143,6 +148,7 @@ def main() -> int:
         print("pairs", digest(b"".join(p.clean.data.tobytes() + p.corrupted.data.tobytes() for p in pairs)))
         print("kernels", digest(kernel_bytes()))
         print("dropped", *train(tmp, "dropped", {**SMALL, "scales": ((36, 36), (32, 32))}, "sgu", "none")[1])
+        print("epochs", *(d for gan in ("none", "minimax") for d in train(tmp, "epochs", SMALL, "sgu", gan, 9)[1]))
     return 0
 
 
