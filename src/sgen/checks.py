@@ -261,7 +261,6 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
         n_levels=2,
         base_channels=3,
         bottleneck_channels=3,
-        in_channels=1,
         disc_channels=(2, 3, 4, 5),
         merge_mode="sgu",
     )
@@ -271,8 +270,8 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
     for name in gen.names():
         if ".gate_" in name and name.endswith("weight"):
             gen[name].data += gen_rng.normal(0.0, 0.1, size=gen[name].shape)
-    gen_in = rng.uniform(-0.9, 0.9, size=(1, 1, 32, 32))
-    gen_w = _signed_unit(rng, (1, 1, 32, 32))
+    gen_in = rng.uniform(-0.9, 0.9, size=(1, 3, 16, 16))
+    gen_w = _signed_unit(rng, (1, 3, 16, 16))
 
     def gen_loss(x):
         return _weighted_sum(generator_forward(x, gen, tiny), gen_w)
@@ -292,7 +291,7 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
         )
 
     disc = build_discriminator(tiny, np.random.default_rng(seed + 2), dtype=np.float64)
-    disc_in = rng.uniform(-0.9, 0.9, size=(1, 1, 16, 16))
+    disc_in = rng.uniform(-0.9, 0.9, size=(1, 3, 16, 16))
 
     def disc_loss(x):
         return ad.mean_all(discriminator_forward(x, disc, tiny))
@@ -311,7 +310,7 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
     )
 
     # adversarial objective end to end: d(g_loss)/d(generator weight)
-    target = rng.uniform(-0.9, 0.9, size=(1, 1, 32, 32))
+    target = rng.uniform(-0.9, 0.9, size=(1, 3, 16, 16))
 
     def adv_param_loss(w):
         pred = generator_forward(Tensor(gen_in), _with_param(gen, "dec.up.1.weight", w), tiny)

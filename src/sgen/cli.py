@@ -2,10 +2,12 @@
 
 Subcommands: train, restore, evaluate, degrade, gradcheck.  Settings come
 from a key=value config file (--config); --seed overrides the config
-seed.  SGEN_THREADS caps the worker pool used for per-image work.  A
-failure prints one ``error:`` line and exits 2; numpy's overflow and
-invalid-value warnings are off, since the finite checks report a
-diverging run.
+seed.  restore and evaluate first check every stored parameter shape
+against the configured generator's site table, so a checkpoint trained
+under another config fails before it runs.  SGEN_THREADS caps the worker
+pool used for per-image work.  A failure prints one ``error:`` line and
+exits 2; numpy's overflow and invalid-value warnings are off, since the
+finite checks report a diverging run.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .checks import run_gradient_battery
 from .config import ConfigError, RunConfig, load_config
 from .data import degraded_dataset, degraded_pairs
 from .metrics import evaluate, restore
-from .model import generator_sites
+from .model import ParamStore, generator_sites, shape_mismatches
 from .ppm import PpmError, load_image, save_image
 from .train import load_corpus, run_training
 
@@ -64,40 +66,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _require_matching_architecture(params, cfg: RunConfig, checkpoint) -> None:
-    """The checkpoint stores every ``generator_sites(cfg)`` site and nothing
-    else, each weight with the kernel its site declares.  Widths are not
-    checked: the forward reads them off the weights."""
-    sites = generator_sites(cfg)
-    expected = [f"{site}.{part}" for site in sites for part in ("weight", "bias")]
-    have = set(params.names())
-    missing = [n for n in expected if n not in have]
-    extra = sorted(have - set(expected))
-    # once every site is stored, each weight's kernel (dims 2-3) must be the one its row declares
-    kernels = [(name, params[f"{name}.weight"].shape[2:], site.kernel) for name, site in sites.items() if not missing]
-    wrong = [f"site {n!r} stores a {h}x{w} kernel where it declares {k}x{k}"
-             for n, (h, w), k in kernels if h != k or w != k]
-    parts = [f"missing {n!r}" for n in missing[:1]] + [f"unexpected {n!r}" for n in extra[:1]] + wrong[:1]
-    if parts:
+def _load_fitting_checkpoint(args) -> tuple[RunConfig, ParamStore]:
+    """The config and the checkpoint, which must store every
+    ``generator_sites(cfg)`` parameter with the shape its row gives, and
+    nothing else."""
+    cfg = _resolve_config(args)
+    params = load_checkpoint(args.checkpoint)
+    wrong = shape_mismatches(params, generator_sites(cfg))
+    if wrong:
         raise CheckpointError(
-            f"checkpoint {checkpoint} does not fit the configured architecture"
-            f" ({', '.join(parts)}); pass the --config the model was trained with"
+            f"checkpoint {args.checkpoint} does not fit the configured architecture"
+            f" ({wrong[0]}); pass the --config the model was trained with"
         )
+    return cfg, params
 
 
 def cmd_restore(args) -> int:
-    cfg = _resolve_config(args)
-    params = load_checkpoint(args.checkpoint)
-    _require_matching_architecture(params, cfg, args.checkpoint)
+    cfg, params = _load_fitting_checkpoint(args)
     image = load_image(args.in_path)
     save_image(restore(image, params, cfg), args.out_path)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve_config(args)
-    params = load_checkpoint(args.checkpoint)
-    _require_matching_architecture(params, cfg, args.checkpoint)
+    cfg, params = _load_fitting_checkpoint(args)
     images = load_corpus(cfg, split="test")
     # no scale filtering here: evaluate() reports incompatible scales as
     # warning rows instead of dropping them

@@ -6,7 +6,8 @@ ignored.  Every key is a ``RunConfig`` field with a declared domain (see
 back.  Unknown keys, duplicated keys and values outside their domain are
 rejected with the line and key named, so typos fail loudly instead of
 silently training with defaults.  ``serialize_config`` round-trips every
-setting: it refuses a string that would not read back.
+setting: it refuses a string that would not read back.  Since every
+``SgenConfig`` field is a key, its text states the whole network.
 """
 
 from __future__ import annotations
@@ -57,9 +58,8 @@ class RunConfig(DegradeSpec, SgenConfig):
         return self
 
 
-# the config-file keys and their kinds, in file order; in_channels is an
-# architecture field for grayscale test rigs, and image data is RGB
-_KINDS = {f.name: f.metadata["kind"] for f in fields(RunConfig) if f.name != "in_channels"}
+# the config-file keys and their kinds, in file order: every field
+_KINDS = {f.name: f.metadata["kind"] for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:

@@ -19,10 +19,16 @@ in table order, and the forwards apply a site by its name alone, so a
 taped pass records one node per conv site and the widths, kernels and
 activations are stated nowhere else.
 
+Every image the networks read or write is RGB, ``IMAGE_CHANNELS`` wide,
+so the config file's keys state the whole network.
+
 Parameters live in a flat name -> Tensor store so checkpointing and the
 optimizer stay structure-agnostic.  A forward reads every width from the
 stored weights and wraps each stored kernel in a ``ConvParams``, which
-reads its stride back, so it never states one.
+reads its stride back, so it never states one.  ``shape_mismatches``
+compares a store with a table: every row's weight and bias must be stored
+with the shapes ``sgen.nn.param_shapes`` lays the row out in, and nothing
+else may be stored.
 """
 
 from __future__ import annotations
@@ -35,19 +41,12 @@ import numpy as np
 
 from .autodiff import Tensor, sigmoid
 from .ensemble import MERGE_MODES, MERGE_SITES, merge
-from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool
+from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool, param_shapes
 from .settings import WIDTHS, Settings, at_least, choice, setting
 
 __all__ = [
-    "SgenConfig",
-    "ParamStore",
-    "Site",
-    "generator_sites",
-    "discriminator_sites",
-    "build_generator",
-    "build_discriminator",
-    "generator_forward",
-    "discriminator_forward",
+    "IMAGE_CHANNELS", "SgenConfig", "ParamStore", "Site", "generator_sites", "discriminator_sites",
+    "shape_mismatches", "build_generator", "build_discriminator", "generator_forward", "discriminator_forward",
 ]
 
 
@@ -58,15 +57,13 @@ class SgenConfig(Settings):
     n_levels is the trunk depth N; inputs must be divisible by 2^(N+1).
     base_channels is the width of the first trunk level (doubling per
     level); bottleneck_channels is the shared width of all base-encoder
-    and decoder features.  in_channels covers grayscale test rigs; image
-    data is RGB.  Every lrelu uses ``sgen.autodiff.LRELU_SLOPE``.
+    and decoder features.  Every lrelu uses ``sgen.autodiff.LRELU_SLOPE``.
     """
 
     n_levels: int = setting(3, at_least(2))
     base_channels: int = setting(32, at_least(1))
     bottleneck_channels: int = setting(64, at_least(1))
     merge_mode: str = setting("sgu", choice(MERGE_MODES))
-    in_channels: int = setting(3, at_least(1))
     disc_channels: tuple[int, ...] = setting((32, 64, 128, 256), WIDTHS)
 
     @property
@@ -145,6 +142,9 @@ class ParamStore:
 # ---------------------------------------------------------------------------
 # site tables
 
+# the width of every image the networks read or write: RGB
+IMAGE_CHANNELS = 3
+
 # a site's row: its op ("conv" or "deconv"), the op's input and output
 # widths, its kernel (which fixes its stride), the activation the op
 # applies, and the init std (None for the He scale)
@@ -158,7 +158,7 @@ def generator_sites(cfg: SgenConfig) -> dict[str, Site]:
     upsamples by f.  Merge-conv rows come from ``MERGE_SITES`` and carry no
     activation: ``merge`` applies it.
     """
-    n, c, bot = cfg.n_levels, cfg.in_channels, cfg.bottleneck_channels
+    n, bot = cfg.n_levels, cfg.bottleneck_channels
     width = [cfg.base_channels] + [cfg.trunk_channels(k) for k in range(1, n + 1)]
     levels = range(1, n + 1)
     prefix, convs = MERGE_SITES[cfg.merge_mode]
@@ -168,7 +168,7 @@ def generator_sites(cfg: SgenConfig) -> dict[str, Site]:
                 for k in range(2, n + 1) for name, (fan, kernel, std) in convs.items()}
 
     return {
-        "enc.trunk.0": Site("conv", c, width[0], 3, "lrelu"),
+        "enc.trunk.0": Site("conv", IMAGE_CHANNELS, width[0], 3, "lrelu"),
         **{f"enc.trunk.{k}": Site("conv", width[k - 1], width[k], 4, "lrelu") for k in levels},
         # every level lands on the same bottleneck grid: 1/2^(n+1) of the input
         **{f"enc.base.{k}": Site("conv", width[k], bot, 2 << (n - k + 1), "lrelu") for k in levels},
@@ -177,15 +177,26 @@ def generator_sites(cfg: SgenConfig) -> dict[str, Site]:
         **{f"dec.base.{k}": Site("deconv", bot, bot, 2 << k, "relu") for k in levels},
         **merges("dec"),
         **{f"dec.up.{k}": Site("deconv", bot, bot, 4, "relu") for k in levels},
-        "out.conv": Site("conv", bot, c, 3, "tanh"),
+        "out.conv": Site("conv", bot, IMAGE_CHANNELS, 3, "tanh"),
     }
 
 
 def discriminator_sites(cfg: SgenConfig) -> dict[str, Site]:
     """One stride-2 lrelu conv per ``disc_channels`` width, then a 1x1 head."""
-    w = (cfg.in_channels, *cfg.disc_channels)
+    w = (IMAGE_CHANNELS, *cfg.disc_channels)
     sites = {f"disc.conv.{i}": Site("conv", w[i - 1], w[i], 4, "lrelu") for i in range(1, len(w))}
     return {**sites, "disc.head": Site("conv", w[-1], 1, 1, None)}
+
+
+def shape_mismatches(store: ParamStore, sites: dict[str, Site]) -> list[str]:
+    """One line per parameter whose stored shape is not the one its site
+    row gives: a wrong width or kernel, a row not stored, a name no row
+    declares.  Empty when ``store`` holds exactly the table."""
+    want = {f"{name}.{part}": shape for name, s in sites.items()
+            for part, shape in zip(("weight", "bias"), param_shapes(s.op, s.c_in, s.c_out, s.kernel))}
+    have = {name: t.shape for name, t in store.items()}
+    return [f"{name!r} is stored as {have.get(name, 'nothing')} where the site table gives {want.get(name, 'nothing')}"
+            for name in {**want, **have} if have.get(name) != want.get(name)]
 
 
 def _add_conv(store: ParamStore, name: str, p) -> None:
@@ -236,8 +247,8 @@ def generator_forward(
     """
     n_batch, c, h, w = s.shape
     n = cfg.n_levels
-    if c != cfg.in_channels:
-        raise ValueError(f"generator: input has {c} channels, config expects {cfg.in_channels}")
+    if c != IMAGE_CHANNELS:
+        raise ValueError(f"generator: input has {c} channels, expected {IMAGE_CHANNELS} (RGB)")
     if not cfg.fits(h, w):
         d = cfg.divisor
         raise ValueError(
@@ -296,8 +307,8 @@ def discriminator_forward(x: Tensor, params: ParamStore, cfg: SgenConfig) -> Ten
     the score.
     """
     n_batch, c, h, w = x.shape
-    if c != cfg.in_channels:
-        raise ValueError(f"discriminator: input has {c} channels, config expects {cfg.in_channels}")
+    if c != IMAGE_CHANNELS:
+        raise ValueError(f"discriminator: input has {c} channels, expected {IMAGE_CHANNELS} (RGB)")
     d = cfg.disc_divisor
     if h < d or w < d or h % d or w % d:
         raise ValueError(

@@ -10,7 +10,9 @@ padding.  So a conv's output is exactly its input divided by the stride,
 its adjoint upsamples by exactly the stride, and a ``ConvParams`` is
 just its weight and bias.  The factories ``conv_params`` and
 ``deconv_params`` draw one from the kernel a site declares, so
-``geometry`` is the only place a kernel becomes a stride.
+``geometry`` is the only place a kernel becomes a stride.  Both lay the
+weight out by ``param_shapes``, the one statement of the weight layout,
+which the checkpoint shape check reads too.
 
 Kernels: pad-first phase planes.  Call the conv input the fine side and
 its output the coarse side.  Pad the fine side first: fine pixel y sits at
@@ -80,20 +82,14 @@ import numpy as np
 from .autodiff import Tensor, activation, record
 
 __all__ = [
-    "ConvParams",
-    "geometry",
-    "conv_params",
-    "deconv_params",
-    "conv2d",
-    "deconv2d",
-    "global_avg_pool",
-    "he_std",
+    "ConvParams", "geometry", "param_shapes", "conv_params", "deconv_params", "conv2d", "deconv2d",
+    "global_avg_pool", "he_std",
 ]
 
 
-def he_std(in_channels: int, kh: int, kw: int) -> float:
+def he_std(c_in: int, kh: int, kw: int) -> float:
     """Kaiming-style init scale for relu-family activations."""
-    return float(np.sqrt(2.0 / (in_channels * kh * kw)))
+    return float(np.sqrt(2.0 / (c_in * kh * kw)))
 
 
 def geometry(k: int) -> tuple[int, int]:
@@ -116,8 +112,8 @@ def geometry(k: int) -> tuple[int, int]:
 class ConvParams:
     """Weights for one convolution, whose adjoint is the transposed conv.
 
-    weight: (out_channels, in_channels, kh, kw) of the conv; ``deconv2d``
-            reads the same array as (in_channels, out_channels, kh, kw).
+    weight: (c_out, c_in, kh, kw) of the conv; ``deconv2d``
+            reads the same array as (c_in, c_out, kh, kw).
     bias:   (1, c, 1, 1) for the c output channels of the op it is applied
             by; per-channel offsets live in the channel slot because every
             tensor in the engine is 4-D.
@@ -136,11 +132,11 @@ class ConvParams:
         self.stride, self.padding = geometry(kh)
 
     @property
-    def out_channels(self) -> int:
+    def c_out(self) -> int:
         return self.weight.shape[0]
 
     @property
-    def in_channels(self) -> int:
+    def c_in(self) -> int:
         return self.weight.shape[1]
 
     @property
@@ -148,32 +144,45 @@ class ConvParams:
         return self.weight.shape[2]
 
 
-def _fresh(shape, in_channels: int, out_channels: int, rng, dtype, weight_std: float | None) -> ConvParams:
-    """A He-scaled (zero at weight_std 0.0) weight of ``shape`` and a zero bias."""
-    std = he_std(in_channels, shape[2], shape[3]) if weight_std is None else weight_std
+def param_shapes(op: str, c_in: int, c_out: int, kernel: int) -> tuple[tuple, tuple]:
+    """The (weight, bias) shapes of a ``kernel`` x ``kernel`` ``op``
+    ("conv" or "deconv") from c_in to c_out channels: the weight layout.
+
+    A weight is always laid out as the conv's (out, in, k, k), so a deconv,
+    the adjoint of a conv from c_out to c_in, stores (c_in, c_out, k, k).
+    The bias is (1, c_out, 1, 1), as wide as the op's own output.
+    """
+    pair = (c_out, c_in) if op == "conv" else (c_in, c_out)
+    return (*pair, kernel, kernel), (1, c_out, 1, 1)
+
+
+def _fresh(op: str, c_in: int, c_out: int, kernel: int, rng, dtype, weight_std: float | None) -> ConvParams:
+    """A He-scaled (zero at weight_std 0.0) weight and a zero bias, laid out by ``param_shapes``."""
+    shape, bias_shape = param_shapes(op, c_in, c_out, kernel)
+    std = he_std(c_in, kernel, kernel) if weight_std is None else weight_std
     w = rng.normal(0.0, std, size=shape) if std > 0 else np.zeros(shape)
     weight = Tensor(w.astype(dtype), requires_grad=True)
-    bias = Tensor(np.zeros((1, out_channels, 1, 1), dtype=dtype), requires_grad=True)
+    bias = Tensor(np.zeros(bias_shape, dtype=dtype), requires_grad=True)
     return ConvParams(weight, bias)
 
 
 def conv_params(
-    in_channels: int, out_channels: int, kernel: int, rng: np.random.Generator,
+    c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
     dtype=np.float32, weight_std: float | None = None,
 ) -> ConvParams:
     """Fresh conv weights with a ``kernel`` x ``kernel`` kernel, which sets
     the stride (see ``geometry``).  weight_std defaults to the He scale;
     pass 0.0 for zero-initialized gates."""
-    return _fresh((out_channels, in_channels, kernel, kernel), in_channels, out_channels, rng, dtype, weight_std)
+    return _fresh("conv", c_in, c_out, kernel, rng, dtype, weight_std)
 
 
 def deconv_params(
-    in_channels: int, out_channels: int, kernel: int, rng: np.random.Generator,
+    c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
     dtype=np.float32, weight_std: float | None = None,
 ) -> ConvParams:
     """Fresh transposed-conv weights with a ``kernel`` x ``kernel`` kernel,
     upsampling by its stride; weight_std as for ``conv_params``."""
-    return _fresh((in_channels, out_channels, kernel, kernel), in_channels, out_channels, rng, dtype, weight_std)
+    return _fresh("deconv", c_in, c_out, kernel, rng, dtype, weight_std)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +362,7 @@ def _check(op: str, x: Tensor, p: ConvParams, c_in: int, c_out: int) -> None:
 def conv2d(x: Tensor, p: ConvParams, act: str | None = None) -> Tensor:
     """Strided cross-correlation plus bias, then the activation ``act``, if
     given, in place on that output; output spatial dims = input / stride."""
-    _check("conv2d", x, p, p.in_channels, p.out_channels)
+    _check("conv2d", x, p, p.c_in, p.c_out)
     n, _, h, w = x.shape
     s = p.stride
     if h % s or w % s:
@@ -365,7 +374,7 @@ def deconv2d(x: Tensor, p: ConvParams, act: str | None = None) -> Tensor:
     """Adjoint of conv2d on p, plus p's bias, then the activation ``act``,
     if given, in place on that output; upsamples by p.stride.  Its input
     and output channels are the conv's output and input channels."""
-    _check("deconv2d", x, p, p.out_channels, p.in_channels)
+    _check("deconv2d", x, p, p.c_out, p.c_in)
     n, _, h, w = x.shape
     s = p.stride
     if s < 2 or s & (s - 1):

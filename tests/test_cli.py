@@ -331,14 +331,30 @@ def _restore_with_out_conv_weight(tmp_path, capsys, shape):
 def test_restore_of_a_checkpoint_with_an_empty_kernel_fails_cleanly(tmp_path, capsys):
     """A (3, 4, 0, 0) weight loads, but a kernel without taps has no stride."""
     err = _restore_with_out_conv_weight(tmp_path, capsys, (3, 4, 0, 0))
-    assert "site 'out.conv' stores a 0x0 kernel where it declares 3x3" in err
+    assert "'out.conv.weight' is stored as (3, 4, 0, 0) where the site table gives (3, 4, 3, 3)" in err
 
 
 def test_restore_of_a_checkpoint_with_the_wrong_kernel_names_the_site(tmp_path, capsys):
     """A 5x5 kernel would run, at stride 1 with padding 2, where the site
-    declares 3x3: the check compares each stored kernel with its site row."""
+    declares 3x3: the check compares each stored shape with its site row."""
     err = _restore_with_out_conv_weight(tmp_path, capsys, (3, 4, 5, 5))
-    assert "site 'out.conv' stores a 5x5 kernel where it declares 3x3" in err
+    assert "'out.conv.weight' is stored as (3, 4, 5, 5) where the site table gives (3, 4, 3, 3)" in err
+
+
+@pytest.mark.parametrize("command", ["restore", "evaluate"])
+def test_a_checkpoint_of_other_widths_names_the_site_and_both_shapes(tmp_path, capsys, command):
+    """A base_channels = 4 checkpoint under a config saying 8 would run,
+    since a forward reads its widths off the weights; the check stops it."""
+    cfg_path = write_cfg(tmp_path, base_channels=8)
+    store = build_generator(load_config(write_cfg(tmp_path, "four.cfg", base_channels=4)), np.random.default_rng(0))
+    ckpt = tmp_path / "four.ckpt"
+    save_checkpoint(store, ckpt)
+    src, dst = tmp_path / "in.ppm", tmp_path / "out.ppm"
+    _random_ppm(src, 32, 32)
+    io = ["--in", str(src), "--out", str(dst)] if command == "restore" else []
+    err = _assert_clean_error(main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt), *io]), capsys)
+    assert "'enc.trunk.0.weight' is stored as (4, 3, 3, 3) where the site table gives (8, 3, 3, 3)" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["four.cfg", "four.ckpt", "in.ppm", "run.cfg"]
 
 
 def test_restore_missing_checkpoint_fails_cleanly(tmp_path, capsys):

@@ -17,6 +17,7 @@ from sgen import (
     serialize_config,
 )
 from sgen.data import EVAL_SCALES
+from sgen.model import discriminator_sites, generator_sites
 from sgen.settings import Kind
 
 
@@ -128,7 +129,7 @@ def test_invalid_values_fail_at_parse_time(line, key):
         (DegradeSpec, dict(scales=((0, 0),)), "scales"),
         (SgenConfig, dict(disc_channels=(0, 0, 0, 0)), "disc_channels"),
         (SgenConfig, dict(disc_channels=(-8, 16, 32, 64)), "disc_channels"),
-        (SgenConfig, dict(in_channels=0), "in_channels"),
+        (SgenConfig, dict(bottleneck_channels=0), "bottleneck_channels"),
         (SgenConfig, dict(n_levels="3"), "n_levels"),
         (SgenConfig, dict(disc_channels=32), "disc_channels"),
         (DegradeSpec, dict(scales=(128, 96)), "scales"),
@@ -157,7 +158,7 @@ def test_configs_are_frozen(cls):
 
 
 # the config-file keys, in file order, from the field table
-KEYS = [f.name for f in fields(RunConfig) if f.name != "in_channels"]
+KEYS = [f.name for f in fields(RunConfig)]
 # boundary texts (negative, zero, nan, inf, empty, a "#" that cuts the
 # line) and malformed sizes and width lists
 BOUNDARY = ("-1", "0", "nan", "inf", "", "#1", "0x0", "-8x8", "8x8,0x8", "0,0,0,0", "-8,16,32,64")
@@ -245,10 +246,17 @@ def test_default_config_text_is_pinned():
     )
 
 
-def test_in_channels_is_not_a_config_key():
-    assert "in_channels" not in serialize_config(RunConfig())
-    with pytest.raises(ConfigError, match="unknown config key 'in_channels'"):
-        parse_config("in_channels = 1\n")
+def test_the_config_text_states_the_whole_network():
+    """Every architecture field is a config-file key, so a config's text
+    rebuilds both site tables of the config it was written from."""
+    keys = [line.split(" = ")[0] for line in serialize_config(RunConfig()).splitlines()]
+    assert {f.name for f in fields(SgenConfig)} <= set(keys)
+    cfg = RunConfig(n_levels=4, base_channels=5, bottleneck_channels=7, merge_mode="concat", disc_channels=(3, 4, 5, 6))
+    again = parse_config(serialize_config(cfg))
+    assert generator_sites(cfg) != generator_sites(RunConfig())
+    assert discriminator_sites(cfg) != discriminator_sites(RunConfig())
+    assert generator_sites(again) == generator_sites(cfg)
+    assert discriminator_sites(again) == discriminator_sites(cfg)
 
 
 def test_lrelu_slope_is_not_a_config_key():

@@ -177,9 +177,7 @@ def test_report_text_mentions_ids_and_rows():
 
 
 def _tiny_cfg(n_levels=2):
-    return SgenConfig(
-        n_levels=n_levels, base_channels=2, bottleneck_channels=2, in_channels=3
-    )
+    return SgenConfig(n_levels=n_levels, base_channels=2, bottleneck_channels=2)
 
 
 def _pairs_at(rng, sizes, sigma=30.0):

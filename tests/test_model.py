@@ -19,11 +19,11 @@ from sgen import (
 )
 from sgen.autodiff import sum_all
 from sgen.data import EVAL_SCALES
-from sgen.model import discriminator_sites, generator_sites
+from sgen.model import discriminator_sites, generator_sites, shape_mismatches
 
 
 def small_cfg(**kw):
-    base = dict(n_levels=2, base_channels=4, bottleneck_channels=4, in_channels=3)
+    base = dict(n_levels=2, base_channels=4, bottleneck_channels=4)
     base.update(kw)
     return SgenConfig(**base)
 
@@ -176,26 +176,33 @@ def test_built_stores_match_declared_names(mode, n):
     assert all(t.requires_grad for t in store.tensors())
 
 
-def _row_shapes(row):
-    """The weight and bias a site row describes: a conv's weight is
-    (out, in, k, k), a deconv's the conv weight it is the adjoint of."""
-    pair = (row.c_out, row.c_in) if row.op == "conv" else (row.c_in, row.c_out)
-    return (*pair, row.kernel, row.kernel), (1, row.c_out, 1, 1)
-
-
 def _assert_rows_match_store(sites, store):
     assert store.names() == [f"{site}.{part}" for site in sites for part in ("weight", "bias")]
-    for site, row in sites.items():
-        weight, bias = _row_shapes(row)
-        assert store[f"{site}.weight"].shape == weight, site
-        assert store[f"{site}.bias"].shape == bias, site
+    assert shape_mismatches(store, sites) == []
 
 
-@pytest.mark.parametrize("in_channels", [1, 3])
+def test_shape_mismatches_name_a_wrong_a_missing_and_an_unexpected_parameter():
+    cfg = small_cfg()
+    built = build_generator(cfg, np.random.default_rng(0))
+    store = ParamStore()
+    for name, t in built.items():
+        if name == "enc.trunk.2.weight":
+            t = Tensor(t.data.transpose(1, 0, 2, 3).copy())  # the deconv layout of a conv site
+        if name != "out.conv.bias":
+            store.add(name, t)
+    store.add("out.conv.scale", Tensor(np.ones((1, 3, 1, 1), dtype=np.float32)))
+    assert shape_mismatches(store, generator_sites(cfg)) == [
+        "'enc.trunk.2.weight' is stored as (4, 8, 4, 4) where the site table gives (8, 4, 4, 4)",
+        "'out.conv.bias' is stored as nothing where the site table gives (1, 3, 1, 1)",
+        "'out.conv.scale' is stored as (1, 3, 1, 1) where the site table gives nothing",
+    ]
+
+
+@pytest.mark.parametrize("base_channels", [1, 3])
 @pytest.mark.parametrize("mode", ["sgu", "max", "average", "concat"])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_generator_site_rows_give_the_built_shapes(mode, n, in_channels):
-    cfg = small_cfg(n_levels=n, merge_mode=mode, in_channels=in_channels, base_channels=3, bottleneck_channels=5)
+def test_generator_site_rows_give_the_built_shapes(mode, n, base_channels):
+    cfg = small_cfg(n_levels=n, merge_mode=mode, base_channels=base_channels, bottleneck_channels=5)
     _assert_rows_match_store(generator_sites(cfg), build_generator(cfg, np.random.default_rng(0)))
 
 
@@ -395,7 +402,7 @@ def test_generator_rejects_wrong_channel_count():
     rng = np.random.default_rng(11)
     cfg = small_cfg()
     store = build_generator(cfg, rng)
-    with pytest.raises(ValueError, match="1 channels, config expects 3"):
+    with pytest.raises(ValueError, match=r"1 channels, expected 3 \(RGB\)"):
         generator_forward(_norm_input(rng, (1, 1, 32, 32)), store, cfg)
 
 

@@ -20,7 +20,7 @@ from sgen import (
     global_avg_pool,
 )
 from sgen.autodiff import lrelu, mul, record, relu, sigmoid, sum_all, tanh
-from sgen.nn import he_std
+from sgen.nn import he_std, param_shapes
 
 
 # the kernel these tests draw a conv or deconv with at each stride
@@ -63,6 +63,11 @@ def test_fresh_params_shapes_and_flags():
     d = deconv_params(8, 3, 4, rng)
     assert d.weight.shape == (8, 3, 4, 4)
     assert d.bias.shape == (1, 3, 1, 1)
+
+
+def test_param_shapes_lay_a_deconv_out_as_the_conv_it_is_the_adjoint_of():
+    assert param_shapes("conv", 3, 8, 4) == ((8, 3, 4, 4), (1, 8, 1, 1))
+    assert param_shapes("deconv", 8, 3, 4) == ((8, 3, 4, 4), (1, 3, 1, 1))
 
 
 def test_he_std_formula():
