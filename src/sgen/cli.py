@@ -4,10 +4,10 @@ Subcommands: train, restore, evaluate, degrade, gradcheck.  Settings come
 from a key=value config file (--config); --seed overrides the config
 seed.  restore and evaluate first check every stored parameter shape
 against the configured generator's site table, so a checkpoint trained
-under another config fails before it runs.  SGEN_THREADS caps the worker
-pool used for per-image work.  A failure prints one ``error:`` line and
-exits 2; numpy's overflow and invalid-value warnings are off, since the
-finite checks report a diverging run.
+under another config fails before it runs.  degrade writes each image's
+pairs on a pool of min(CPU count, 8) threads.  A failure prints one
+``error:`` line and exits 2; numpy's overflow and invalid-value warnings
+are off, since the finite checks report a diverging run.
 """
 
 from __future__ import annotations
@@ -32,20 +32,6 @@ from .ppm import PpmError, load_image, save_image
 from .train import load_corpus, run_training
 
 __all__ = ["main"]
-
-
-def worker_count() -> int:
-    """Worker cap from SGEN_THREADS; defaults to the CPU count, at most 8."""
-    raw = os.environ.get("SGEN_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"SGEN_THREADS must be an integer, got {raw!r}") from None
-        if n < 1:
-            raise ConfigError(f"SGEN_THREADS must be >= 1, got {n}")
-        return n
-    return min(os.cpu_count() or 1, 8)
 
 
 def _resolve_config(args) -> RunConfig:
@@ -99,7 +85,7 @@ def cmd_evaluate(args) -> int:
         cfg,
         pairs,
         model_id=str(args.checkpoint),
-        degradation=f"down{cfg.down_factor} sigma{cfg.noise_sigma:g} nearest",
+        degradation=cfg.label,
     )
     text_path = Path(cfg.report_out + ".txt")
     csv_path = Path(cfg.report_out + ".csv")
@@ -128,7 +114,7 @@ def cmd_degrade(args) -> int:
             save_image(pair.clean, out_dir / f"{path.stem}_scale{h}x{w}_clean.ppm")
             save_image(pair.corrupted, out_dir / f"{path.stem}_scale{h}x{w}_noisy.ppm")
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, 8)) as pool:
         list(pool.map(write_pairs, enumerate(paths)))
     print(f"wrote {2 * len(paths) * len(cfg.scales)} images to {out_dir}", file=sys.stderr)
     return 0

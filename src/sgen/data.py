@@ -68,6 +68,12 @@ class DegradeSpec(Settings):
                     f"scales: ({h}, {w}) not divisible by down_factor {self.down_factor}"
                 )
 
+    @property
+    def label(self) -> str:
+        """The recipe as a report names it, e.g. ``down4 sigma30 nearest``:
+        box downsample, noise sigma, and the upsampling ``degrade`` uses."""
+        return f"down{self.down_factor} sigma{self.noise_sigma:g} nearest"
+
 
 @dataclass
 class SamplePair:

@@ -56,8 +56,8 @@ class SgenConfig(Settings):
 
     n_levels is the trunk depth N; inputs must be divisible by 2^(N+1).
     base_channels is the width of the first trunk level (doubling per
-    level); bottleneck_channels is the shared width of all base-encoder
-    and decoder features.  Every lrelu uses ``sgen.autodiff.LRELU_SLOPE``.
+    level, as ``generator_sites`` states); bottleneck_channels is the
+    shared width of all base-encoder and decoder features.  Every lrelu uses ``sgen.autodiff.LRELU_SLOPE``.
     """
 
     n_levels: int = setting(3, at_least(2))
@@ -80,10 +80,6 @@ class SgenConfig(Settings):
         """Required divisibility of the discriminator's input: one stride-2
         conv per ``disc_channels`` width."""
         return 1 << len(self.disc_channels)
-
-    def trunk_channels(self, k: int) -> int:
-        """Width of trunk level k (1-based): base_channels * 2^(k-1)."""
-        return self.base_channels << (k - 1)
 
 
 class ParamStore:
@@ -154,13 +150,16 @@ Site = namedtuple("Site", "op c_in c_out kernel act std", defaults=(None,))
 def generator_sites(cfg: SgenConfig) -> dict[str, Site]:
     """Every generator site in draw order, keyed by its parameter prefix.
 
-    A conv with an even kernel 2f pools by f, and a deconv with one
-    upsamples by f.  Merge-conv rows come from ``MERGE_SITES`` and carry no
-    activation: ``merge`` applies it.
+    The trunk widths are stated here and nowhere else: trunk levels 0 and
+    1 are ``base_channels`` wide, and each later level doubles the width,
+    so level k >= 1 is ``base_channels << (k - 1)``.  A conv with an even
+    kernel 2f pools by f, and a deconv with one upsamples by f.  Merge-conv
+    rows come from ``MERGE_SITES`` and carry no activation: ``merge``
+    applies it.
     """
     n, bot = cfg.n_levels, cfg.bottleneck_channels
-    width = [cfg.base_channels] + [cfg.trunk_channels(k) for k in range(1, n + 1)]
     levels = range(1, n + 1)
+    width = [cfg.base_channels] + [cfg.base_channels << (k - 1) for k in levels]
     prefix, convs = MERGE_SITES[cfg.merge_mode]
 
     def merges(stage):

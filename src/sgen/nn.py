@@ -372,13 +372,11 @@ def conv2d(x: Tensor, p: ConvParams, act: str | None = None) -> Tensor:
 
 def deconv2d(x: Tensor, p: ConvParams, act: str | None = None) -> Tensor:
     """Adjoint of conv2d on p, plus p's bias, then the activation ``act``,
-    if given, in place on that output; upsamples by p.stride.  Its input
-    and output channels are the conv's output and input channels."""
+    if given, in place on that output; upsamples by p.stride, so it runs
+    every kernel ``geometry`` admits, as ``conv2d`` does.  Its input and
+    output channels are the conv's output and input channels."""
     _check("deconv2d", x, p, p.c_out, p.c_in)
     n, _, h, w = x.shape
-    s = p.stride
-    if s < 2 or s & (s - 1):
-        raise ValueError(f"deconv2d: stride must be a power of two >= 2, got {s}")
     return _apply(x, p, act, _Grid(n, h, w, p), False)
 
 

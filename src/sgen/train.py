@@ -71,7 +71,12 @@ def _derived_seed(*parts: int) -> int:
 
 
 def load_corpus(cfg: RunConfig, split: str = "train") -> list[Tensor]:
-    """Images from data_root/<split> (or data_root itself), else synthetic."""
+    """Images from data_root/<split> (or data_root itself), else synthetic.
+
+    A synthetic corpus ignores ``split``: it is drawn from ``cfg.seed``
+    alone, so the "test" split returns the training images, and a held-out
+    synthetic set needs a config with another seed.
+    """
     if cfg.data_root:
         root = Path(cfg.data_root)
         if not root.exists():

@@ -20,7 +20,7 @@ from sgen import (
     save_image,
     serialize_config,
 )
-from sgen.cli import main, worker_count
+from sgen.cli import main
 from sgen.ppm import load_image
 
 
@@ -50,31 +50,6 @@ def _random_ppm(path, h, w, seed=0):
     rng = np.random.default_rng(seed)
     img = Tensor(rng.integers(0, 256, size=(1, 3, h, w)).astype(np.float32))
     save_image(img, path)
-
-
-# ---------------------------------------------------------------------------
-# worker pool sizing
-
-
-def test_worker_count_default_is_bounded(monkeypatch):
-    monkeypatch.delenv("SGEN_THREADS", raising=False)
-    assert 1 <= worker_count() <= 8
-
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("SGEN_THREADS", "3")
-    assert worker_count() == 3
-
-
-def test_worker_count_rejects_bad_values(monkeypatch):
-    from sgen import ConfigError
-
-    monkeypatch.setenv("SGEN_THREADS", "zero")
-    with pytest.raises(ConfigError, match="SGEN_THREADS"):
-        worker_count()
-    monkeypatch.setenv("SGEN_THREADS", "0")
-    with pytest.raises(ConfigError, match=">= 1"):
-        worker_count()
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +384,13 @@ def test_evaluate_is_repeatable(tmp_path):
     assert (tmp_path / "report.csv").read_text() == first
 
 
+def test_evaluate_names_the_degradation_recipe(tmp_path):
+    cfg_path = write_cfg(tmp_path, steps=0, down_factor=2, noise_sigma=12.5)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(tmp_path / "model.ckpt")]) == 0
+    assert "degradation: down2 sigma12.5 nearest\n" in (tmp_path / "report.txt").read_text()
+
+
 # ---------------------------------------------------------------------------
 # degrade
 
@@ -447,9 +429,9 @@ def test_degrade_writes_named_pairs(tmp_path):
 def test_degrade_is_deterministic_across_worker_counts(tmp_path, monkeypatch):
     cfg_path, in_dir, _ = _degrade_setup(tmp_path)
     blobs = {}
-    for label, threads in [("serial", "1"), ("pooled", "4")]:
+    for label, cpus in [("serial", 1), ("pooled", 4)]:
         out_dir = tmp_path / f"out_{label}"
-        monkeypatch.setenv("SGEN_THREADS", threads)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
         assert (
             main(["degrade", "--config", str(cfg_path), "--in", str(in_dir), "--out", str(out_dir)])
             == 0

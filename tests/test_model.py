@@ -62,7 +62,8 @@ def test_config_rejects_bad_values():
 def test_config_divisor_and_trunk_widths():
     cfg = SgenConfig(n_levels=3, base_channels=32)
     assert cfg.divisor == 16
-    assert [cfg.trunk_channels(k) for k in (1, 2, 3)] == [32, 64, 128]
+    sites = generator_sites(cfg)
+    assert [sites[f"enc.trunk.{k}"].c_out for k in (0, 1, 2, 3)] == [32, 32, 64, 128]
     assert SgenConfig(n_levels=4).divisor == 32
 
 

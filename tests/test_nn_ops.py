@@ -24,7 +24,7 @@ from sgen.nn import he_std, param_shapes
 
 
 # the kernel these tests draw a conv or deconv with at each stride
-KERNEL = {1: 3, 2: 4, 4: 8, 8: 16}
+KERNEL = {1: 3, 2: 4, 4: 8, 6: 12, 8: 16}
 
 
 def _conv(rng, cin, cout, factor, dtype=np.float64, kernel=None):
@@ -97,15 +97,6 @@ def test_params_take_their_geometry_from_the_kernel_alone():
         ConvParams(weight=w, bias=b, stride=1, padding=1)
 
 
-def test_deconv_stride_must_be_power_of_two():
-    b = Tensor(np.zeros((1, 3, 1, 1), dtype=np.float32), requires_grad=True)
-    x = Tensor(np.zeros((1, 2, 2, 2), dtype=np.float32))
-    for k in (3, 12):  # strides 1 and 6
-        w = Tensor(np.zeros((2, 3, k, k), dtype=np.float32), requires_grad=True)
-        with pytest.raises(ValueError, match="power of two"):
-            deconv2d(x, ConvParams(weight=w, bias=b))
-
-
 def test_bias_shape_is_validated():
     w = Tensor(np.zeros((4, 2, 3, 3), dtype=np.float32))
     bad_bias = Tensor(np.zeros((1, 2, 1, 1), dtype=np.float32))
@@ -154,7 +145,7 @@ def test_conv2d_matches_loop_oracle(seed, factor):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("factor", [2, 4])
+@pytest.mark.parametrize("factor", [1, 2, 4, 6])
 def test_deconv2d_matches_scatter_oracle(seed, factor):
     rng = np.random.default_rng(seed)
     cin, cout = 2, 3
@@ -169,12 +160,12 @@ def test_deconv2d_matches_scatter_oracle(seed, factor):
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-12)
 
 
-@pytest.mark.parametrize("factor", [2, 4, 8])
+@pytest.mark.parametrize("factor", [1, 2, 4, 6, 8])
 def test_conv_deconv_adjoint_identity(factor):
     """<conv(x), y> must equal <x, deconv(y)> when both share one weight array."""
     rng = np.random.default_rng(factor)
     cin, cout = 4, 2
-    h = w = 16
+    h = w = 24  # every factor divides it
     cp = _conv(rng, cin, cout, factor)
     cp.bias.data[:] = 0.0
     dp = ConvParams(
@@ -198,9 +189,8 @@ def test_conv_halving_and_deconv_doubling_shapes(factor):
     x = Tensor(np.zeros((1, 2, 16, 32), dtype=np.float32))
     p = conv_params(2, 5, KERNEL[factor], rng, dtype=np.float32)
     assert conv2d(x, p).shape == (1, 5, 16 // factor, 32 // factor)
-    if factor >= 2:
-        d = deconv_params(2, 5, KERNEL[factor], rng, dtype=np.float32)
-        assert deconv2d(x, d).shape == (1, 5, 16 * factor, 32 * factor)
+    d = deconv_params(2, 5, KERNEL[factor], rng, dtype=np.float32)
+    assert deconv2d(x, d).shape == (1, 5, 16 * factor, 32 * factor)
 
 
 def test_conv2d_rejects_channel_mismatch():
@@ -286,6 +276,33 @@ def test_deconv2d_input_gradient_matches_numeric():
         x_arr.copy(),
     )
     np.testing.assert_allclose(x.grad, num, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("factor", [1, 6])
+def test_deconv2d_input_weight_and_bias_gradients_match_numeric(factor):
+    """Strides that are not powers of two run the same body."""
+    rng = np.random.default_rng(14 + factor)
+    k = KERNEL[factor]
+    x_arr = rng.normal(size=(1, 2, 2, 3))
+    w_arr = rng.normal(0.0, 0.3, size=(2, 1, k, k))
+    b_arr = rng.normal(size=(1, 1, 1, 1))
+    proj = rng.normal(size=(1, 1, 2 * factor, 3 * factor))
+    x = Tensor(x_arr, requires_grad=True)
+    d = ConvParams(weight=Tensor(w_arr, requires_grad=True), bias=Tensor(b_arr, requires_grad=True))
+
+    def value(x, w, b):
+        return float((deconv2d_scatter(x, w, b.ravel(), d.stride, d.padding) * proj).sum())
+
+    with Tape() as tape:
+        loss = sum_all(mul(deconv2d(x, d), Tensor(proj)))
+    backward(tape, loss)
+
+    num_x = numeric_gradient(lambda a: value(a, w_arr, b_arr), x_arr.copy())
+    num_w = numeric_gradient(lambda w: value(x_arr, w, b_arr), w_arr.copy())
+    num_b = numeric_gradient(lambda b: value(x_arr, w_arr, b), b_arr.copy())
+    np.testing.assert_allclose(x.grad, num_x, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(d.weight.grad, num_w, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(d.bias.grad, num_b, rtol=1e-6, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
