@@ -24,8 +24,6 @@ from .losses import d_loss, g_loss, mse_loss
 from .model import (
     ParamStore,
     SgenConfig,
-    _add_conv,
-    _at,
     build_discriminator,
     build_generator,
     discriminator_forward,
@@ -97,8 +95,8 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
-    def check(name, build, probe, tol=OP_TOL, eps=1e-5):
-        err = grad_check(build, Tensor(probe), eps)
+    def check(name, build, probe, tol=OP_TOL):
+        err = grad_check(build, Tensor(probe), 1e-5)
         result = CheckResult(name, err, tol)
         results.append(result)
         if on_result is not None:
@@ -215,25 +213,24 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
         layer_checks(f"deconv2d.{cin}to{cout}.s{p.stride}", deconv2d, p, x0, w_out)
 
     # --- SGU: both inputs and all four gate parameters ---------------------
-    gate_store = ParamStore()
-    for name, p in merge_convs("sgu", 3, rng, dtype=np.float64, weight_std=0.15).items():
-        _add_conv(gate_store, name, p)
+    gates = merge_convs("sgu", 3, rng, dtype=np.float64, weight_std=0.15)
     active0 = _rand(rng, (2, 3, 5, 5))
     passive0 = _rand(rng, (2, 3, 5, 5))
     sgu_w = _signed_unit(rng, (2, 3, 5, 5))
 
-    def sgu_loss(active, passive, store=gate_store):
-        gates = {name: _at(store, name) for name in ("gate_a", "gate_p")}
-        return _weighted_sum(sgu(active, passive, gates), sgu_w)
+    def sgu_loss(active, passive, gate=None, **probe):
+        convs = {**gates, gate: replace(gates[gate], **probe)} if gate else gates
+        return _weighted_sum(sgu(active, passive, convs), sgu_w)
 
     check("sgu.active", lambda x: sgu_loss(x, Tensor(passive0)), active0)
     check("sgu.passive", lambda x: sgu_loss(Tensor(active0), x), passive0)
-    for pname in ("gate_a.weight", "gate_p.weight", "gate_a.bias", "gate_p.bias"):
-        check(
-            f"sgu.{pname}",
-            lambda t, n=pname: sgu_loss(Tensor(active0), Tensor(passive0), _with_param(gate_store, n, t)),
-            gate_store[pname].data.copy(),
-        )
+    for part in ("weight", "bias"):
+        for gate in ("gate_a", "gate_p"):
+            check(
+                f"sgu.{gate}.{part}",
+                lambda t, g=gate, f=part: sgu_loss(Tensor(active0), Tensor(passive0), g, **{f: t}),
+                getattr(gates[gate], part).data.copy(),
+            )
 
     # --- losses -------------------------------------------------------------
     scores_shape = (4, 1, 1, 1)

@@ -48,7 +48,7 @@ def cmd_train(args) -> int:
             result = run_training(cfg, log_stream=fh)
     else:
         result = run_training(cfg, log_stream=sys.stdout)
-    print(f"trained {result.steps} steps, checkpoint -> {result.checkpoint_path}", file=sys.stderr)
+    print(f"trained {result.steps} steps, checkpoint -> {cfg.checkpoint_out}", file=sys.stderr)
     return 0
 
 

@@ -9,7 +9,9 @@ only quantization in the pipeline is PPM I/O.
 ``degraded_pairs`` is the one recipe from a corpus image to its pairs: it
 resizes the image to every scale, corrupts each copy with ``degrade`` and
 seeds that noise with (seed, image index, scale index).  Training,
-``evaluate`` and ``sgen degrade`` all take their pairs from it.
+``evaluate`` and ``sgen degrade`` all take their pairs from it.  A pair
+holds its clean and corrupted images only: its scale is its size, which
+``batch_iter`` groups by and ``evaluate`` reports by.
 
 All randomness flows through explicitly seeded numpy Generators, so every
 dataset and batch order is reproducible from integers.
@@ -77,11 +79,11 @@ class DegradeSpec(Settings):
 
 @dataclass
 class SamplePair:
-    """One clean/corrupted training or evaluation pair at one scale."""
+    """One clean/corrupted training or evaluation pair; its scale is its
+    size, ``clean.shape[2:]``."""
 
     clean: Tensor
     corrupted: Tensor
-    scale_index: int
 
 
 def normalize(t: Tensor) -> Tensor:
@@ -129,7 +131,7 @@ def degraded_pairs(image: Tensor, index: int, spec: DegradeSpec) -> list[SampleP
     for j, (h, w) in enumerate(spec.scales):
         clean = bilinear_resize(image, h, w)
         corrupted = degrade(clean, spec, np.random.default_rng((spec.seed, index, j)))
-        pairs.append(SamplePair(clean=clean, corrupted=corrupted, scale_index=j))
+        pairs.append(SamplePair(clean=clean, corrupted=corrupted))
     return pairs
 
 
@@ -236,27 +238,27 @@ def make_synthetic_corpus(count: int, seed: int, size: tuple[int, int] = (128, 9
 # batching
 
 def batch_iter(pairs: list[SamplePair], batch_size: int, seed: int):
-    """One epoch of single-scale normalized batches.
+    """One epoch of single-size normalized batches.
 
-    Pairs are grouped by scale and shuffled within each group; each batch
-    draws its scale uniformly among scales that still have samples, so
-    every pair appears exactly once per epoch and no batch mixes sizes.
-    Yields (corrupted, clean, scale_index) with pixels mapped to [-1, 1].
+    Pairs are grouped by size (``clean.shape[2:]``) and each group is
+    shuffled, in the order its size first appears; each batch draws its
+    size uniformly among groups that still have samples, so every pair
+    appears exactly once per epoch and no batch mixes sizes.  Yields
+    (corrupted, clean) with pixels mapped to [-1, 1].
     """
     if not pairs:
         raise ValueError("batch_iter: empty dataset")
     if batch_size < 1:
         raise ValueError(f"batch_iter: batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)
-    groups: dict[int, list[SamplePair]] = {}
+    groups: dict[tuple[int, int], list[SamplePair]] = {}
     for pair in pairs:
-        groups.setdefault(pair.scale_index, []).append(pair)
+        groups.setdefault(pair.clean.shape[2:], []).append(pair)
     queues = {}
-    for key in sorted(groups):
-        bucket = groups[key]
+    for key, bucket in groups.items():
         order = rng.permutation(len(bucket))
         queues[key] = [bucket[i] for i in order]
-    keys = sorted(queues)
+    keys = list(queues)
     while keys:
         key = keys[rng.integers(len(keys))]
         queue = queues[key]
@@ -265,4 +267,4 @@ def batch_iter(pairs: list[SamplePair], batch_size: int, seed: int):
             keys.remove(key)
         s = np.concatenate([p.corrupted.data for p in take], axis=0)
         t = np.concatenate([p.clean.data for p in take], axis=0)
-        yield normalize(Tensor(s)), normalize(Tensor(t)), key
+        yield normalize(Tensor(s)), normalize(Tensor(t))

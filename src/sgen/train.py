@@ -1,12 +1,14 @@
 """Training: one state advanced one step at a time, and the loop around it.
 
-``TrainState`` holds what a training step reads and advances: the generator
-and, in an adversarial run, the critic, each with its Adam state.  Its
-position is the generator Adam's step count; the critic takes one update
-per step too, so its count always equals it.  ``start(cfg)`` builds a fresh
-state from the config's seed and ``advance(state, s, t, cfg)`` runs one
-step on one batch.  These are the per-step entry points for any driver
-other than ``run_training``, such as resume or per-step telemetry.
+``TrainState`` holds what a training step reads and advances: the config
+it was started from, the generator and, in an adversarial run, the critic,
+each with its Adam state.  Its position is the generator Adam's step
+count; the critic takes one update per step too, so its count always
+equals it.  ``start(cfg)`` builds a fresh state from the config's seed and
+``advance(state, s, t)`` runs one step of that config on one batch; no
+step takes a config of its own.  These are the per-step entry points for
+any driver other than ``run_training``, such as resume or per-step
+telemetry.
 
 An MSE step is one generator forward, backward and Adam update.  An
 adversarial step runs one discriminator update then one generator update
@@ -61,7 +63,6 @@ class TrainResult:
     final_mse: float
     final_g: float
     final_d: float
-    checkpoint_path: str
     log_lines: list[str]
 
 
@@ -115,11 +116,12 @@ def _epoch_batches(pairs, cfg: RunConfig, epoch: int):
 
 @dataclass
 class TrainState:
-    """The networks and optimizer state one training step advances.
+    """The config, networks and optimizer state one training step advances.
 
     ``disc`` and ``disc_adam`` are None in an MSE-only run.
     """
 
+    cfg: RunConfig
     gen: ParamStore
     gen_adam: AdamState
     disc: ParamStore | None
@@ -136,20 +138,21 @@ def start(cfg: RunConfig) -> TrainState:
     init_rng = np.random.default_rng(_derived_seed(cfg.seed, 0))
     gen = build_generator(cfg, init_rng)
     disc = build_discriminator(cfg, init_rng) if cfg.adversarial else None
-    return TrainState(gen, init_adam(gen), disc, None if disc is None else init_adam(disc))
+    return TrainState(cfg, gen, init_adam(gen), disc, None if disc is None else init_adam(disc))
 
 
-def advance(state: TrainState, s: Tensor, t: Tensor, cfg: RunConfig) -> tuple[float, float, float]:
-    """Run one MSE or adversarial step on batch (s, t) in place.
+def advance(state: TrainState, s: Tensor, t: Tensor) -> tuple[float, float, float]:
+    """Run one step of ``state.cfg``'s kind (MSE or adversarial) on batch
+    (s, t) in place.
 
     Returns ``(loss_g, loss_d, loss_mse)``; under MSE-only training loss_g
     is the MSE and loss_d is nan.
     """
-    return (_adversarial_step if cfg.adversarial else _mse_step)(state, s, t, cfg)
+    return (_adversarial_step if state.cfg.adversarial else _mse_step)(state, s, t)
 
 
 def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
-    """Train per the config; returns final losses and the checkpoint path.
+    """Train per the config; returns the step count, final losses and log.
 
     Starts a state and advances it over ``cfg.steps`` batches of the epoch
     stream, epoch after epoch.  Every step appends one
@@ -170,8 +173,8 @@ def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
 
     g = d = mse = math.nan
     stream = itertools.chain.from_iterable(_epoch_batches(pairs, cfg, e) for e in itertools.count())
-    for s, t, _scale in itertools.islice(stream, cfg.steps):
-        g, d, mse = advance(state, s, t, cfg)
+    for s, t in itertools.islice(stream, cfg.steps):
+        g, d, mse = advance(state, s, t)
         line = f"{state.step},{g:.8e},{d:.8e},{mse:.8e}"
         log_lines.append(line)
         if log_stream is not None:
@@ -179,32 +182,30 @@ def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
         if not all(map(math.isfinite, (g, d, mse) if cfg.adversarial else (mse,))):
             raise RuntimeError(f"non-finite loss at step {state.step}: {line}")
         if cfg.eval_every and state.step % cfg.eval_every == 0:
-            _save(state, cfg)
-    _save(state, cfg)
-    return TrainResult(
-        steps=state.step, final_mse=mse, final_g=g, final_d=d, checkpoint_path=cfg.checkpoint_out, log_lines=log_lines
-    )
+            _save(state)
+    _save(state)
+    return TrainResult(steps=state.step, final_mse=mse, final_g=g, final_d=d, log_lines=log_lines)
 
 
-def _save(state: TrainState, cfg: RunConfig) -> None:
-    save_checkpoint(state.gen, cfg.checkpoint_out)
+def _save(state: TrainState) -> None:
+    save_checkpoint(state.gen, state.cfg.checkpoint_out)
     if state.disc is not None:
-        save_checkpoint(state.disc, cfg.checkpoint_out + ".disc")
+        save_checkpoint(state.disc, state.cfg.checkpoint_out + ".disc")
 
 
-def _mse_step(state: TrainState, s, t, cfg: RunConfig):
+def _mse_step(state: TrainState, s, t):
     state.gen.zero_grad()
     with Tape() as tape:
-        pred = generator_forward(s, state.gen, cfg)
+        pred = generator_forward(s, state.gen, state.cfg)
         loss = mse_loss(pred, t)
     backward(tape, loss)
-    adam_step(state.gen, state.gen_adam, cfg.learning_rate)
+    adam_step(state.gen, state.gen_adam, state.cfg.learning_rate)
     value = loss.item()
     return value, math.nan, value
 
 
-def _adversarial_step(state: TrainState, s, t, cfg: RunConfig):
-    gen, disc = state.gen, state.disc
+def _adversarial_step(state: TrainState, s, t):
+    cfg, gen, disc = state.cfg, state.gen, state.disc
     # one generator forward, recorded for the generator step below
     with Tape() as gen_tape:
         pred = generator_forward(s, gen, cfg)

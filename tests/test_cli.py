@@ -453,7 +453,7 @@ def test_degrade_writes_the_pairs_degraded_dataset_makes(tmp_path):
     want_dir.mkdir()
     for k, pair in enumerate(pairs):
         stem = paths[k // len(cfg.scales)].stem
-        h, w = cfg.scales[pair.scale_index]
+        h, w = pair.clean.shape[2:]
         for kind, image in (("clean", pair.clean), ("noisy", pair.corrupted)):
             save_image(image, want_dir / f"{stem}_scale{h}x{w}_{kind}.ppm")
     written = {p.name: p.read_bytes() for p in out_dir.iterdir()}

@@ -1,5 +1,7 @@
 """Degradation, resizing, synthetic corpus, and batching tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,6 @@ def test_degraded_dataset_layout_and_determinism():
     for idx, pair in enumerate(pairs):
         j = idx % 6
         h, w = spec.scales[j]
-        assert pair.scale_index == j
         assert pair.clean.shape == (1, 3, h, w)
         assert pair.corrupted.shape == (1, 3, h, w)
     again = degraded_dataset(make_synthetic_corpus(2, seed=10), spec)
@@ -180,10 +181,21 @@ def test_degraded_dataset_is_each_images_pairs_in_corpus_order():
     spec = DegradeSpec(scales=((32, 32), (48, 32)), seed=4)
     want = [p for i, image in enumerate(images) for p in degraded_pairs(image, i, spec)]
     got = degraded_dataset(images, spec)
-    assert [p.scale_index for p in got] == [0, 1] * 3
+    assert [p.clean.shape[2:] for p in got] == [(32, 32), (48, 32)] * 3
     for a, b in zip(got, want, strict=True):
         assert a.clean.data.tobytes() == b.clean.data.tobytes()
         assert a.corrupted.data.tobytes() == b.corrupted.data.tobytes()
+
+
+def test_pair_recipe_bits_are_pinned():
+    """The clean and corrupted bytes of one seeded 208x176 image at the six
+    evaluation scales, as ``tools/golden.py`` prints them on its ``pairs``
+    line: a change to the resize, downsample, noise or upsample bits, or to
+    the noise seeds, moves this digest."""
+    image = make_synthetic_corpus(1, seed=3, size=EVAL_SCALES[-1])
+    pairs = degraded_dataset(image, DegradeSpec(scales=EVAL_SCALES, seed=3))
+    blob = b"".join(p.clean.data.tobytes() + p.corrupted.data.tobytes() for p in pairs)
+    assert hashlib.sha256(blob).hexdigest()[:16] == "82b0efbb65acdaa3"
 
 
 # ---------------------------------------------------------------------------
@@ -292,54 +304,70 @@ def test_corpus_validation():
 # batching
 
 
-def _manual_pairs(count, scale_index, h=16, w=16):
+def _manual_pairs(count, h=16, w=16):
     pairs = []
     for i in range(count):
         clean = Tensor(np.full((1, 3, h, w), 255.0, dtype=np.float32))
         corrupted = Tensor(np.full((1, 3, h, w), float(i), dtype=np.float32))
-        pairs.append(SamplePair(clean=clean, corrupted=corrupted, scale_index=scale_index))
+        pairs.append(SamplePair(clean=clean, corrupted=corrupted))
     return pairs
 
 
 def test_batch_iter_sizes_cover_epoch():
-    pairs = _manual_pairs(10, 0)
-    sizes = [s.shape[0] for s, _, _ in batch_iter(pairs, 4, seed=0)]
+    pairs = _manual_pairs(10)
+    sizes = [s.shape[0] for s, _ in batch_iter(pairs, 4, seed=0)]
     assert sorted(sizes, reverse=True) == [4, 4, 2]
 
 
 def test_batch_iter_yields_each_pair_exactly_once():
-    pairs = _manual_pairs(10, 0)
+    pairs = _manual_pairs(10)
     seen = []
-    for s, _, _ in batch_iter(pairs, 3, seed=1):
+    for s, _ in batch_iter(pairs, 3, seed=1):
         seen.extend(np.round(denormalize(s).data[:, 0, 0, 0]).astype(int).tolist())
     assert sorted(seen) == list(range(10))
 
 
 def test_batch_iter_never_mixes_scales():
-    pairs = _manual_pairs(6, 0, h=16, w=16) + _manual_pairs(4, 1, h=32, w=32)
-    per_scale = {0: 0, 1: 0}
-    for s, t, key in batch_iter(pairs, 4, seed=2):
+    """A pair's scale is its size: pairs of two sizes passed interleaved
+    are grouped by it, so no batch mixes them and each pair comes once."""
+    small, big = _manual_pairs(6, h=16, w=16), _manual_pairs(4, h=32, w=32)
+    pairs = [p for duo in zip(small, big) for p in duo] + small[4:]
+    seen = {(16, 16): [], (32, 32): []}
+    for s, t in batch_iter(pairs, 4, seed=2):
         assert s.shape == t.shape
-        expected_hw = (16, 16) if key == 0 else (32, 32)
-        assert s.shape[2:] == expected_hw
-        per_scale[key] += s.shape[0]
-    assert per_scale == {0: 6, 1: 4}
+        seen[s.shape[2:]].extend(np.round(denormalize(s).data[:, 0, 0, 0]).astype(int).tolist())
+    assert sorted(seen[(16, 16)]) == list(range(6))
+    assert sorted(seen[(32, 32)]) == list(range(4))
+
+
+def test_batch_iter_orders_size_groups_by_first_appearance():
+    """The groups are shuffled and drawn in the order their sizes first
+    appear, not in sorted order: interleaved pairs batch as if listed group
+    by group, the larger size first as it was passed."""
+    big, small = _manual_pairs(3, h=32, w=32), _manual_pairs(5, h=16, w=16)
+    interleaved = [big[0], small[0], big[1], small[1], big[2], *small[2:]]
+
+    def run(pairs):
+        return [(s.data.tobytes(), t.data.tobytes()) for s, t in batch_iter(pairs, 2, seed=4)]
+
+    assert run(interleaved) == run(big + small)
+    assert run(interleaved) != run(small + big)
 
 
 def test_batch_iter_outputs_are_normalized():
-    pairs = _manual_pairs(4, 0)
-    for s, t, _ in batch_iter(pairs, 2, seed=3):
+    pairs = _manual_pairs(4)
+    for s, t in batch_iter(pairs, 2, seed=3):
         assert s.data.min() >= -1.0 and s.data.max() <= 1.0
         np.testing.assert_allclose(t.data, 1.0, atol=1e-6)  # clean was 255
 
 
 def test_batch_iter_is_seed_deterministic():
-    pairs = _manual_pairs(9, 0) + _manual_pairs(7, 1, h=32, w=32)
+    pairs = _manual_pairs(9) + _manual_pairs(7, h=32, w=32)
 
     def run(seed):
         return [
-            (key, s.data.tobytes(), t.data.tobytes())
-            for s, t, key in batch_iter(pairs, 4, seed=seed)
+            (s.shape, s.data.tobytes(), t.data.tobytes())
+            for s, t in batch_iter(pairs, 4, seed=seed)
         ]
 
     assert run(5) == run(5)
@@ -350,4 +378,4 @@ def test_batch_iter_validates_arguments():
     with pytest.raises(ValueError, match="empty dataset"):
         list(batch_iter([], 4, seed=0))
     with pytest.raises(ValueError, match="batch_size"):
-        list(batch_iter(_manual_pairs(2, 0), 0, seed=0))
+        list(batch_iter(_manual_pairs(2), 0, seed=0))

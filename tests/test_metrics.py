@@ -185,7 +185,7 @@ def _pairs_at(rng, sizes, sigma=30.0):
     for h, w in sizes:
         clean = Tensor(np.full((1, 3, h, w), 128.0, dtype=np.float32))
         spec = DegradeSpec(scales=((h, w),), noise_sigma=sigma)
-        pairs.append(SamplePair(clean, degrade(clean, spec, rng), scale_index=0))
+        pairs.append(SamplePair(clean, degrade(clean, spec, rng)))
     return pairs
 
 

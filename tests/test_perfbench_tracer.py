@@ -79,3 +79,25 @@ def test_tracer_sees_one_merge_span_per_merge_site(mode):
     gates = [s for s in spans if s[name] == "nn.conv2d" and ".gate_" in s[attrs]["site"]]
     assert len(gates) == (2 * len(merges) if mode == "sgu" else 0)
     assert all(spans[s[parent]][name] == "ensemble.merge" for s in gates)
+
+
+def test_tracer_records_one_yielded_batch_span_per_training_step(tmp_path):
+    """``train.data_wait`` sums the ``data.batch`` spans that yielded a
+    batch: an N-step run must record exactly N of them, whatever batch
+    ``batch_iter`` yields, and the epoch ends in between must not count."""
+    tracer_module = _load_tracer()
+    name, attrs = tracer_module.NAME, tracer_module.ATTRS
+    tracer = tracer_module.Tracer()
+    cfg = sgen.RunConfig(
+        n_levels=2, base_channels=2, bottleneck_channels=2, scales=((32, 32), (48, 32)),
+        synthetic_count=3, synthetic_size=(48, 32), batch_size=2, steps=5, eval_every=0,
+        checkpoint_out=str(tmp_path / "model.ckpt"),
+    )
+    with tracer.installed():
+        result = sgen.run_training(cfg)
+
+    assert tracer.missing == []
+    assert result.steps == 5
+    batches = [s[attrs]["yielded"] for s in tracer.spans if s[name] == "data.batch"]
+    assert batches.count(True) == 5
+    assert batches.count(False) == 1  # the end of epoch 0: 4 batches, 2 per size

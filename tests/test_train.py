@@ -273,10 +273,10 @@ def test_start_and_advance_by_hand_match_run_training(tmp_path, gan):
     lines = [LOG_HEADER]
     epoch = 0
     while state.step < cfg.steps:
-        for s, t, _scale in _epoch_batches(pairs, cfg, epoch):
+        for s, t in _epoch_batches(pairs, cfg, epoch):
             if state.step == cfg.steps:
                 break
-            g, d, mse = advance(state, s, t, cfg)
+            g, d, mse = advance(state, s, t)
             lines.append(f"{state.step},{g:.8e},{d:.8e},{mse:.8e}")
         epoch += 1
     assert epoch == 2
@@ -294,6 +294,26 @@ def test_start_and_advance_by_hand_match_run_training(tmp_path, gan):
     assert by_hand.read_bytes() == (tmp_path / "model.ckpt").read_bytes()
     if cfg.adversarial:
         assert (tmp_path / "by_hand.ckpt.disc").read_bytes() == (tmp_path / "model.ckpt.disc").read_bytes()
+
+
+@pytest.mark.parametrize("gan", ["none", "minimax"])
+def test_advance_runs_the_step_of_the_config_its_state_started_from(tmp_path, gan):
+    """The state carries its config: a minimax state takes a critic step
+    with every generator step, an MSE state none."""
+    cfg = fast_cfg(tmp_path, gan_loss=gan)
+    state = start(cfg)
+    assert state.cfg is cfg
+    s, t = next(_epoch_batches(build_training_pairs(cfg, load_corpus(cfg)), cfg, 0))
+    for step in (1, 2):
+        g, d, mse = advance(state, s, t)
+        assert state.step == step
+        assert math.isfinite(g) and math.isfinite(mse)
+        if cfg.adversarial:
+            assert math.isfinite(d)
+            assert state.disc_adam.step == state.step
+        else:
+            assert math.isnan(d) and g == mse
+            assert state.disc is None and state.disc_adam is None
 
 
 # ---------------------------------------------------------------------------
