@@ -38,6 +38,9 @@ NET_TOL = 1e-4
 
 _SHAPES = ((1, 1, 2, 3), (2, 3, 4, 4), (1, 2, 5, 7))
 
+# every probe stream is derived from this one seed
+_SEED = 7
+
 _BINARY_OPS = {"add": ad.add, "sub": ad.sub, "mul": ad.mul}
 _ACTIVATIONS = {
     "relu": ad.relu,
@@ -90,9 +93,9 @@ def _with_param(store: ParamStore, name: str, tensor: Tensor) -> ParamStore:
     return probed
 
 
-def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
+def run_gradient_battery(on_result=None) -> list[CheckResult]:
     """Run every check; returns the results and optionally streams them."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     results: list[CheckResult] = []
 
     def check(name, build, probe, tol=OP_TOL):
@@ -190,8 +193,8 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
         check(f"{label}.weight", lambda wt: loss(Tensor(x0), weight=wt), p.weight.data.copy())
         check(f"{label}.bias", lambda b: loss(Tensor(x0), bias=b), p.bias.data.copy())
 
-    more = np.random.default_rng([seed, 1])
-    thin = np.random.default_rng([seed, 2])
+    more = np.random.default_rng([_SEED, 1])
+    thin = np.random.default_rng([_SEED, 2])
     for r, cin, cout, k, hw in (
         (rng, 2, 3, 3, 6), (rng, 2, 3, 4, 6), (rng, 2, 3, 8, 8),
         (more, 3, 2, 3, 6), (more, 3, 2, 4, 6), (more, 3, 2, 8, 8), (more, 2, 3, 16, 16),
@@ -261,7 +264,7 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
         disc_channels=(2, 3, 4, 5),
         merge_mode="sgu",
     )
-    gen_rng = np.random.default_rng(seed + 1)
+    gen_rng = np.random.default_rng(_SEED + 1)
     gen = build_generator(tiny, gen_rng, dtype=np.float64)
     # non-zero gates so their backward rules are exercised off the init point
     for name in gen.names():
@@ -287,7 +290,7 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
             tol=NET_TOL,
         )
 
-    disc = build_discriminator(tiny, np.random.default_rng(seed + 2), dtype=np.float64)
+    disc = build_discriminator(tiny, np.random.default_rng(_SEED + 2), dtype=np.float64)
     disc_in = rng.uniform(-0.9, 0.9, size=(1, 3, 16, 16))
 
     def disc_loss(x):
@@ -325,7 +328,7 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
     # Their own stream, so every probe above stays as it was.  A relu or
     # lrelu layer is redrawn until no pre-activation lies within 1e-3 of the
     # kink, far more than an eps-step moves one.
-    fused = np.random.default_rng([seed, 3])
+    fused = np.random.default_rng([_SEED, 3])
     for op, make, act, cin, cout, k, hw, out_hw in (
         (conv2d, conv_params, "lrelu", 2, 3, 4, 6, 3),
         (deconv2d, deconv_params, "relu", 3, 2, 4, 3, 6),
@@ -342,7 +345,7 @@ def run_gradient_battery(seed: int = 7, on_result=None) -> list[CheckResult]:
         layer_checks(label, lambda x, q, op=op, act=act: op(x, q, act), p, x0, w_out)
 
     # --- the SGU's gating node, ga*a + gp*p: all four inputs -----------------
-    gating = np.random.default_rng([seed, 4])
+    gating = np.random.default_rng([_SEED, 4])
     gating0 = [_rand(gating, (2, 3, 4, 4)) for _ in range(4)]
     gating_w = _signed_unit(gating, (2, 3, 4, 4))
 

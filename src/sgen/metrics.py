@@ -37,9 +37,9 @@ def psnr(a: Tensor, b: Tensor, peak: float = 255.0) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def _gaussian_window(size: int = _WINDOW, sigma: float = _SIGMA) -> np.ndarray:
-    offsets = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
+def _gaussian_window() -> np.ndarray:
+    offsets = np.arange(_WINDOW, dtype=np.float64) - (_WINDOW - 1) / 2.0
+    g = np.exp(-(offsets**2) / (2.0 * _SIGMA * _SIGMA))
     return g / g.sum()
 
 

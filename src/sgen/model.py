@@ -116,7 +116,7 @@ class ParamStore:
 
     def zero_grad(self) -> None:
         for t in self._tensors.values():
-            t.grad = None
+            t.zero_grad()
 
     @contextmanager
     def frozen(self):
@@ -301,9 +301,9 @@ def discriminator_forward(x: Tensor, params: ParamStore, cfg: SgenConfig) -> Ten
     """Realness score in (0, 1) per batch element, shape (n, 1, 1, 1).
 
     One stride-2 conv per ``disc_channels`` width: height and width must be
-    divisible by 2^depth (16 for four widths); global average pooling then
-    makes the head size-independent, and a sigmoid of the pooled head is
-    the score.
+    divisible by ``cfg.disc_divisor``, 2^len(disc_channels); global average
+    pooling then makes the head size-independent, and a sigmoid of the
+    pooled head is the score.
     """
     n_batch, c, h, w = x.shape
     if c != IMAGE_CHANNELS:

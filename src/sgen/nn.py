@@ -87,9 +87,10 @@ __all__ = [
 ]
 
 
-def he_std(c_in: int, kh: int, kw: int) -> float:
-    """Kaiming-style init scale for relu-family activations."""
-    return float(np.sqrt(2.0 / (c_in * kh * kw)))
+def he_std(c_in: int, kernel: int) -> float:
+    """Kaiming-style init scale for relu-family activations, of a
+    ``kernel`` x ``kernel`` conv from c_in channels."""
+    return float(np.sqrt(2.0 / (c_in * kernel * kernel)))
 
 
 def geometry(k: int) -> tuple[int, int]:
@@ -159,7 +160,7 @@ def param_shapes(op: str, c_in: int, c_out: int, kernel: int) -> tuple[tuple, tu
 def _fresh(op: str, c_in: int, c_out: int, kernel: int, rng, dtype, weight_std: float | None) -> ConvParams:
     """A He-scaled (zero at weight_std 0.0) weight and a zero bias, laid out by ``param_shapes``."""
     shape, bias_shape = param_shapes(op, c_in, c_out, kernel)
-    std = he_std(c_in, kernel, kernel) if weight_std is None else weight_std
+    std = he_std(c_in, kernel) if weight_std is None else weight_std
     w = rng.normal(0.0, std, size=shape) if std > 0 else np.zeros(shape)
     weight = Tensor(w.astype(dtype), requires_grad=True)
     bias = Tensor(np.zeros(bias_shape, dtype=dtype), requires_grad=True)

@@ -61,9 +61,9 @@ def choice(options: tuple[str, ...]) -> Kind:
     return Kind(str, str, lambda v: v in options, f"be one of {options}")
 
 
-def listed(item: Kind, noun: str, count: int, rule: str, distinct: bool = False) -> Kind:
-    """Comma-separated items of one kind: exactly ``count``, or any number > 0
-    for count 0; no item twice when ``distinct``."""
+def listed(item: Kind, noun: str, rule: str, distinct: bool = False) -> Kind:
+    """Comma-separated items of one kind, one or more; no item twice when
+    ``distinct``."""
 
     def parse(text: str) -> tuple:
         try:
@@ -74,7 +74,7 @@ def listed(item: Kind, noun: str, count: int, rule: str, distinct: bool = False)
     def ok(v) -> bool:
         if not isinstance(v, tuple) or not all(map(item.ok, v)):
             return False
-        return (len(v) == count if count else len(v) > 0) and (not distinct or len(set(v)) == len(v))
+        return len(v) > 0 and (not distinct or len(set(v)) == len(v))
 
     return Kind(parse, lambda v: ",".join(map(item.fmt, v)), ok, rule)
 
@@ -98,5 +98,5 @@ FINITE = Kind(float, str, lambda v: _is_real(v) and v >= 0, "be finite and >= 0"
 POSITIVE = Kind(float, str, lambda v: _is_real(v) and v > 0, "be finite and > 0")
 TEXT = Kind(str, str, lambda v: isinstance(v, str), "be text")
 SIZE = Kind(_parse_size, lambda s: f"{s[0]}x{s[1]}", _is_size, "be HxW with positive sides")
-SIZES = listed(SIZE, "size", 0, "not be empty and list distinct HxW sizes with positive sides", distinct=True)
-WIDTHS = listed(at_least(1), "integer", 4, "list four widths >= 1")
+SIZES = listed(SIZE, "size", "not be empty and list distinct HxW sizes with positive sides", distinct=True)
+WIDTHS = listed(at_least(1), "integer", "list one or more widths >= 1")

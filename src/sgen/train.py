@@ -19,7 +19,7 @@ generator weights.
 
 ``run_training`` is the driver the ``sgen train`` command uses: it starts a
 state, advances it over the seeded epoch stream for ``cfg.steps`` batches,
-logs each step and saves checkpoints (see its docstring).
+logs each step, saves checkpoints and returns the log (see its docstring).
 
 Everything is driven by integer seeds: parameter init, corpus synthesis,
 per-pair corruption noise, and per-epoch batch shuffles are all derived
@@ -59,10 +59,8 @@ LOG_HEADER = "step,loss_g,loss_d,loss_mse"
 
 @dataclass
 class TrainResult:
-    steps: int
-    final_mse: float
-    final_g: float
-    final_d: float
+    """The loss log: ``LOG_HEADER``, then one line per step."""
+
     log_lines: list[str]
 
 
@@ -152,10 +150,12 @@ def advance(state: TrainState, s: Tensor, t: Tensor) -> tuple[float, float, floa
 
 
 def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
-    """Train per the config; returns the step count, final losses and log.
+    """Train per the config; returns the loss log.
 
-    Starts a state and advances it over ``cfg.steps`` batches of the epoch
-    stream, epoch after epoch.  Every step appends one
+    Degrades the corpus (see ``build_training_pairs``, which rejects a
+    config with no usable scale before any weight is drawn), starts a state
+    and advances it over ``cfg.steps`` batches of the epoch stream, epoch
+    after epoch.  Every step appends one
     ``step,loss_g,loss_d,loss_mse`` line to the log (and to ``log_stream``)
     and a non-finite loss aborts with ``RuntimeError``.  A non-finite
     activation aborts too, already in the forward, with the conv
@@ -164,14 +164,13 @@ def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
     ``<checkpoint_out>.disc``) is saved every ``eval_every`` steps and at
     the end.
     """
-    state = start(cfg)
     pairs = build_training_pairs(cfg, load_corpus(cfg))
+    state = start(cfg)
 
     log_lines = [LOG_HEADER]
     if log_stream is not None:
         print(LOG_HEADER, file=log_stream)
 
-    g = d = mse = math.nan
     stream = itertools.chain.from_iterable(_epoch_batches(pairs, cfg, e) for e in itertools.count())
     for s, t in itertools.islice(stream, cfg.steps):
         g, d, mse = advance(state, s, t)
@@ -184,7 +183,7 @@ def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
         if cfg.eval_every and state.step % cfg.eval_every == 0:
             _save(state)
     _save(state)
-    return TrainResult(steps=state.step, final_mse=mse, final_g=g, final_d=d, log_lines=log_lines)
+    return TrainResult(log_lines)
 
 
 def _save(state: TrainState) -> None:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import sgen.cli
 import sgen.model
 import sgen.nn
 from sgen import (
@@ -20,6 +21,7 @@ from sgen import (
     save_image,
     serialize_config,
 )
+from sgen.checks import CheckResult
 from sgen.cli import main
 from sgen.ppm import load_image
 
@@ -56,10 +58,11 @@ def _random_ppm(path, h, w, seed=0):
 # train
 
 
-def test_train_writes_checkpoint_and_log(tmp_path):
+def test_train_writes_checkpoint_and_log(tmp_path, capsys):
     log_path = tmp_path / "loss.csv"
     cfg_path = write_cfg(tmp_path, log_out=str(log_path))
     assert main(["train", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == f"trained 2 steps, checkpoint -> {tmp_path / 'model.ckpt'}\n"
     store = load_checkpoint(tmp_path / "model.ckpt")
     assert "out.conv.weight" in store
     lines = log_path.read_text().strip().split("\n")
@@ -490,11 +493,31 @@ def test_degrade_empty_input_dir_fails_cleanly(tmp_path, capsys):
 # gradcheck and argument plumbing
 
 
-def test_gradcheck_command_passes(capsys):
+def _canned_battery(monkeypatch, *results):
+    """Stand in for the battery, which acceptance criterion 1 runs for real."""
+
+    def battery(on_result=None):
+        for r in results:
+            on_result(r)
+        return list(results)
+
+    monkeypatch.setattr(sgen.cli, "run_gradient_battery", battery)
+
+
+def test_gradcheck_command_passes(capsys, monkeypatch):
+    _canned_battery(monkeypatch, CheckResult("add.lhs", 1e-9, 1e-5), CheckResult("generator", 1e-6, 1e-4))
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "gradient checks passed" in out
+    assert "2/2 gradient checks passed" in out
     assert "FAIL" not in out
+
+
+def test_gradcheck_command_exits_1_on_a_failing_check(capsys, monkeypatch):
+    _canned_battery(monkeypatch, CheckResult("add.lhs", 1e-9, 1e-5), CheckResult("generator", 2e-4, 1e-4))
+    assert main(["gradcheck"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 1 and "FAIL  generator" in out
+    assert "1/2 gradient checks passed" in out
 
 
 def test_missing_subcommand_exits_with_usage():

@@ -42,6 +42,16 @@ def test_modified_config_round_trips():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("text", ["4,8,16", "4,8,16,32,64"])
+def test_a_critic_of_any_depth_parses_and_round_trips(text):
+    """The critic's depth is the length of its width list."""
+    cfg = parse_config(f"disc_channels = {text}\n")
+    assert cfg.disc_channels == tuple(int(v) for v in text.split(","))
+    assert cfg.disc_divisor == 1 << len(cfg.disc_channels)
+    assert f"disc_channels = {text}\n" in serialize_config(cfg)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_parse_basic_fields():
     cfg = parse_config(
         """

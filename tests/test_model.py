@@ -47,8 +47,10 @@ def test_config_rejects_bad_values():
         SgenConfig(base_channels=0)
     with pytest.raises(ValueError, match="merge_mode"):
         SgenConfig(merge_mode="blend")
-    with pytest.raises(ValueError, match="four widths"):
-        SgenConfig(disc_channels=(8, 16, 32))
+    with pytest.raises(ValueError, match="one or more widths"):
+        SgenConfig(disc_channels=())
+    with pytest.raises(ValueError, match="one or more widths"):
+        SgenConfig(disc_channels=(8, 0, 32))
     # training fields are validated by the run config that adds them
     with pytest.raises(ValueError, match="gan_loss"):
         RunConfig(gan_loss="wasserstein")
@@ -222,8 +224,7 @@ def test_generator_site_rows_state_ops_and_activations():
 
 @pytest.mark.parametrize("widths", [(2, 3, 4, 5), (2, 2, 2)])
 def test_discriminator_site_rows_give_the_built_shapes(widths):
-    cfg = small_cfg()
-    object.__setattr__(cfg, "disc_channels", widths)  # three widths: the rig the config refuses
+    cfg = small_cfg(disc_channels=widths)
     sites = discriminator_sites(cfg)
     assert list(sites) == [f"disc.conv.{i}" for i in range(1, len(widths) + 1)] + ["disc.head"]
     assert {row.act for name, row in sites.items() if name != "disc.head"} == {"lrelu"}
@@ -467,11 +468,9 @@ def test_discriminator_rejects_small_or_indivisible_input():
 
 def test_discriminator_depth_is_read_from_its_widths():
     """The forward runs the convs the build made: a three-width critic
-    (which the config's four-width rule otherwise refuses) needs inputs
-    divisible by 8 and runs disc.conv.1-3."""
+    needs inputs divisible by 8 and runs disc.conv.1-3."""
     rng = np.random.default_rng(15)
-    cfg = small_cfg()
-    object.__setattr__(cfg, "disc_channels", (2, 2, 2))
+    cfg = small_cfg(disc_channels=(2, 2, 2))
     store = build_discriminator(cfg, rng)
     assert "disc.conv.4.weight" not in store
     assert discriminator_forward(_norm_input(rng, (1, 3, 8, 24)), store, cfg).shape == (1, 1, 1, 1)

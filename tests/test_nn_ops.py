@@ -71,11 +71,11 @@ def test_param_shapes_lay_a_deconv_out_as_the_conv_it_is_the_adjoint_of():
 
 
 def test_he_std_formula():
-    assert he_std(4, 3, 3) == pytest.approx(np.sqrt(2.0 / 36.0))
+    assert he_std(4, 3) == pytest.approx(np.sqrt(2.0 / 36.0))
     rng = np.random.default_rng(2)
     # large sample: empirical std within 5% of the target scale
     p = conv_params(8, 256, 3, rng)
-    assert np.std(p.weight.data) == pytest.approx(he_std(8, 3, 3), rel=0.05)
+    assert np.std(p.weight.data) == pytest.approx(he_std(8, 3), rel=0.05)
 
 
 def test_zero_weight_std_gives_zero_weights():

@@ -97,7 +97,7 @@ def test_tracer_records_one_yielded_batch_span_per_training_step(tmp_path):
         result = sgen.run_training(cfg)
 
     assert tracer.missing == []
-    assert result.steps == 5
+    assert len(result.log_lines) == 6
     batches = [s[attrs]["yielded"] for s in tracer.spans if s[name] == "data.batch"]
     assert batches.count(True) == 5
     assert batches.count(False) == 1  # the end of epoch 0: 4 batches, 2 per size
