@@ -26,7 +26,7 @@ from .data import (
     make_synthetic_corpus,
     normalize,
 )
-from .ensemble import MERGE_MODES, MERGE_SITES, merge, merge_convs, sgu
+from .ensemble import MERGE_MODES, MERGE_SITES, merge, sgu
 from .losses import d_loss, g_loss, mse_loss
 from .metrics import QualityReport, ScaleRow, evaluate, psnr, restore, ssim
 from .model import (

@@ -126,7 +126,7 @@ def load_checkpoint(path) -> ParamStore:
             except ValueError as exc:  # a zero dim beside sides no array can have
                 raise CheckpointError(f"entry {name!r} at byte {entry_off}: no array has dims {dims}") from exc
             read_into(data, 4 * size, what)
-            store.add(name, Tensor(data, requires_grad=True))
+            store[name] = Tensor(data, requires_grad=True)
     if off != total:
         raise CheckpointError(
             f"{total - off} trailing bytes after the last entry (byte {off})"

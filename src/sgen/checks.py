@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
-from .ensemble import merge_convs, sgu
+from .ensemble import sgu
 from .losses import d_loss, g_loss, mse_loss
 from .model import (
     ParamStore,
@@ -87,10 +87,7 @@ def _weighted_sum(t, weights):
 
 def _with_param(store: ParamStore, name: str, tensor: Tensor) -> ParamStore:
     """A copy of store whose parameter ``name`` is the probe tensor."""
-    probed = ParamStore()
-    for key, t in store.items():
-        probed.add(key, tensor if key == name else t)
-    return probed
+    return ParamStore({**store, name: tensor})
 
 
 def run_gradient_battery(on_result=None) -> list[CheckResult]:
@@ -216,7 +213,7 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
         layer_checks(f"deconv2d.{cin}to{cout}.s{p.stride}", deconv2d, p, x0, w_out)
 
     # --- SGU: both inputs and all four gate parameters ---------------------
-    gates = merge_convs("sgu", 3, rng, dtype=np.float64, weight_std=0.15)
+    gates = {gate: conv_params(3, 3, 3, rng, np.float64, 0.15) for gate in ("gate_a", "gate_p")}
     active0 = _rand(rng, (2, 3, 5, 5))
     passive0 = _rand(rng, (2, 3, 5, 5))
     sgu_w = _signed_unit(rng, (2, 3, 5, 5))
@@ -267,7 +264,7 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
     gen_rng = np.random.default_rng(_SEED + 1)
     gen = build_generator(tiny, gen_rng, dtype=np.float64)
     # non-zero gates so their backward rules are exercised off the init point
-    for name in gen.names():
+    for name in gen:
         if ".gate_" in name and name.endswith("weight"):
             gen[name].data += gen_rng.normal(0.0, 0.1, size=gen[name].shape)
     gen_in = rng.uniform(-0.9, 0.9, size=(1, 3, 16, 16))

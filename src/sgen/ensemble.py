@@ -19,15 +19,13 @@ followed by a learned 1x1 projection back to the original width.
 ``MERGE_SITES`` is the one statement of what a merge site holds: per mode,
 the checkpoint prefix of its convs and each conv's name and shape.
 ``sgen.model.generator_sites`` turns them into rows of the generator's
-site table, ``merge_convs`` draws one site's convs on their own, and
-``merge`` takes them as a name -> ConvParams dict.
+site table, the one place their weights are drawn, and ``merge`` takes
+them as a name -> ConvParams dict.
 The convs' own ops check their shapes: ``conv2d`` rejects a wrong input
 width, and ``gated_sum`` any gate whose output differs from the inputs.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .autodiff import (
     Tensor,
@@ -37,9 +35,9 @@ from .autodiff import (
     maximum,
     mul_const,
 )
-from .nn import ConvParams, conv2d, conv_params
+from .nn import ConvParams, conv2d
 
-__all__ = ["sgu", "merge", "merge_convs", "MERGE_SITES", "MERGE_MODES"]
+__all__ = ["sgu", "merge", "MERGE_SITES", "MERGE_MODES"]
 
 # mode -> (checkpoint prefix, convs in draw order); each conv reads
 # (input width in merged widths, kernel, init std, None for the He scale)
@@ -50,25 +48,6 @@ MERGE_SITES: dict[str, tuple[str, dict[str, tuple[int, int, float | None]]]] = {
     "concat": ("merge", {"proj": (2, 1, None)}),
 }
 MERGE_MODES = tuple(MERGE_SITES)
-
-
-def merge_convs(
-    mode: str,
-    channels: int,
-    rng: np.random.Generator,
-    dtype=np.float32,
-    weight_std: float | None = None,
-) -> dict[str, ConvParams]:
-    """Fresh convs for one ``mode`` site merging ``channels``-wide features.
-
-    weight_std, when given, replaces every conv's declared init std; by
-    default the SGU gates start at zero (the average operating point).
-    """
-    _, convs = MERGE_SITES[mode]
-    return {
-        name: conv_params(fan * channels, channels, k, rng, dtype, std if weight_std is None else weight_std)
-        for name, (fan, k, std) in convs.items()
-    }
 
 
 def sgu(active: Tensor, passive: Tensor, convs: dict[str, ConvParams]) -> Tensor:

@@ -23,18 +23,19 @@ __all__ = ["psnr", "ssim", "ScaleRow", "QualityReport", "restore", "evaluate"]
 
 _WINDOW = 11
 _SIGMA = 1.5
-_C1 = (0.01 * 255.0) ** 2
-_C2 = (0.03 * 255.0) ** 2
+_PEAK = 255.0  # the dynamic range of an 8-bit image
+_C1 = (0.01 * _PEAK) ** 2
+_C2 = (0.03 * _PEAK) ** 2
 
 
-def psnr(a: Tensor, b: Tensor, peak: float = 255.0) -> float:
-    """10*log10(peak^2 / mse); +inf when the inputs are identical."""
+def psnr(a: Tensor, b: Tensor) -> float:
+    """10*log10(255^2 / mse); +inf when the inputs are identical."""
     if a.shape != b.shape:
         raise ValueError(f"psnr: shape mismatch {a.shape} vs {b.shape}")
     mse = float(np.mean((a.data.astype(np.float64) - b.data.astype(np.float64)) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(_PEAK * _PEAK / mse)
 
 
 def _gaussian_window() -> np.ndarray:

@@ -22,13 +22,15 @@ activations are stated nowhere else.
 Every image the networks read or write is RGB, ``IMAGE_CHANNELS`` wide,
 so the config file's keys state the whole network.
 
-Parameters live in a flat name -> Tensor store so checkpointing and the
-optimizer stay structure-agnostic.  A forward reads every width from the
-stored weights and wraps each stored kernel in a ``ConvParams``, which
-reads its stride back, so it never states one.  ``shape_mismatches``
-compares a store with a table: every row's weight and bias must be stored
-with the shapes ``sgen.nn.param_shapes`` lays the row out in, and nothing
-else may be stored.
+Parameters live in a ``ParamStore``, a flat dict of names to leaf
+tensors, so checkpointing and the optimizer stay structure-agnostic; it
+adds to a dict only ``zero_grad``, ``frozen`` and ``count_values``.  The
+site tables are the only place network weights are drawn.  A forward
+reads every width from the stored weights and wraps each stored kernel in
+a ``ConvParams``, which reads its stride back, so it never states one.
+``shape_mismatches`` compares a store with a table: every row's weight
+and bias must be stored with the shapes ``sgen.nn.param_shapes`` lays the
+row out in, and nothing else may be stored.
 """
 
 from __future__ import annotations
@@ -82,47 +84,18 @@ class SgenConfig(Settings):
         return 1 << len(self.disc_channels)
 
 
-class ParamStore:
-    """Flat ordered mapping of parameter names to leaf tensors."""
-
-    def __init__(self):
-        self._tensors: dict[str, Tensor] = {}
-
-    def add(self, name: str, tensor: Tensor) -> None:
-        if name in self._tensors:
-            raise ValueError(f"ParamStore: duplicate parameter name {name!r}")
-        self._tensors[name] = tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        try:
-            return self._tensors[name]
-        except KeyError:
-            raise KeyError(f"ParamStore: no parameter named {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
-    def names(self) -> list[str]:
-        return list(self._tensors)
-
-    def items(self):
-        return self._tensors.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._tensors.values())
+class ParamStore(dict):
+    """Flat ordered dict of parameter names to leaf tensors."""
 
     def zero_grad(self) -> None:
-        for t in self._tensors.values():
+        for t in self.values():
             t.zero_grad()
 
     @contextmanager
     def frozen(self):
         """Within the block no parameter requires grad, so a backward run
         inside it passes gradients through them but computes none for them."""
-        flags = [(t, t.requires_grad) for t in self._tensors.values()]
+        flags = [(t, t.requires_grad) for t in self.values()]
         for t, _ in flags:
             t.requires_grad = False
         try:
@@ -132,7 +105,7 @@ class ParamStore:
                 t.requires_grad = flag
 
     def count_values(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
+        return sum(t.data.size for t in self.values())
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +171,12 @@ def shape_mismatches(store: ParamStore, sites: dict[str, Site]) -> list[str]:
             for name in {**want, **have} if have.get(name) != want.get(name)]
 
 
-def _add_conv(store: ParamStore, name: str, p) -> None:
-    store.add(f"{name}.weight", p.weight)
-    store.add(f"{name}.bias", p.bias)
-
-
 def _build(sites: dict[str, Site], rng: np.random.Generator, dtype) -> ParamStore:
     store = ParamStore()
     for name, s in sites.items():
         make = conv_params if s.op == "conv" else deconv_params
-        _add_conv(store, name, make(s.c_in, s.c_out, s.kernel, rng, dtype, s.std))
+        p = make(s.c_in, s.c_out, s.kernel, rng, dtype, s.std)
+        store[f"{name}.weight"], store[f"{name}.bias"] = p.weight, p.bias
     return store
 
 

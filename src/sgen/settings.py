@@ -63,11 +63,16 @@ def choice(options: tuple[str, ...]) -> Kind:
 
 def listed(item: Kind, noun: str, rule: str, distinct: bool = False) -> Kind:
     """Comma-separated items of one kind, one or more; no item twice when
-    ``distinct``."""
+    ``distinct``.  An empty item, as in "32,,64" or "128x96,", is an error."""
+
+    def read(index: int, part: str):
+        if not part.strip():
+            raise ValueError(f"item {index} is empty")
+        return item.parse(part)
 
     def parse(text: str) -> tuple:
         try:
-            return tuple(item.parse(part) for part in text.split(",") if part.strip())
+            return tuple(read(i, part) for i, part in enumerate(text.split(","), 1))
         except ValueError as exc:
             raise ValueError(f"bad {noun} list: {exc}") from None
 

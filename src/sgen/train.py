@@ -152,8 +152,10 @@ def advance(state: TrainState, s: Tensor, t: Tensor) -> tuple[float, float, floa
 def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
     """Train per the config; returns the loss log.
 
-    Degrades the corpus (see ``build_training_pairs``, which rejects a
-    config with no usable scale before any weight is drawn), starts a state
+    Refuses a ``checkpoint_out`` that names no file in an existing
+    directory, then degrades the corpus (see ``build_training_pairs``,
+    which rejects a config with no usable scale), both with ``ConfigError``
+    before any weight is drawn.  Then it starts a state
     and advances it over ``cfg.steps`` batches of the epoch stream, epoch
     after epoch.  Every step appends one
     ``step,loss_g,loss_d,loss_mse`` line to the log (and to ``log_stream``)
@@ -164,6 +166,9 @@ def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
     ``<checkpoint_out>.disc``) is saved every ``eval_every`` steps and at
     the end.
     """
+    out = Path(cfg.checkpoint_out)
+    if not out.name or out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"checkpoint_out {cfg.checkpoint_out!r} names no file in an existing directory")
     pairs = build_training_pairs(cfg, load_corpus(cfg))
     state = start(cfg)
 

@@ -25,15 +25,15 @@ from sgen.checkpoint import MAGIC
 
 def _tiny_store(rng):
     store = ParamStore()
-    store.add("alpha.weight", Tensor(rng.normal(size=(2, 3, 3, 3)).astype(np.float32)))
-    store.add("alpha.bias", Tensor(np.zeros((1, 2, 1, 1), dtype=np.float32)))
-    store.add("beta", Tensor(rng.normal(size=(1, 1, 4, 4)).astype(np.float32)))
+    store["alpha.weight"] = Tensor(rng.normal(size=(2, 3, 3, 3)).astype(np.float32))
+    store["alpha.bias"] = Tensor(np.zeros((1, 2, 1, 1), dtype=np.float32))
+    store["beta"] = Tensor(rng.normal(size=(1, 1, 4, 4)).astype(np.float32))
     return store
 
 
 def _assert_same(a: ParamStore, b: ParamStore):
-    assert a.names() == b.names()
-    for name in a.names():
+    assert list(a) == list(b)
+    for name in a:
         assert a[name].data.tobytes() == b[name].data.tobytes(), name
 
 
@@ -55,7 +55,7 @@ def test_round_trip_survives_awkward_float_values(tmp_path):
         [0.0, -0.0, 1e-38, -1e38, np.float32(1 / 3), np.pi, 2**-24, 65504.0],
         dtype=np.float32,
     ).reshape(1, 1, 2, 4)
-    store.add("edge", Tensor(vals))
+    store["edge"] = Tensor(vals)
     path = tmp_path / "edge.ckpt"
     save_checkpoint(store, path)
     _assert_same(store, load_checkpoint(path))
@@ -66,8 +66,8 @@ def test_loaded_tensors_are_trainable_leaves(tmp_path):
     path = tmp_path / "leaves.ckpt"
     save_checkpoint(_tiny_store(rng), path)
     loaded = load_checkpoint(path)
-    assert all(t.requires_grad for t in loaded.tensors())
-    assert all(t.grad is None for t in loaded.tensors())
+    assert all(t.requires_grad for t in loaded.values())
+    assert all(t.grad is None for t in loaded.values())
 
 
 def test_generator_round_trip_preserves_name_order(tmp_path):
@@ -91,7 +91,7 @@ def test_load_holds_about_one_copy_of_the_file(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert sum(t.data.nbytes for t in store.tensors()) > 0.99 * size
+    assert sum(t.data.nbytes for t in store.values()) > 0.99 * size
     assert peak < 1.25 * size, f"peak {peak} bytes for a {size}-byte file"
 
 
@@ -174,7 +174,7 @@ def test_save_refuses_non_float32_data(tmp_path):
     save_checkpoint(_tiny_store(rng), path)
     old = path.read_bytes()
     store = _tiny_store(rng)
-    store.add("gamma", Tensor(rng.normal(size=(1, 1, 2, 2))))
+    store["gamma"] = Tensor(rng.normal(size=(1, 1, 2, 2)))
     with pytest.raises(ValueError, match="'gamma' is float64"):
         save_checkpoint(store, path)
     assert path.read_bytes() == old
@@ -243,7 +243,7 @@ def test_a_file_shorter_than_its_size_raises_with_entry_and_offset(tmp_path, mon
     unread memory."""
     path = tmp_path / "short.ckpt"
     store = ParamStore()
-    store.add("w", Tensor(np.ones((1, 1, 2, 2), dtype=np.float32)))
+    store["w"] = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
     save_checkpoint(store, path)
     data_off = len(MAGIC) + 8 + 4 + 1 + 16  # header, name length, name "w", dims
     with monkeypatch.context() as patch:
@@ -295,7 +295,7 @@ def test_oversized_dims_are_reported_as_truncation(tmp_path):
     rng = np.random.default_rng(10)
     path = tmp_path / "dims.ckpt"
     store = ParamStore()
-    store.add("w", Tensor(np.ones((1, 1, 2, 2), dtype=np.float32)))
+    store["w"] = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
     save_checkpoint(store, path)
     blob = bytearray(path.read_bytes())
     dims_off = len(MAGIC) + 8 + 4 + 1  # header, name length, name "w"
@@ -309,7 +309,7 @@ def test_oversized_dims_are_reported_as_truncation(tmp_path):
 def test_duplicate_entry_name_is_rejected_with_its_offset(tmp_path):
     path = tmp_path / "dup.ckpt"
     store = ParamStore()
-    store.add("w", Tensor(np.ones((1, 1, 2, 2), dtype=np.float32)))
+    store["w"] = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
     save_checkpoint(store, path)
     blob = path.read_bytes()
     entry = blob[len(MAGIC) + 8 :]
@@ -326,7 +326,7 @@ def test_dims_no_array_can_have_name_entry_and_offset(tmp_path):
     bare reshape error."""
     path = tmp_path / "dims.ckpt"
     store = ParamStore()
-    store.add("w", Tensor(np.ones((1, 1, 2, 2), dtype=np.float32)))
+    store["w"] = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
     save_checkpoint(store, path)
     entry_off = len(MAGIC) + 8
     dims_off = entry_off + 4 + 1
@@ -338,8 +338,8 @@ def test_dims_no_array_can_have_name_entry_and_offset(tmp_path):
 
 def test_zero_size_entries_round_trip(tmp_path):
     store = ParamStore()
-    store.add("empty", Tensor(np.zeros((0, 3, 3, 3), dtype=np.float32)))
-    store.add("w", Tensor(np.ones((1, 1, 2, 2), dtype=np.float32)))
+    store["empty"] = Tensor(np.zeros((0, 3, 3, 3), dtype=np.float32))
+    store["w"] = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
     path = tmp_path / "zero.ckpt"
     save_checkpoint(store, path)
     loaded = load_checkpoint(path)
@@ -354,8 +354,8 @@ def test_every_truncation_and_byte_substitution_loads_or_raises_checkpoint_error
     but CheckpointError."""
     rng = np.random.default_rng(16)
     store = ParamStore()
-    store.add("gate.weight", Tensor(np.zeros((2, 2, 3, 3), dtype=np.float32)))
-    store.add("gate.bias", Tensor(rng.normal(size=(1, 2, 1, 1)).astype(np.float32)))
+    store["gate.weight"] = Tensor(np.zeros((2, 2, 3, 3), dtype=np.float32))
+    store["gate.bias"] = Tensor(rng.normal(size=(1, 2, 1, 1)).astype(np.float32))
     path = tmp_path / "fuzz.ckpt"
     save_checkpoint(store, path)
     blob = path.read_bytes()

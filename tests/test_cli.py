@@ -147,7 +147,7 @@ def test_restore_zero_checkpoint_outputs_mid_gray(tmp_path):
     cfg_path = write_cfg(tmp_path)
     model_cfg = SgenConfig(n_levels=2, base_channels=4, bottleneck_channels=4)
     store = build_generator(model_cfg, np.random.default_rng(0))
-    for t in store.tensors():
+    for t in store.values():
         t.data[:] = 0.0
     ckpt = tmp_path / "zero.ckpt"
     save_checkpoint(store, ckpt)
@@ -280,7 +280,7 @@ def test_restore_and_evaluate_draw_no_weights(tmp_path, monkeypatch):
 def test_restore_of_a_checkpoint_with_a_nan_weight_fails_cleanly(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     store = build_generator(load_config(cfg_path), np.random.default_rng(0))
-    store.tensors()[0].data.flat[0] = np.nan
+    next(iter(store.values())).data.flat[0] = np.nan
     ckpt = tmp_path / "nan.ckpt"
     save_checkpoint(store, ckpt)
     src = tmp_path / "in.ppm"

@@ -300,6 +300,21 @@ def test_bad_int_list_is_rejected():
         parse_config("disc_channels = 8, sixteen\n")
 
 
+@pytest.mark.parametrize(
+    "key, value, noun, index",
+    [
+        ("disc_channels", "32,,64", "integer", 2),
+        ("disc_channels", ",32", "integer", 1),
+        ("scales", "128x96,", "size", 2),
+        ("scales", "128x96, ,144x112", "size", 2),
+    ],
+)
+def test_an_empty_list_item_is_rejected_with_line_and_key(key, value, noun, index):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(f"seed = 1\n{key} = {value}\n")
+    assert str(excinfo.value) == f"line 2: bad value {value!r} for key {key!r}: bad {noun} list: item {index} is empty"
+
+
 def test_load_config_reads_files(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 7\nbatch_size = 2\n", encoding="utf-8")

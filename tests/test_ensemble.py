@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from sgen import MERGE_MODES, MERGE_SITES, Tape, Tensor, backward, merge, merge_convs, sgu
+from sgen import MERGE_MODES, MERGE_SITES, Tape, Tensor, backward, merge, sgu
 from sgen.autodiff import mul, sum_all
 from sgen.nn import ConvParams, conv_params
 
@@ -14,6 +14,12 @@ def _pair(rng, shape=(2, 3, 4, 4), dtype=np.float32):
     a = Tensor(rng.normal(size=shape).astype(dtype))
     p = Tensor(rng.normal(size=shape).astype(dtype))
     return a, p
+
+
+def _convs(rng, mode="sgu", c=3, dtype=np.float32, std=0.0):
+    """Probe convs for one ``mode`` merge site on ``c``-wide features, each
+    drawn at ``std`` (None for the He scale)."""
+    return {name: conv_params(fan * c, c, k, rng, dtype, std) for name, (fan, k, _) in MERGE_SITES[mode][1].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +31,7 @@ def test_zero_gates_reduce_to_exact_average(seed):
     """sigmoid(0) = 1/2, so fresh zero-weight gates average the inputs."""
     rng = np.random.default_rng(seed)
     active, passive = _pair(rng)
-    params = merge_convs("sgu", 3, rng)
+    params = _convs(rng)
     got = sgu(active, passive, params).data
     want = 0.5 * active.data + 0.5 * passive.data
     np.testing.assert_array_equal(got, want)
@@ -35,7 +41,7 @@ def test_saturated_gates_pass_sum_through():
     """Huge gate biases drive both sigmoids to 1, leaving active + passive."""
     rng = np.random.default_rng(1)
     active, passive = _pair(rng, dtype=np.float64)
-    params = merge_convs("sgu", 3, rng, dtype=np.float64)
+    params = _convs(rng, dtype=np.float64)
     params["gate_a"].bias.data[:] = 1e4
     params["gate_p"].bias.data[:] = 1e4
     got = sgu(active, passive, params).data
@@ -47,7 +53,7 @@ def test_gates_read_only_the_active_input():
     rng = np.random.default_rng(2)
     active, passive_1 = _pair(rng)
     _, passive_2 = _pair(rng)
-    params = merge_convs("sgu", 3, rng, weight_std=0.3)
+    params = _convs(rng, std=0.3)
     out_1 = sgu(active, passive_1, params).data
     out_2 = sgu(active, passive_2, params).data
     # difference must be exactly gate_p * (passive_1 - passive_2), i.e. linear
@@ -77,7 +83,7 @@ def test_taped_sgu_keeps_no_product():
     output's own."""
     rng = np.random.default_rng(5)
     active, passive = (Tensor(x.data, requires_grad=True) for x in _pair(rng))
-    params = merge_convs("sgu", 3, rng, weight_std=0.3)
+    params = _convs(rng, std=0.3)
     active.data, passive.data = active.data.view(_Tracked), passive.data.view(_Tracked)
     _derived.clear()
     with Tape() as tape:
@@ -91,7 +97,7 @@ def test_taped_sgu_keeps_no_product():
 def test_sgu_is_asymmetric_in_its_inputs():
     rng = np.random.default_rng(3)
     active, passive = _pair(rng)
-    params = merge_convs("sgu", 3, rng, weight_std=0.5)
+    params = _convs(rng, std=0.5)
     ab = sgu(active, passive, params).data
     ba = sgu(passive, active, params).data
     assert np.abs(ab - ba).max() > 1e-3
@@ -122,7 +128,7 @@ def test_sgu_params_must_have_stride_1():
 
 def test_sgu_rejects_shape_and_channel_mismatch():
     rng = np.random.default_rng(7)
-    params = merge_convs("sgu", 3, rng)
+    params = _convs(rng)
     a = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
     b = Tensor(np.zeros((1, 3, 4, 8), dtype=np.float32))
     with pytest.raises(ValueError, match="shape mismatch"):
@@ -145,7 +151,7 @@ def test_a_gate_in_both_slots_gets_both_gradients():
         backward(tape, loss)
         return [gates[name].weight.grad for name in ("gate_a", "gate_p")]
 
-    gate = merge_convs("sgu", 3, rng, dtype=np.float64, weight_std=0.3)["gate_a"]
+    gate = _convs(rng, dtype=np.float64, std=0.3)["gate_a"]
     shared, _ = weight_grads({"gate_a": gate, "gate_p": gate})
     copies = {
         name: ConvParams(Tensor(gate.weight.data.copy(), requires_grad=True), Tensor(gate.bias.data.copy()))
@@ -159,26 +165,11 @@ def test_a_gate_in_both_slots_gets_both_gradients():
 # merge dispatch
 
 
-@pytest.mark.parametrize("mode", MERGE_MODES)
-def test_merge_convs_follow_the_declared_sites(mode):
-    """Names in draw order, an input width in merged widths and a kernel
-    per conv; gates start at zero, the projection at the He scale."""
-    c = 4
-    convs = merge_convs(mode, c, np.random.default_rng(13))
-    declared = MERGE_SITES[mode][1]
-    assert list(convs) == list(declared)
-    for name, (fan, kernel, std) in declared.items():
-        p = convs[name]
-        assert p.weight.shape == (c, fan * c, kernel, kernel) and p.stride == 1
-        assert (np.abs(p.weight.data).sum() == 0) == (std == 0.0)
-        np.testing.assert_array_equal(p.bias.data, 0.0)
-
-
 def test_merge_rejects_convs_its_mode_does_not_take():
     rng = np.random.default_rng(14)
     new, prev = _pair(rng)
     with pytest.raises(ValueError, match=r"mode 'average' takes convs \[\], got \['gate_a', 'gate_p'\]"):
-        merge("average", new, prev, merge_convs("sgu", 3, rng))
+        merge("average", new, prev, _convs(rng))
 
 
 def test_merge_average_and_max_values():
@@ -221,7 +212,7 @@ def test_merge_concat_projection_can_select_either_input():
 def test_merge_sgu_with_zero_gates_matches_average():
     rng = np.random.default_rng(9)
     new, prev = _pair(rng)
-    params = merge_convs("sgu", 3, rng)
+    params = _convs(rng)
     np.testing.assert_array_equal(
         merge("sgu", new, prev, params).data,
         merge("average", new, prev).data,
@@ -247,7 +238,7 @@ def test_merge_preserves_shape_in_every_mode(mode, shape):
     rng = np.random.default_rng(11)
     new, prev = _pair(rng, shape=shape)
     c = shape[1]
-    params = merge_convs(mode, c, rng, weight_std=0.2 if mode == "sgu" else None)
+    params = _convs(rng, mode, c, std=0.2 if mode == "sgu" else None)
     assert merge(mode, new, prev, params).shape == shape
 
 
@@ -257,7 +248,7 @@ def test_merge_propagates_gradients_to_both_inputs(mode):
     c = 2
     new = Tensor(rng.normal(size=(1, c, 4, 4)).astype(np.float32), requires_grad=True)
     prev = Tensor(rng.normal(size=(1, c, 4, 4)).astype(np.float32), requires_grad=True)
-    params = merge_convs(mode, c, rng, weight_std=0.2 if mode == "sgu" else None)
+    params = _convs(rng, mode, c, std=0.2 if mode == "sgu" else None)
     with Tape() as tape:
         loss = sum_all(merge(mode, new, prev, params))
     backward(tape, loss)

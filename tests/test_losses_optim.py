@@ -127,7 +127,7 @@ def test_losses_are_scalar_tensors():
 
 def _one_param(value, shape=(1, 1, 1, 1)):
     store = ParamStore()
-    store.add("p", Tensor(np.full(shape, value, dtype=np.float64), requires_grad=True))
+    store["p"] = Tensor(np.full(shape, value, dtype=np.float64), requires_grad=True)
     return store
 
 
@@ -220,8 +220,8 @@ def test_adam_fits_linear_model_to_least_squares_solution():
     (slope_ref, bias_ref), *_ = np.linalg.lstsq(design, ys.ravel(), rcond=None)
 
     store = ParamStore()
-    store.add("s", Tensor(np.zeros((1, 1, 1, 1)), requires_grad=True))
-    store.add("b", Tensor(np.zeros((1, 1, 1, 1)), requires_grad=True))
+    store["s"] = Tensor(np.zeros((1, 1, 1, 1)), requires_grad=True)
+    store["b"] = Tensor(np.zeros((1, 1, 1, 1)), requires_grad=True)
     state = init_adam(store)
     x_t, y_t = Tensor(xs), Tensor(ys)
     affine = ConvParams(weight=store["s"], bias=store["b"])

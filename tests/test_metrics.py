@@ -60,8 +60,8 @@ def test_psnr_is_symmetric():
 
 def test_psnr_respects_peak():
     a = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
-    b = Tensor(np.full((1, 1, 4, 4), 0.1, dtype=np.float32))
-    assert psnr(a, b, peak=1.0) == pytest.approx(20.0, abs=1e-5)
+    b = Tensor(np.full((1, 1, 4, 4), 25.5, dtype=np.float32))
+    assert psnr(a, b) == pytest.approx(20.0, abs=1e-5)  # a tenth of the 255 peak
 
 
 def test_psnr_one_db_per_mse_decade():
@@ -298,9 +298,9 @@ def test_evaluate_default_restorer_runs_the_generator():
     images = [Tensor(rng.uniform(0, 255, size=(1, 3, 64, 64)).astype(np.float32))]
     spec = DegradeSpec(scales=((32, 32), (48, 48)), seed=1)
     pairs = degraded_dataset(images, spec)
-    before = [t.data.tobytes() for t in store.tensors()]
+    before = [t.data.tobytes() for t in store.values()]
     report = evaluate(store, cfg, pairs, model_id="fresh")
-    after = [t.data.tobytes() for t in store.tensors()]
+    after = [t.data.tobytes() for t in store.values()]
     assert before == after  # evaluation must not touch the weights
     assert [r.count for r in report.rows] == [1, 1]
     for row in report.rows:

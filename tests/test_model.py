@@ -29,7 +29,7 @@ def small_cfg(**kw):
 
 
 def _built_names(cfg):
-    return build_generator(cfg, np.random.default_rng(0)).names()
+    return list(build_generator(cfg, np.random.default_rng(0)))
 
 
 def _norm_input(rng, shape, dtype=np.float32):
@@ -81,26 +81,19 @@ def test_config_fits_needs_both_dims_divisible():
 
 
 def test_param_store_basic_api():
-    store = ParamStore()
     t = Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32))
-    store.add("a", t)
-    store.add("b", Tensor(np.zeros((1, 2, 1, 1), dtype=np.float32)))
+    store = ParamStore(a=t, b=Tensor(np.zeros((1, 2, 1, 1), dtype=np.float32)))
     assert "a" in store and "missing" not in store
     assert len(store) == 2
-    assert store.names() == ["a", "b"]
+    assert list(store) == ["a", "b"]
     assert store["a"] is t
     assert store.count_values() == 3
-    with pytest.raises(ValueError, match="duplicate"):
-        store.add("a", t)
-    with pytest.raises(KeyError, match="no parameter named 'c'"):
-        store["c"]
 
 
 def test_param_store_zero_grad():
-    store = ParamStore()
     t = Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32), requires_grad=True)
     t.grad = np.ones((1, 1, 1, 1), dtype=np.float32)
-    store.add("t", t)
+    store = ParamStore(t=t)
     store.zero_grad()
     assert t.grad is None
 
@@ -120,14 +113,14 @@ def test_frozen_store_passes_input_gradient_but_takes_none():
         return x.grad.tobytes()
 
     free = input_grad()
-    assert all(t.grad is not None for t in store.tensors())
+    assert all(t.grad is not None for t in store.values())
     with store.frozen():
         assert input_grad() == free
-        assert all(t.grad is None for t in store.tensors())
-    assert all(t.requires_grad for t in store.tensors())
+        assert all(t.grad is None for t in store.values())
+    assert all(t.requires_grad for t in store.values())
     with pytest.raises(RuntimeError), store.frozen():
         raise RuntimeError("flags come back on the way out")
-    assert all(t.requires_grad for t in store.tensors())
+    assert all(t.requires_grad for t in store.values())
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +168,12 @@ def _declared_names(n, mode):
 def test_built_stores_match_declared_names(mode, n):
     cfg = small_cfg(n_levels=n, merge_mode=mode)
     store = build_generator(cfg, np.random.default_rng(0))
-    assert store.names() == _declared_names(n, mode)
-    assert all(t.requires_grad for t in store.tensors())
+    assert list(store) == _declared_names(n, mode)
+    assert all(t.requires_grad for t in store.values())
 
 
 def _assert_rows_match_store(sites, store):
-    assert store.names() == [f"{site}.{part}" for site in sites for part in ("weight", "bias")]
+    assert list(store) == [f"{site}.{part}" for site in sites for part in ("weight", "bias")]
     assert shape_mismatches(store, sites) == []
 
 
@@ -192,8 +185,8 @@ def test_shape_mismatches_name_a_wrong_a_missing_and_an_unexpected_parameter():
         if name == "enc.trunk.2.weight":
             t = Tensor(t.data.transpose(1, 0, 2, 3).copy())  # the deconv layout of a conv site
         if name != "out.conv.bias":
-            store.add(name, t)
-    store.add("out.conv.scale", Tensor(np.ones((1, 3, 1, 1), dtype=np.float32)))
+            store[name] = t
+    store["out.conv.scale"] = Tensor(np.ones((1, 3, 1, 1), dtype=np.float32))
     assert shape_mismatches(store, generator_sites(cfg)) == [
         "'enc.trunk.2.weight' is stored as (4, 8, 4, 4) where the site table gives (8, 4, 4, 4)",
         "'out.conv.bias' is stored as nothing where the site table gives (1, 3, 1, 1)",
@@ -255,7 +248,7 @@ def test_param_count_grows_with_depth():
 def test_gate_convs_start_at_zero():
     cfg = small_cfg(merge_mode="sgu")
     store = build_generator(cfg, np.random.default_rng(0))
-    for name in store.names():
+    for name in store:
         if name.startswith("sgu."):
             np.testing.assert_array_equal(store[name].data, 0.0)
         elif name.endswith(".bias"):
@@ -266,7 +259,7 @@ def test_gate_convs_start_at_zero():
 
 def test_no_parameter_sharing_between_sites():
     store = build_generator(small_cfg(n_levels=3), np.random.default_rng(0))
-    seen = {id(t) for t in store.tensors()}
+    seen = {id(t) for t in store.values()}
     assert len(seen) == len(store)
 
 
@@ -319,7 +312,7 @@ def test_all_zero_params_give_zero_output():
     rng = np.random.default_rng(4)
     cfg = small_cfg()
     store = build_generator(cfg, rng)
-    for t in store.tensors():
+    for t in store.values():
         t.data[:] = 0.0
     out = generator_forward(_norm_input(rng, (1, 3, 32, 32)), store, cfg)
     np.testing.assert_array_equal(out.data, 0.0)
@@ -342,7 +335,7 @@ def test_zero_gate_sgu_equals_average_mode_network():
     gen = build_generator(cfg_sgu, np.random.default_rng(7))
     avg_store = ParamStore()
     for name in _built_names(cfg_avg):
-        avg_store.add(name, gen[name])
+        avg_store[name] = gen[name]
     x = _norm_input(rng, (1, 3, 32, 32))
     out_sgu = generator_forward(x, gen, cfg_sgu)
     out_avg = generator_forward(x, avg_store, cfg_avg)
@@ -416,7 +409,7 @@ def test_generator_rejects_a_stored_kernel_that_pools_by_no_factor():
     for name, t in build_generator(cfg, rng).items():
         if name == "enc.trunk.1.weight":
             t = Tensor(np.zeros(t.shape[:2] + (6, 6), dtype=t.dtype))
-        foreign.add(name, t)
+        foreign[name] = t
     with pytest.raises(ValueError, match="kernel 6 pools by no factor"):
         generator_forward(_norm_input(rng, (1, 3, 32, 32)), foreign, cfg)
 
@@ -429,7 +422,7 @@ def test_discriminator_output_shape_and_range():
     rng = np.random.default_rng(12)
     cfg = small_cfg(disc_channels=(4, 4, 8, 8))
     store = build_discriminator(cfg, rng)
-    assert store.names() == [
+    assert list(store) == [
         "disc.conv.1.weight",
         "disc.conv.1.bias",
         "disc.conv.2.weight",
@@ -451,7 +444,7 @@ def test_zero_weight_discriminator_scores_half():
     rng = np.random.default_rng(13)
     cfg = small_cfg(disc_channels=(2, 2, 2, 2))
     store = build_discriminator(cfg, rng)
-    for t in store.tensors():
+    for t in store.values():
         t.data[:] = 0.0
     out = discriminator_forward(_norm_input(rng, (2, 3, 16, 16)), store, cfg)
     np.testing.assert_array_equal(out.data, 0.5)

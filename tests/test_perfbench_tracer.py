@@ -44,7 +44,7 @@ def test_tracer_names_every_conv_site_forward_and_backward():
     sites = [span[tracer_module.ATTRS]["site"] for span in spans]
     assert all(site not in (None, "?") for site in sites), sites
     expected = {
-        name[: -len(".weight")] for store in (gen, disc) for name in store.names() if name.endswith(".weight")
+        name[: -len(".weight")] for store in (gen, disc) for name in store if name.endswith(".weight")
     }
     assert len(expected) == 19  # 14 generator sites at two levels, 5 discriminator sites
     forward = {s[tracer_module.ATTRS]["site"] for s in spans if not s[tracer_module.NAME].endswith(".bwd")}

@@ -159,6 +159,19 @@ def test_a_config_without_a_usable_scale_fails_before_any_weight_is_drawn(tmp_pa
             run_training(fast_cfg(tmp_path, gan_loss=gan, scales=((36, 36),)))
 
 
+@pytest.mark.parametrize("out", ["", "nodir/m.ckpt", "."])
+def test_a_checkpoint_out_naming_no_file_fails_before_any_pair_or_weight(tmp_path, monkeypatch, out):
+    def no_call(*args, **kwargs):
+        raise AssertionError("built pairs or drew weights")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(train_module, "build_training_pairs", no_call)
+    monkeypatch.setattr(sgen.nn, "_fresh", no_call)
+    with pytest.raises(ConfigError, match=f"checkpoint_out {out!r} names no file in an existing directory"):
+        run_training(fast_cfg(tmp_path, checkpoint_out=out))
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # run_training basics
 
@@ -168,7 +181,7 @@ def test_zero_steps_writes_initial_checkpoint(tmp_path):
     result = run_training(cfg)
     assert result.log_lines == [LOG_HEADER]
     store = load_checkpoint(cfg.checkpoint_out)
-    assert store.names() == build_generator(cfg, np.random.default_rng(0)).names()
+    assert list(store) == list(build_generator(cfg, np.random.default_rng(0)))
     assert not (tmp_path / "model.ckpt.disc").exists()  # mse-only: no critic
 
 
