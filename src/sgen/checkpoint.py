@@ -12,9 +12,10 @@ in memory, to a temporary file in the same directory, syncs it to disk,
 renames it over the target and syncs the directory, so a process killed
 mid-write, or a machine that crashes, leaves the previous checkpoint or the
 new one.
-Loading validates sizes as it walks the file, reads each entry's data
-straight into its own array, and reports the byte offset and entry name on
-any corruption.
+Loading allocates one float32 arena the size of the file's body, validates
+sizes as it walks the file, reads each entry's data straight into the next
+slice of that arena, and reports the byte offset and entry name on any
+corruption.
 """
 
 from __future__ import annotations
@@ -69,9 +70,12 @@ def save_checkpoint(params: ParamStore, path) -> None:
 def load_checkpoint(path) -> ParamStore:
     """Parse a checkpoint into a fresh ParamStore of float32 leaf tensors.
 
-    Each entry's data is read straight into its own array, after its size
-    has been checked against the bytes the file has left, so a corrupt dims
-    field allocates nothing and a load holds about one copy of the file.
+    One float32 arena holds every entry: it is allocated once, after the
+    header check, with room for all the bytes the file has left.  Each
+    entry's data is read straight into the next slice of it, after its size
+    has been checked against those bytes, so a corrupt dims field allocates
+    nothing more and a load holds about one copy of the file.  The loaded
+    tensors are views of the arena that share no element.
     """
     with open(path, "rb") as f:
         total = os.fstat(f.fileno()).st_size
@@ -101,6 +105,8 @@ def load_checkpoint(path) -> ParamStore:
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
 
+        arena = np.empty((total - off) // 4, dtype="<f4")
+        used = 0
         store = ParamStore()
         for index in range(count):
             entry_off = off
@@ -120,12 +126,13 @@ def load_checkpoint(path) -> ParamStore:
             for d in dims:
                 size *= d
             what = f"entry {name!r} data ({dims})"
-            check(4 * size, what, total - off)  # before allocating anything
+            check(4 * size, what, total - off)  # so the slice below is whole
             try:
-                data = np.empty(dims, dtype="<f4")
+                data = arena[used : used + size].reshape(dims)
             except ValueError as exc:  # a zero dim beside sides no array can have
                 raise CheckpointError(f"entry {name!r} at byte {entry_off}: no array has dims {dims}") from exc
             read_into(data, 4 * size, what)
+            used += size
             store[name] = Tensor(data, requires_grad=True)
     if off != total:
         raise CheckpointError(

@@ -2,12 +2,14 @@
 
 Subcommands: train, restore, evaluate, degrade, gradcheck.  Settings come
 from a key=value config file (--config); --seed overrides the config
-seed.  restore and evaluate first check every stored parameter shape
-against the configured generator's site table, so a checkpoint trained
-under another config fails before it runs.  degrade writes each image's
-pairs on a pool of min(CPU count, 8) threads.  A failure prints one
-``error:`` line and exits 2; numpy's overflow and invalid-value warnings
-are off, since the finite checks report a diverging run.
+seed.  restore and evaluate first check that each output path names a
+file in an existing directory, then every stored parameter shape against
+the configured generator's site table, so a bad output path or a
+checkpoint trained under another config fails before it runs.  degrade
+writes each image's pairs on a pool of min(CPU count, 8) threads.  A
+failure prints one ``error:`` line and exits 2; numpy's overflow and
+invalid-value warnings are off, since the finite checks report a diverging
+run.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .data import degraded_dataset, degraded_pairs
 from .metrics import evaluate, restore
 from .model import ParamStore, generator_sites, shape_mismatches
 from .ppm import load_image, save_image
+from .settings import output_file
 from .train import load_corpus, run_training
 
 __all__ = ["main"]
@@ -52,30 +55,33 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_fitting_checkpoint(args) -> tuple[RunConfig, ParamStore]:
-    """The config and the checkpoint, which must store every
-    ``generator_sites(cfg)`` parameter with the shape its row gives, and
-    nothing else."""
-    cfg = _resolve_config(args)
-    params = load_checkpoint(args.checkpoint)
+def _load_fitting_checkpoint(cfg: RunConfig, path) -> ParamStore:
+    """The checkpoint, which must store every ``generator_sites(cfg)``
+    parameter with the shape its row gives, and nothing else."""
+    params = load_checkpoint(path)
     wrong = shape_mismatches(params, generator_sites(cfg))
     if wrong:
         raise CheckpointError(
-            f"checkpoint {args.checkpoint} does not fit the configured architecture"
+            f"checkpoint {path} does not fit the configured architecture"
             f" ({wrong[0]}); pass the --config the model was trained with"
         )
-    return cfg, params
+    return params
 
 
 def cmd_restore(args) -> int:
-    cfg, params = _load_fitting_checkpoint(args)
+    cfg = _resolve_config(args)
+    out = output_file("--out", args.out_path)
+    params = _load_fitting_checkpoint(cfg, args.checkpoint)
     image = load_image(args.in_path)
-    save_image(restore(image, params, cfg), args.out_path)
+    save_image(restore(image, params, cfg), out)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    cfg, params = _load_fitting_checkpoint(args)
+    cfg = _resolve_config(args)
+    text_path = output_file("report path", cfg.report_out + ".txt")
+    csv_path = output_file("report path", cfg.report_out + ".csv")
+    params = _load_fitting_checkpoint(cfg, args.checkpoint)
     images = load_corpus(cfg, split="test")
     # no scale filtering here: evaluate() reports incompatible scales as
     # warning rows instead of dropping them
@@ -87,8 +93,6 @@ def cmd_evaluate(args) -> int:
         model_id=str(args.checkpoint),
         degradation=cfg.label,
     )
-    text_path = Path(cfg.report_out + ".txt")
-    csv_path = Path(cfg.report_out + ".csv")
     text_path.write_text(report.to_text(), encoding="utf-8")
     csv_path.write_text(report.to_csv(), encoding="utf-8")
     sys.stdout.write(report.to_text())

@@ -154,23 +154,31 @@ def _axis_weights(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def bilinear_resize(t: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear interpolation with half-pixel centers and edge replication."""
+    """Bilinear interpolation with half-pixel centers and edge replication.
+
+    A resize to the same size returns a copy of the input: every sample
+    then lies on its source pixel with weight 1 and on a neighbour with
+    weight 0, so for finite input the weighted sum gives the same values
+    (it could only turn a -0.0 into +0.0).
+    """
     if out_h < 1 or out_w < 1:
         raise ValueError(f"bilinear_resize: bad target size ({out_h}, {out_w})")
     _, _, h, w = t.shape
+    if (h, w) == (out_h, out_w):
+        return Tensor(t.data.copy())
     ylo, yhi, fy = _axis_weights(h, out_h)
     xlo, xhi, fx = _axis_weights(w, out_w)
     # each product is float64, as if the source were cast first (the cast is
-    # exact); each set of rows is gathered once and the sums are formed in place
-    rows = t.data[:, :, ylo]
-    top = rows[..., xlo] * (1 - fx)
-    tmp = rows[..., xhi] * fx
-    top += tmp
-    rows = t.data[:, :, yhi]
-    bot = rows[..., xlo] * (1 - fx)
-    np.multiply(rows[..., xhi], fx, out=tmp)
-    bot += tmp
+    # exact).  Every source row is interpolated across once, then the output
+    # rows gather those sums, so each output value is formed by the same
+    # float64 operations in the same order as the direct expression; the
+    # sums are formed in place.  take() returns C-order arrays, where fancy
+    # indexing would return a transposed layout that every pass would walk
+    across = t.data.take(xlo, axis=3) * (1 - fx)
+    across += t.data.take(xhi, axis=3) * fx
+    top = across.take(ylo, axis=2)
     top *= (1 - fy)[:, np.newaxis]
+    bot = across.take(yhi, axis=2)
     bot *= fy[:, np.newaxis]
     top += bot
     return Tensor(top.astype(t.dtype))

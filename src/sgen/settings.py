@@ -5,23 +5,35 @@ declared ``name: T = setting(default, KIND)``.  A kind states the rule its
 values meet and how a config file's text reads into a value and is
 written back.  ``Settings.__post_init__`` checks every field against its
 kind, and ``parse_config``/``serialize_config`` pick their parser and
-formatter from it, so each rule is written once.
+formatter from it, so each rule is written once.  ``output_file`` is the
+one rule for a path a run writes to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import field, fields
+from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 __all__ = [
-    "ConfigError", "Kind", "Settings", "setting", "at_least", "choice", "listed",
+    "ConfigError", "Kind", "Settings", "setting", "at_least", "choice", "listed", "output_file",
     "FINITE", "POSITIVE", "TEXT", "SIZE", "SIZES", "WIDTHS",
 ]
 
 
 class ConfigError(ValueError):
     """Raised for unknown keys, unparseable values or invalid settings."""
+
+
+def output_file(name: str, text: str) -> Path:
+    """The path ``text``, which must name a file in an existing directory;
+    checked before a run does any work, so a bad output path does not fail
+    only at its end."""
+    out = Path(text)
+    if not out.name or out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"{name} {text!r} names no file in an existing directory")
+    return out
 
 
 class Kind(NamedTuple):

@@ -51,6 +51,7 @@ from .model import (
 )
 from .optim import AdamState, adam_step, init_adam
 from .ppm import load_image
+from .settings import output_file
 
 __all__ = ["TrainResult", "TrainState", "start", "advance", "run_training", "load_corpus", "build_training_pairs"]
 
@@ -166,9 +167,7 @@ def run_training(cfg: RunConfig, log_stream=None) -> TrainResult:
     ``<checkpoint_out>.disc``) is saved every ``eval_every`` steps and at
     the end.
     """
-    out = Path(cfg.checkpoint_out)
-    if not out.name or out.is_dir() or not out.parent.is_dir():
-        raise ConfigError(f"checkpoint_out {cfg.checkpoint_out!r} names no file in an existing directory")
+    output_file("checkpoint_out", cfg.checkpoint_out)
     pairs = build_training_pairs(cfg, load_corpus(cfg))
     state = start(cfg)
 

@@ -79,8 +79,9 @@ def test_generator_round_trip_preserves_name_order(tmp_path):
 
 
 def test_load_holds_about_one_copy_of_the_file(tmp_path):
-    """Each entry is read straight into its own array: no whole-file
-    buffer, per-entry slice or cast copy on top of the loaded arrays."""
+    """Each entry is read straight into its slice of one file-sized arena:
+    no second whole-file buffer, per-entry copy or cast copy on top of the
+    loaded arrays."""
     path = tmp_path / "gen.ckpt"
     save_checkpoint(build_generator(SgenConfig(), np.random.default_rng(2)), path)
     size = path.stat().st_size
@@ -93,6 +94,28 @@ def test_load_holds_about_one_copy_of_the_file(tmp_path):
         tracemalloc.stop()
     assert sum(t.data.nbytes for t in store.values()) > 0.99 * size
     assert peak < 1.25 * size, f"peak {peak} bytes for a {size}-byte file"
+
+
+def test_loaded_tensors_are_disjoint_views_of_one_arena(tmp_path):
+    """Every tensor is a float32, C-contiguous, writable view of one buffer
+    no larger than the file, and writing one leaves the others unchanged."""
+    path = tmp_path / "gen.ckpt"
+    cfg = SgenConfig(n_levels=2, base_channels=4)
+    save_checkpoint(build_generator(cfg, np.random.default_rng(4)), path)
+    store = load_checkpoint(path)
+    for name, t in store.items():
+        assert t.dtype == np.float32, name
+        assert t.data.flags.c_contiguous and t.data.flags.writeable, name
+    base = next(iter(store.values())).data.base
+    assert isinstance(base, np.ndarray) and base.nbytes <= path.stat().st_size
+    assert all(t.data.base is base for t in store.values())
+    before = {name: t.data.copy() for name, t in store.items()}
+    for name, t in store.items():
+        t.data[...] = np.nan
+        for other, u in store.items():
+            if other != name:
+                assert u.data.tobytes() == before[other].tobytes(), (name, other)
+        t.data[...] = before[name]
 
 
 def test_empty_store_round_trips(tmp_path):

@@ -353,6 +353,27 @@ def test_restore_missing_checkpoint_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,extra,named",
+    [
+        ("restore", ["--in", "in.ppm", "--out", "nodir/x.ppm"], "--out 'nodir/x.ppm'"),
+        ("evaluate", [], "report path 'nodir/rep.txt'"),
+    ],
+)
+def test_an_output_path_in_a_missing_directory_fails_before_the_checkpoint_loads(
+    tmp_path, capsys, monkeypatch, command, extra, named
+):
+    def no_load(*args, **kwargs):
+        raise AssertionError("loaded the checkpoint")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sgen.cli, "load_checkpoint", no_load)
+    cfg_path = write_cfg(tmp_path, report_out="nodir/rep")
+    _random_ppm(tmp_path / "in.ppm", 32, 32)
+    assert main([command, "--config", str(cfg_path), "--checkpoint", "model.ckpt", *extra]) == 2
+    assert capsys.readouterr().err == f"error: {named} names no file in an existing directory\n"
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

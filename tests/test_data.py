@@ -243,19 +243,30 @@ _RESIZES = (
     [((64, 48), s) for s in EVAL_SCALES]  # every evaluation scale, upscaling
     + [((256, 224), s) for s in EVAL_SCALES]  # and downscaling
     + [((37, 53), (300, 11)), ((37, 53), (5, 400)), ((37, 53), (37, 53))]
+    + [((208, 176), (208, 176)), ((45, 31), (45, 31))]  # same size: a copy
 )
 
 
 @pytest.mark.parametrize("src,dst", _RESIZES, ids=lambda s: "x".join(map(str, s)))
 def test_bilinear_matches_the_direct_expression_bit_for_bit(src, dst):
-    """Gathering rows once and summing in place keeps every float64
-    operation and its order, so the result is the same bits."""
+    """Interpolating each source row across once, gathering output rows
+    from those sums and summing in place keeps every float64 operation and
+    its order, so the result is the same bits; a same-size resize is a
+    copy, which the direct expression matches for finite input."""
     rng = np.random.default_rng(src[0] * 1000 + dst[1])
     arr = rng.uniform(0, 255, size=(2, 3, *src)).astype(np.float32)
     want = bilinear_resize_expression(arr, *dst).astype(np.float32)
     got = bilinear_resize(Tensor(arr), *dst).data
     assert got.dtype == np.float32
     assert got.tobytes() == want.tobytes()
+
+
+def test_bilinear_same_size_is_a_fresh_array():
+    arr = np.random.default_rng(5).uniform(0, 255, size=(1, 3, 45, 31)).astype(np.float32)
+    t = Tensor(arr.copy())
+    out = bilinear_resize(t, 45, 31)
+    out.data[...] = -1.0
+    assert t.data.tobytes() == arr.tobytes()
 
 
 def test_bilinear_rejects_bad_target():
