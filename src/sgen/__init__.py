@@ -40,9 +40,7 @@ from .model import (
 from .nn import (
     ConvParams,
     conv2d,
-    conv_params,
     deconv2d,
-    deconv_params,
     global_avg_pool,
 )
 from .optim import AdamState, adam_step, init_adam

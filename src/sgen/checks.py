@@ -29,7 +29,7 @@ from .model import (
     discriminator_forward,
     generator_forward,
 )
-from .nn import conv2d, conv_params, deconv2d, deconv_params, global_avg_pool
+from .nn import conv2d, deconv2d, draw, global_avg_pool
 
 __all__ = ["CheckResult", "run_gradient_battery", "OP_TOL", "NET_TOL"]
 
@@ -182,9 +182,9 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
     # every other probe stays as it was.  A 1 -> 5 conv and a 5 -> 1 deconv at stride 2
     # have s*s*c <= o, so they unfold the fine side where the other pairs
     # run the GEMM first, and the deconv's scatter shift-adds.
-    def layer_checks(label, op, p, x0, w_out):
+    def layer_checks(label, op, p, x0, w_out, act=None):
         def loss(x, **probe):
-            return _weighted_sum(op(x, replace(p, **probe)), w_out)
+            return _weighted_sum((conv2d if op == "conv" else deconv2d)(x, replace(p, **probe), act), w_out)
 
         check(f"{label}.input", lambda x: loss(x), x0)
         check(f"{label}.weight", lambda wt: loss(Tensor(x0), weight=wt), p.weight.data.copy())
@@ -192,28 +192,22 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
 
     more = np.random.default_rng([_SEED, 1])
     thin = np.random.default_rng([_SEED, 2])
-    for r, cin, cout, k, hw in (
-        (rng, 2, 3, 3, 6), (rng, 2, 3, 4, 6), (rng, 2, 3, 8, 8),
-        (more, 3, 2, 3, 6), (more, 3, 2, 4, 6), (more, 3, 2, 8, 8), (more, 2, 3, 16, 16),
-        (thin, 1, 5, 4, 6),
+    for r, op, cin, cout, k, hw in (
+        (rng, "conv", 2, 3, 3, 6), (rng, "conv", 2, 3, 4, 6), (rng, "conv", 2, 3, 8, 8),
+        (more, "conv", 3, 2, 3, 6), (more, "conv", 3, 2, 4, 6), (more, "conv", 3, 2, 8, 8),
+        (more, "conv", 2, 3, 16, 16), (thin, "conv", 1, 5, 4, 6),
+        (rng, "deconv", 3, 2, 4, 3), (rng, "deconv", 3, 2, 8, 2),
+        (more, "deconv", 2, 3, 4, 3), (more, "deconv", 2, 3, 8, 2), (more, "deconv", 3, 2, 16, 2),
+        (thin, "deconv", 5, 1, 4, 3),
     ):
-        p = conv_params(cin, cout, k, r, dtype=np.float64)
+        p = draw(op, cin, cout, k, r, np.float64)
         x0 = _rand(r, (2, cin, hw, hw))
-        w_out = _signed_unit(r, (2, cout, hw // p.stride, hw // p.stride))
-        layer_checks(f"conv2d.{cin}to{cout}.s{p.stride}", conv2d, p, x0, w_out)
-
-    for r, cin, cout, k, hw in (
-        (rng, 3, 2, 4, 3), (rng, 3, 2, 8, 2),
-        (more, 2, 3, 4, 3), (more, 2, 3, 8, 2), (more, 3, 2, 16, 2),
-        (thin, 5, 1, 4, 3),
-    ):
-        p = deconv_params(cin, cout, k, r, dtype=np.float64)
-        x0 = _rand(r, (2, cin, hw, hw))
-        w_out = _signed_unit(r, (2, cout, hw * p.stride, hw * p.stride))
-        layer_checks(f"deconv2d.{cin}to{cout}.s{p.stride}", deconv2d, p, x0, w_out)
+        out_hw = hw // p.stride if op == "conv" else hw * p.stride
+        w_out = _signed_unit(r, (2, cout, out_hw, out_hw))
+        layer_checks(f"{op}2d.{cin}to{cout}.s{p.stride}", op, p, x0, w_out)
 
     # --- SGU: both inputs and all four gate parameters ---------------------
-    gates = {gate: conv_params(3, 3, 3, rng, np.float64, 0.15) for gate in ("gate_a", "gate_p")}
+    gates = {gate: draw("conv", 3, 3, 3, rng, np.float64, 0.15) for gate in ("gate_a", "gate_p")}
     active0 = _rand(rng, (2, 3, 5, 5))
     passive0 = _rand(rng, (2, 3, 5, 5))
     sgu_w = _signed_unit(rng, (2, 3, 5, 5))
@@ -326,20 +320,20 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
     # lrelu layer is redrawn until no pre-activation lies within 1e-3 of the
     # kink, far more than an eps-step moves one.
     fused = np.random.default_rng([_SEED, 3])
-    for op, make, act, cin, cout, k, hw, out_hw in (
-        (conv2d, conv_params, "lrelu", 2, 3, 4, 6, 3),
-        (deconv2d, deconv_params, "relu", 3, 2, 4, 3, 6),
-        (conv2d, conv_params, "sigmoid", 2, 3, 3, 5, 5),
-        (conv2d, conv_params, "tanh", 2, 3, 3, 5, 5),
+    for op, act, cin, cout, k, hw, out_hw in (
+        ("conv", "lrelu", 2, 3, 4, 6, 3),
+        ("deconv", "relu", 3, 2, 4, 3, 6),
+        ("conv", "sigmoid", 2, 3, 3, 5, 5),
+        ("conv", "tanh", 2, 3, 3, 5, 5),
     ):
+        apply = conv2d if op == "conv" else deconv2d
         while True:
-            p = make(cin, cout, k, fused, dtype=np.float64)
+            p = draw(op, cin, cout, k, fused, np.float64)
             x0 = _rand(fused, (2, cin, hw, hw))
-            if act not in ("relu", "lrelu") or np.abs(op(Tensor(x0), p).data).min() > 1e-3:
+            if act not in ("relu", "lrelu") or np.abs(apply(Tensor(x0), p).data).min() > 1e-3:
                 break
         w_out = _signed_unit(fused, (2, cout, out_hw, out_hw))
-        label = f"{op.__name__}.{act}.{cin}to{cout}.s{p.stride}"
-        layer_checks(label, lambda x, q, op=op, act=act: op(x, q, act), p, x0, w_out)
+        layer_checks(f"{op}2d.{act}.{cin}to{cout}.s{p.stride}", op, p, x0, w_out, act)
 
     # --- the SGU's gating node, ga*a + gp*p: all four inputs -----------------
     gating = np.random.default_rng([_SEED, 4])

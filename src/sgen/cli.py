@@ -26,13 +26,13 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
 from .checks import run_gradient_battery
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .data import degraded_dataset, degraded_pairs
 from .metrics import evaluate, restore
 from .model import ParamStore, generator_sites, shape_mismatches
 from .ppm import load_image, save_image
 from .settings import output_file
-from .train import load_corpus, run_training
+from .train import load_corpus, ppm_paths, run_training
 
 __all__ = ["main"]
 
@@ -102,11 +102,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_degrade(args) -> int:
     cfg = _resolve_config(args)
-    in_dir = Path(args.in_path)
+    paths = ppm_paths(Path(args.in_path))
     out_dir = Path(args.out_path)
-    paths = sorted(in_dir.glob("*.ppm"))
-    if not paths:
-        raise ConfigError(f"no .ppm files under {str(in_dir)!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # one task per image; a pair's noise depends on its image's place in

@@ -43,7 +43,7 @@ import numpy as np
 
 from .autodiff import Tensor, sigmoid
 from .ensemble import MERGE_MODES, MERGE_SITES, merge
-from .nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params, global_avg_pool, param_shapes
+from .nn import ConvParams, conv2d, deconv2d, draw, global_avg_pool, param_shapes
 from .settings import WIDTHS, Settings, at_least, choice, setting
 
 __all__ = [
@@ -174,8 +174,7 @@ def shape_mismatches(store: ParamStore, sites: dict[str, Site]) -> list[str]:
 def _build(sites: dict[str, Site], rng: np.random.Generator, dtype) -> ParamStore:
     store = ParamStore()
     for name, s in sites.items():
-        make = conv_params if s.op == "conv" else deconv_params
-        p = make(s.c_in, s.c_out, s.kernel, rng, dtype, s.std)
+        p = draw(s.op, s.c_in, s.c_out, s.kernel, rng, dtype, s.std)
         store[f"{name}.weight"], store[f"{name}.bias"] = p.weight, p.bias
     return store
 

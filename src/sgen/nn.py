@@ -8,11 +8,11 @@ stride and padding by one rule, ``geometry``: an even kernel 2f pools by
 stride f with f/2 padding, an odd kernel k runs at stride 1 with (k-1)/2
 padding.  So a conv's output is exactly its input divided by the stride,
 its adjoint upsamples by exactly the stride, and a ``ConvParams`` is
-just its weight and bias.  The factories ``conv_params`` and
-``deconv_params`` draw one from the kernel a site declares, so
-``geometry`` is the only place a kernel becomes a stride.  Both lay the
-weight out by ``param_shapes``, the one statement of the weight layout,
-which the checkpoint shape check reads too.
+just its weight and bias.  One factory, ``draw(op, ...)``, draws either
+op's from the kernel a site declares, so ``geometry`` is the only place a
+kernel becomes a stride.  It lays the weight out by ``param_shapes``, the
+one statement of the weight layout, which the checkpoint shape check
+reads too.
 
 Kernels: pad-first phase planes.  Call the conv input the fine side and
 its output the coarse side.  Pad the fine side first: fine pixel y sits at
@@ -81,16 +81,7 @@ import numpy as np
 
 from .autodiff import Tensor, activation, record
 
-__all__ = [
-    "ConvParams", "geometry", "param_shapes", "conv_params", "deconv_params", "conv2d", "deconv2d",
-    "global_avg_pool", "he_std",
-]
-
-
-def he_std(c_in: int, kernel: int) -> float:
-    """Kaiming-style init scale for relu-family activations, of a
-    ``kernel`` x ``kernel`` conv from c_in channels."""
-    return float(np.sqrt(2.0 / (c_in * kernel * kernel)))
+__all__ = ["ConvParams", "geometry", "param_shapes", "draw", "conv2d", "deconv2d", "global_avg_pool"]
 
 
 def geometry(k: int) -> tuple[int, int]:
@@ -111,7 +102,8 @@ def geometry(k: int) -> tuple[int, int]:
 
 @dataclass
 class ConvParams:
-    """Weights for one convolution, whose adjoint is the transposed conv.
+    """Weights for one convolution, whose adjoint is the transposed conv;
+    ``draw`` makes fresh ones for either op.
 
     weight: (c_out, c_in, kh, kw) of the conv; ``deconv2d``
             reads the same array as (c_in, c_out, kh, kw).
@@ -153,37 +145,28 @@ def param_shapes(op: str, c_in: int, c_out: int, kernel: int) -> tuple[tuple, tu
     the adjoint of a conv from c_out to c_in, stores (c_in, c_out, k, k).
     The bias is (1, c_out, 1, 1), as wide as the op's own output.
     """
+    if op not in ("conv", "deconv"):
+        raise ValueError(f"unknown op {op!r}: an op is 'conv' or 'deconv'")
     pair = (c_out, c_in) if op == "conv" else (c_in, c_out)
     return (*pair, kernel, kernel), (1, c_out, 1, 1)
 
 
-def _fresh(op: str, c_in: int, c_out: int, kernel: int, rng, dtype, weight_std: float | None) -> ConvParams:
-    """A He-scaled (zero at weight_std 0.0) weight and a zero bias, laid out by ``param_shapes``."""
+def draw(
+    op: str, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
+    dtype=np.float32, std: float | None = None,
+) -> ConvParams:
+    """Fresh weights of a ``kernel`` x ``kernel`` ``op`` from c_in to c_out
+    channels, laid out by ``param_shapes``; the kernel sets the stride (see
+    ``geometry``).  The weight is normal with the He scale for relu-family
+    activations, sqrt(2 / (c_in k^2)), or with ``std`` when given (zeros at
+    0.0, for zero-initialized gates); the bias is zero."""
     shape, bias_shape = param_shapes(op, c_in, c_out, kernel)
-    std = he_std(c_in, kernel) if weight_std is None else weight_std
+    if std is None:
+        std = np.sqrt(2.0 / (c_in * kernel * kernel))
     w = rng.normal(0.0, std, size=shape) if std > 0 else np.zeros(shape)
     weight = Tensor(w.astype(dtype), requires_grad=True)
     bias = Tensor(np.zeros(bias_shape, dtype=dtype), requires_grad=True)
     return ConvParams(weight, bias)
-
-
-def conv_params(
-    c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
-    dtype=np.float32, weight_std: float | None = None,
-) -> ConvParams:
-    """Fresh conv weights with a ``kernel`` x ``kernel`` kernel, which sets
-    the stride (see ``geometry``).  weight_std defaults to the He scale;
-    pass 0.0 for zero-initialized gates."""
-    return _fresh("conv", c_in, c_out, kernel, rng, dtype, weight_std)
-
-
-def deconv_params(
-    c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
-    dtype=np.float32, weight_std: float | None = None,
-) -> ConvParams:
-    """Fresh transposed-conv weights with a ``kernel`` x ``kernel`` kernel,
-    upsampling by its stride; weight_std as for ``conv_params``."""
-    return _fresh("deconv", c_in, c_out, kernel, rng, dtype, weight_std)
 
 
 # ---------------------------------------------------------------------------

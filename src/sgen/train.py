@@ -53,7 +53,9 @@ from .optim import AdamState, adam_step, init_adam
 from .ppm import load_image
 from .settings import output_file
 
-__all__ = ["TrainResult", "TrainState", "start", "advance", "run_training", "load_corpus", "build_training_pairs"]
+__all__ = [
+    "TrainResult", "TrainState", "start", "advance", "run_training", "ppm_paths", "load_corpus", "build_training_pairs",
+]
 
 LOG_HEADER = "step,loss_g,loss_d,loss_mse"
 
@@ -70,6 +72,14 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
+def ppm_paths(folder: Path) -> list[Path]:
+    """The ``*.ppm`` files in ``folder``, sorted; a ConfigError if it holds none."""
+    paths = sorted(folder.glob("*.ppm"))
+    if not paths:
+        raise ConfigError(f"no .ppm files under {str(folder)!r}")
+    return paths
+
+
 def load_corpus(cfg: RunConfig, split: str = "train") -> list[Tensor]:
     """Images from data_root/<split> (or data_root itself), else synthetic.
 
@@ -82,10 +92,7 @@ def load_corpus(cfg: RunConfig, split: str = "train") -> list[Tensor]:
         if not root.exists():
             raise ConfigError(f"data_root {str(root)!r} does not exist")
         folder = root / split if (root / split).is_dir() else root
-        paths = sorted(folder.glob("*.ppm"))
-        if not paths:
-            raise ConfigError(f"no .ppm files under {str(folder)!r}")
-        return [load_image(p) for p in paths]
+        return [load_image(p) for p in ppm_paths(folder)]
     if cfg.synthetic_count > 0:
         return make_synthetic_corpus(cfg.synthetic_count, cfg.seed, cfg.synthetic_size)
     raise ConfigError("no training data: set data_root or synthetic_count")

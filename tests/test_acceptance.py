@@ -44,7 +44,7 @@ from sgen.model import (
     discriminator_forward,
     generator_forward,
 )
-from sgen.nn import ConvParams, conv2d, conv_params, deconv2d, deconv_params
+from sgen.nn import ConvParams, conv2d, deconv2d, draw
 from sgen.train import load_corpus
 
 
@@ -96,6 +96,10 @@ def test_criterion_01_gradient_battery():
         # the 119 check names in order: no check can be dropped or renamed unseen
         assert len(names) == 119
         assert hashlib.sha256("\n".join(names).encode()).hexdigest()[:16] == "b07cceec41b43f2c"
+        # every (name, error) pair as tools/golden.py prints its battery line:
+        # a reordered draw or probe moves the errors, and this digest
+        pairs = "".join(f"{r.name} {r.error!r}\n" for r in results)
+        assert hashlib.sha256(pairs.encode()).hexdigest()[:16] == "98ff0ab59ecccc02"
         assert any(r.tolerance == 1e-5 for r in results)
         assert any(r.tolerance == 1e-4 for r in results)
 
@@ -126,7 +130,7 @@ def test_criterion_03_sgu_algebra():
         x_p = Tensor(rng.normal(0.0, 1.0, (2, 3, 8, 6)).astype(np.float32))
 
         def gates(std):
-            return {gate: conv_params(3, 3, 3, rng, weight_std=std) for gate in ("gate_a", "gate_p")}
+            return {gate: draw("conv", 3, 3, 3, rng, std=std) for gate in ("gate_a", "gate_p")}
 
         # zero-initialized gates reproduce the average ensemble bit for bit
         p0 = gates(0.0)
@@ -150,7 +154,7 @@ def test_criterion_04_convolution_oracles():
     with criterion(4, "conv/deconv vs loop oracles 1e-6, adjoint identity 1e-5"):
         rng = np.random.default_rng(4)
         for n, cin, cout, k in product((1, 2), (1, 4), (2, 3), (3, 4, 8, 16)):
-            p = conv_params(cin, cout, k, rng, dtype=np.float64)
+            p = draw("conv", cin, cout, k, rng, dtype=np.float64)
             factor = p.stride
             p.bias.data[:] = rng.normal(0.0, 0.5, p.bias.shape)
             x = Tensor(rng.uniform(-1.0, 1.0, (n, cin, 16, 16)))
@@ -163,7 +167,7 @@ def test_criterion_04_convolution_oracles():
 
             if factor == 1:
                 continue  # no transposed counterpart below factor 2
-            pd = deconv_params(cin, cout, k, rng, dtype=np.float64)
+            pd = draw("deconv", cin, cout, k, rng, dtype=np.float64)
             pd.bias.data[:] = rng.normal(0.0, 0.5, pd.bias.shape)
             xs = Tensor(rng.uniform(-1.0, 1.0, (n, cin, 16 // factor, 16 // factor)))
             ref = deconv2d_scatter(
@@ -174,7 +178,7 @@ def test_criterion_04_convolution_oracles():
             )
 
             # <conv(x), y> == <x, deconv(y)> when the kernel is shared
-            pc = conv_params(cin, cout, k, rng, dtype=np.float64)
+            pc = draw("conv", cin, cout, k, rng, dtype=np.float64)
             pc.bias.data[:] = 0.0
             pt = ConvParams(weight=Tensor(pc.weight.data), bias=Tensor(np.zeros((1, cin, 1, 1))))
             xa = Tensor(rng.uniform(-1.0, 1.0, (n, cin, 16, 16)))

@@ -30,7 +30,7 @@ from sgen.autodiff import (
     sum_all,
     tanh,
 )
-from sgen.nn import conv2d, conv_params
+from sgen.nn import conv2d, draw
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +442,7 @@ def test_taped_gradients_match_numeric_oracle(seed, shape):
 
 def test_grad_check_passes_float64_composite():
     rng = np.random.default_rng(3)
-    p = conv_params(2, 3, 3, rng, dtype=np.float64)
+    p = draw("conv", 2, 3, 3, rng, dtype=np.float64)
     x = Tensor(rng.normal(size=(1, 2, 6, 6)) + 0.4, requires_grad=True)
     err = grad_check(lambda t: mean_all(lrelu(conv2d(t, p))), x, eps=1e-5)
     assert err < 1e-5
@@ -450,7 +450,7 @@ def test_grad_check_passes_float64_composite():
 
 def test_grad_check_passes_float32_composite_at_loose_tolerance():
     rng = np.random.default_rng(4)
-    p = conv_params(2, 3, 3, rng, dtype=np.float32)
+    p = draw("conv", 2, 3, 3, rng, dtype=np.float32)
     x = Tensor(
         (rng.normal(size=(1, 2, 6, 6)) + 0.4).astype(np.float32), requires_grad=True
     )
@@ -493,7 +493,7 @@ def test_grad_check_requires_positive_eps():
 
 def test_forward_is_bitwise_deterministic():
     rng = np.random.default_rng(11)
-    p = conv_params(3, 4, 4, rng)
+    p = draw("conv", 3, 4, 4, rng)
     x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
     a = conv2d(x, p).data.tobytes()
     b = conv2d(x, p).data.tobytes()

@@ -7,7 +7,6 @@ import pytest
 
 import sgen.cli
 import sgen.model
-import sgen.nn
 from sgen import (
     RunConfig,
     SgenConfig,
@@ -270,8 +269,10 @@ def test_restore_and_evaluate_draw_no_weights(tmp_path, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew weights")
 
+    monkeypatch.setattr(sgen.model, "draw", no_draw)  # _build draws every conv and deconv through it
+    with pytest.raises(AssertionError, match="drew weights"):  # the patch takes effect
+        build_generator(RunConfig(), np.random.default_rng(0))
     monkeypatch.setattr(sgen.model, "build_generator", no_draw)
-    monkeypatch.setattr(sgen.nn, "_fresh", no_draw)  # every conv and deconv draw goes through it
     common = ["--config", str(cfg_path), "--checkpoint", str(tmp_path / "model.ckpt")]
     assert main(["restore", *common, "--in", str(src), "--out", str(tmp_path / "x.ppm")]) == 0
     assert main(["evaluate", *common]) == 0

@@ -7,7 +7,7 @@ import pytest
 
 from sgen import MERGE_MODES, MERGE_SITES, Tape, Tensor, backward, merge, sgu
 from sgen.autodiff import mul, sum_all
-from sgen.nn import ConvParams, conv_params
+from sgen.nn import ConvParams, draw
 
 
 def _pair(rng, shape=(2, 3, 4, 4), dtype=np.float32):
@@ -19,7 +19,7 @@ def _pair(rng, shape=(2, 3, 4, 4), dtype=np.float32):
 def _convs(rng, mode="sgu", c=3, dtype=np.float32, std=0.0):
     """Probe convs for one ``mode`` merge site on ``c``-wide features, each
     drawn at ``std`` (None for the He scale)."""
-    return {name: conv_params(fan * c, c, k, rng, dtype, std) for name, (fan, k, _) in MERGE_SITES[mode][1].items()}
+    return {name: draw("conv", fan * c, c, k, rng, dtype, std) for name, (fan, k, _) in MERGE_SITES[mode][1].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +110,10 @@ def test_sgu_is_asymmetric_in_its_inputs():
 def test_sgu_params_must_preserve_channels():
     rng = np.random.default_rng(4)
     active, passive = _pair(rng)
-    gates = {"gate_a": conv_params(3, 4, 3, rng), "gate_p": conv_params(3, 3, 3, rng)}
+    gates = {"gate_a": draw("conv", 3, 4, 3, rng), "gate_p": draw("conv", 3, 3, 3, rng)}
     with pytest.raises(ValueError, match="gated_sum: shape mismatch"):
         sgu(active, passive, gates)
-    gates["gate_a"] = conv_params(4, 3, 3, rng)
+    gates["gate_a"] = draw("conv", 4, 3, 3, rng)
     with pytest.raises(ValueError, match="input has 3 channels, kernel expects 4"):
         sgu(active, passive, gates)
 
@@ -121,7 +121,7 @@ def test_sgu_params_must_preserve_channels():
 def test_sgu_params_must_have_stride_1():
     rng = np.random.default_rng(5)
     active, passive = _pair(rng)
-    gates = {"gate_a": conv_params(3, 3, 3, rng), "gate_p": conv_params(3, 3, 4, rng)}
+    gates = {"gate_a": draw("conv", 3, 3, 3, rng), "gate_p": draw("conv", 3, 3, 4, rng)}
     with pytest.raises(ValueError, match="gated_sum: shape mismatch"):
         sgu(active, passive, gates)
 
@@ -227,7 +227,7 @@ def test_merge_validates_params_and_mode():
     with pytest.raises(ValueError, match=r"takes convs \['proj'\]"):
         merge("concat", new, prev)
     with pytest.raises(ValueError, match="input has 6 channels, kernel expects 4"):
-        merge("concat", new, prev, {"proj": conv_params(4, 3, 1, rng)})
+        merge("concat", new, prev, {"proj": draw("conv", 4, 3, 1, rng)})
     with pytest.raises(ValueError, match="unknown mode"):
         merge("blend", new, prev)
 

@@ -19,7 +19,7 @@ from sgen import (
 )
 from sgen.autodiff import sum_all
 from sgen.data import EVAL_SCALES
-from sgen.model import discriminator_sites, generator_sites, shape_mismatches
+from sgen.model import Site, discriminator_sites, generator_sites, shape_mismatches
 
 
 def small_cfg(**kw):
@@ -192,6 +192,12 @@ def test_shape_mismatches_name_a_wrong_a_missing_and_an_unexpected_parameter():
         "'out.conv.bias' is stored as nothing where the site table gives (1, 3, 1, 1)",
         "'out.conv.scale' is stored as (1, 3, 1, 1) where the site table gives nothing",
     ]
+
+
+def test_a_site_with_a_misspelt_op_is_rejected():
+    """A row's op is "conv" or "deconv"; any other is rejected, not read as a deconv."""
+    with pytest.raises(ValueError, match="unknown op 'dconv'"):
+        shape_mismatches(ParamStore(), {"dec.up.1": Site("dconv", 4, 4, 4, "relu")})
 
 
 @pytest.mark.parametrize("base_channels", [1, 3])

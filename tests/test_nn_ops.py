@@ -1,7 +1,10 @@
 """Convolution stack tests: values vs loop oracles, adjointness, shape laws."""
 
+import hashlib
+import importlib.util
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +17,11 @@ from sgen import (
     Tensor,
     backward,
     conv2d,
-    conv_params,
     deconv2d,
-    deconv_params,
     global_avg_pool,
 )
 from sgen.autodiff import lrelu, mul, record, relu, sigmoid, sum_all, tanh
-from sgen.nn import he_std, param_shapes
+from sgen.nn import draw, param_shapes
 
 
 # the kernel these tests draw a conv or deconv with at each stride
@@ -28,7 +29,7 @@ KERNEL = {1: 3, 2: 4, 4: 8, 6: 12, 8: 16}
 
 
 def _conv(rng, cin, cout, factor, dtype=np.float64, kernel=None):
-    return conv_params(cin, cout, kernel or KERNEL[factor], rng, dtype=dtype)
+    return draw("conv", cin, cout, kernel or KERNEL[factor], rng, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +39,7 @@ def _conv(rng, cin, cout, factor, dtype=np.float64, kernel=None):
 def test_pooling_kernel_rule():
     rng = np.random.default_rng(0)
     for factor, kernel, pad in [(1, 3, 1), (2, 4, 1), (4, 8, 2), (8, 16, 4)]:
-        p = conv_params(2, 3, kernel, rng)
+        p = draw("conv", 2, 3, kernel, rng)
         assert p.kernel == kernel
         assert p.padding == pad
         assert p.stride == factor
@@ -46,21 +47,21 @@ def test_pooling_kernel_rule():
 
 def test_odd_kernels_keep_the_size():
     rng = np.random.default_rng(0)
-    p1 = conv_params(4, 2, 1, rng)
+    p1 = draw("conv", 4, 2, 1, rng)
     assert (p1.kernel, p1.stride, p1.padding) == (1, 1, 0)
-    p5 = conv_params(4, 2, 5, rng)
+    p5 = draw("conv", 4, 2, 5, rng)
     assert (p5.kernel, p5.stride, p5.padding) == (5, 1, 2)
 
 
 def test_fresh_params_shapes_and_flags():
     rng = np.random.default_rng(1)
-    p = conv_params(3, 8, 4, rng, dtype=np.float32)
+    p = draw("conv", 3, 8, 4, rng, dtype=np.float32)
     assert p.weight.shape == (8, 3, 4, 4)
     assert p.bias.shape == (1, 8, 1, 1)
     assert p.weight.requires_grad and p.bias.requires_grad
     assert p.weight.dtype == np.float32
     np.testing.assert_array_equal(p.bias.data, 0.0)
-    d = deconv_params(8, 3, 4, rng)
+    d = draw("deconv", 8, 3, 4, rng)
     assert d.weight.shape == (8, 3, 4, 4)
     assert d.bias.shape == (1, 3, 1, 1)
 
@@ -70,17 +71,23 @@ def test_param_shapes_lay_a_deconv_out_as_the_conv_it_is_the_adjoint_of():
     assert param_shapes("deconv", 8, 3, 4) == ((8, 3, 4, 4), (1, 3, 1, 1))
 
 
+def test_param_shapes_and_draw_reject_an_unknown_op():
+    with pytest.raises(ValueError, match="unknown op 'dconv': an op is 'conv' or 'deconv'"):
+        param_shapes("dconv", 3, 2, 4)
+    with pytest.raises(ValueError, match="unknown op 'conv2d'"):
+        draw("conv2d", 3, 2, 4, np.random.default_rng(0))
+
+
 def test_he_std_formula():
-    assert he_std(4, 3) == pytest.approx(np.sqrt(2.0 / 36.0))
     rng = np.random.default_rng(2)
-    # large sample: empirical std within 5% of the target scale
-    p = conv_params(8, 256, 3, rng)
-    assert np.std(p.weight.data) == pytest.approx(he_std(8, 3), rel=0.05)
+    # large sample: empirical std within 5% of the He scale sqrt(2 / (c_in k^2))
+    p = draw("conv", 8, 256, 3, rng)
+    assert np.std(p.weight.data) == pytest.approx(np.sqrt(2.0 / (8 * 3 * 3)), rel=0.05)
 
 
 def test_zero_weight_std_gives_zero_weights():
     rng = np.random.default_rng(3)
-    p = conv_params(2, 2, 3, rng, weight_std=0.0)
+    p = draw("conv", 2, 2, 3, rng, std=0.0)
     np.testing.assert_array_equal(p.weight.data, 0.0)
 
 
@@ -149,7 +156,7 @@ def test_conv2d_matches_loop_oracle(seed, factor):
 def test_deconv2d_matches_scatter_oracle(seed, factor):
     rng = np.random.default_rng(seed)
     cin, cout = 2, 3
-    p = deconv_params(cin, cout, KERNEL[factor], rng, dtype=np.float64)
+    p = draw("deconv", cin, cout, KERNEL[factor], rng, dtype=np.float64)
     p.bias.data[:] = rng.normal(size=p.bias.shape)
     x = Tensor(rng.normal(size=(2, cin, 4, 4)))
     got = deconv2d(x, p).data
@@ -187,15 +194,15 @@ def test_conv_deconv_adjoint_identity(factor):
 def test_conv_halving_and_deconv_doubling_shapes(factor):
     rng = np.random.default_rng(6)
     x = Tensor(np.zeros((1, 2, 16, 32), dtype=np.float32))
-    p = conv_params(2, 5, KERNEL[factor], rng, dtype=np.float32)
+    p = draw("conv", 2, 5, KERNEL[factor], rng, dtype=np.float32)
     assert conv2d(x, p).shape == (1, 5, 16 // factor, 32 // factor)
-    d = deconv_params(2, 5, KERNEL[factor], rng, dtype=np.float32)
+    d = draw("deconv", 2, 5, KERNEL[factor], rng, dtype=np.float32)
     assert deconv2d(x, d).shape == (1, 5, 16 * factor, 32 * factor)
 
 
 def test_conv2d_rejects_channel_mismatch():
     rng = np.random.default_rng(7)
-    p = conv_params(3, 4, 3, rng, dtype=np.float32)
+    p = draw("conv", 3, 4, 3, rng, dtype=np.float32)
     x = Tensor(np.zeros((1, 5, 8, 8), dtype=np.float32))
     with pytest.raises(ValueError, match="input has 5 channels, kernel expects 3"):
         conv2d(x, p)
@@ -203,7 +210,7 @@ def test_conv2d_rejects_channel_mismatch():
 
 def test_conv2d_rejects_indivisible_spatial_dims():
     rng = np.random.default_rng(8)
-    p = conv_params(1, 1, 4, rng, dtype=np.float32)
+    p = draw("conv", 1, 1, 4, rng, dtype=np.float32)
     x = Tensor(np.zeros((1, 1, 7, 8), dtype=np.float32))
     with pytest.raises(ValueError, match=r"\(7, 8\) not divisible by stride 2"):
         conv2d(x, p)
@@ -211,7 +218,7 @@ def test_conv2d_rejects_indivisible_spatial_dims():
 
 def test_conv2d_rejects_dtype_mismatch():
     rng = np.random.default_rng(9)
-    p = conv_params(1, 1, 3, rng, dtype=np.float64)
+    p = draw("conv", 1, 1, 3, rng, dtype=np.float64)
     x = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="dtype mismatch"):
         conv2d(x, p)
@@ -219,7 +226,7 @@ def test_conv2d_rejects_dtype_mismatch():
 
 def test_deconv2d_rejects_channel_mismatch():
     rng = np.random.default_rng(10)
-    d = deconv_params(2, 3, 4, rng, dtype=np.float32)
+    d = draw("deconv", 2, 3, 4, rng, dtype=np.float32)
     x = Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="input has 4 channels, kernel expects 2"):
         deconv2d(x, d)
@@ -260,7 +267,7 @@ def test_conv2d_weight_and_bias_gradients_match_numeric():
 
 def test_deconv2d_input_gradient_matches_numeric():
     rng = np.random.default_rng(12)
-    d = deconv_params(2, 2, 4, rng, dtype=np.float64)
+    d = draw("deconv", 2, 2, 4, rng, dtype=np.float64)
     x_arr = rng.normal(size=(1, 2, 3, 3))
     proj = rng.normal(size=(1, 2, 6, 6))
 
@@ -348,7 +355,7 @@ def test_conv2d_matches_loop_oracle_on_both_unfold_sides(cin, cout, factor, kern
 @pytest.mark.parametrize("factor", [2, 4, 8])
 def test_deconv2d_matches_scatter_oracle_on_both_unfold_sides(cin, cout, factor):
     rng = np.random.default_rng(30 + factor)
-    p = deconv_params(cin, cout, KERNEL[factor], rng, dtype=np.float64)
+    p = draw("deconv", cin, cout, KERNEL[factor], rng, dtype=np.float64)
     p.bias.data[:] = rng.normal(size=p.bias.shape)
     x = Tensor(rng.normal(size=(3, cin, 3, 2)))
     got = deconv2d(x, p).data
@@ -397,10 +404,10 @@ def _forward_backward(op, p, x_arr, proj):
 def test_forward_and_backward_repeat_byte_for_byte(kind, cin, cout):
     rng = np.random.default_rng(40)
     if kind == "conv":
-        op, p = conv2d, conv_params(cin, cout, 4, rng, dtype=np.float32)
+        op, p = conv2d, draw("conv", cin, cout, 4, rng, dtype=np.float32)
         x_arr, out_hw = rng.normal(size=(3, cin, 8, 12)), (4, 6)
     else:
-        op, p = deconv2d, deconv_params(cin, cout, 8, rng, dtype=np.float32)
+        op, p = deconv2d, draw("deconv", cin, cout, 8, rng, dtype=np.float32)
         x_arr, out_hw = rng.normal(size=(3, cin, 2, 3)), (8, 12)
     x_arr = x_arr.astype(np.float32)
     proj = rng.normal(size=(3, cout) + out_hw).astype(np.float32)
@@ -410,7 +417,7 @@ def test_forward_and_backward_repeat_byte_for_byte(kind, cin, cout):
 def test_thin_output_conv_does_not_unfold_its_wide_input():
     """A 64 -> 3 conv must not build the 9x-wide unfold of its input."""
     rng = np.random.default_rng(50)
-    p = conv_params(64, 3, 3, rng, dtype=np.float32)
+    p = draw("conv", 64, 3, 3, rng, dtype=np.float32)
     x = Tensor(rng.normal(size=(2, 64, 64, 48)).astype(np.float32), requires_grad=True)
     proj = Tensor(rng.normal(size=(2, 3, 64, 48)).astype(np.float32))
     tracemalloc.start()
@@ -510,10 +517,10 @@ def test_gemm_count_does_not_grow_with_stride(monkeypatch, kind, cin, cout):
     for stride in (2, 8):
         rng = np.random.default_rng(80 + stride)
         if kind == "conv":
-            op, p = conv2d, conv_params(cin, cout, KERNEL[stride], rng, dtype=np.float64)
+            op, p = conv2d, draw("conv", cin, cout, KERNEL[stride], rng, dtype=np.float64)
             x_arr, out_hw = rng.normal(size=(2, cin, 2 * stride, 3 * stride)), (2, 3)
         else:
-            op, p = deconv2d, deconv_params(cin, cout, KERNEL[stride], rng, dtype=np.float64)
+            op, p = deconv2d, draw("deconv", cin, cout, KERNEL[stride], rng, dtype=np.float64)
             x_arr, out_hw = rng.normal(size=(2, cin, 2, 3)), (2 * stride, 3 * stride)
         proj = rng.normal(size=(2, cout) + out_hw)
         counts[stride] = _gemms_per_step(monkeypatch, op, p, x_arr, proj)
@@ -591,7 +598,7 @@ def test_fused_activation_rejects_non_finite_pre_activation(kind, act):
 
 
 def test_unknown_activation_is_rejected():
-    p = conv_params(1, 1, 3, np.random.default_rng(0))
+    p = draw("conv", 1, 1, 3, np.random.default_rng(0))
     with pytest.raises(ValueError, match="unknown activation 'gelu'"):
         conv2d(Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32)), p, "gelu")
 
@@ -605,9 +612,9 @@ def test_backward_frees_the_output_adjoint_before_the_weight_gradient(monkeypatc
 
     rng = np.random.default_rng(31)
     if kind == "conv":
-        op, p, x_shape = conv2d, conv_params(2, 3, 4, rng), (2, 2, 8, 8)
+        op, p, x_shape = conv2d, draw("conv", 2, 3, 4, rng), (2, 2, 8, 8)
     else:
-        op, p, x_shape = deconv2d, deconv_params(3, 2, 4, rng), (2, 3, 4, 4)
+        op, p, x_shape = deconv2d, draw("deconv", 3, 2, 4, rng), (2, 3, 4, 4)
     x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
     incoming, freed = [], []
     wgrad = nn_module._wgrad
@@ -639,9 +646,9 @@ def test_backward_frees_the_activated_output_before_the_weight_gradient(monkeypa
 
     rng = np.random.default_rng(32)
     if kind == "conv":
-        op, p, x_shape = conv2d, conv_params(2, 3, 4, rng), (2, 2, 8, 8)
+        op, p, x_shape = conv2d, draw("conv", 2, 3, 4, rng), (2, 2, 8, 8)
     else:
-        op, p, x_shape = deconv2d, deconv_params(3, 2, 4, rng), (2, 3, 4, 4)
+        op, p, x_shape = deconv2d, draw("deconv", 3, 2, 4, rng), (2, 3, 4, 4)
     x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
     output, freed = [], []
     wgrad = nn_module._wgrad
@@ -669,9 +676,9 @@ def test_backward_frees_the_input_planes_before_the_input_gradient_copy(monkeypa
 
     rng = np.random.default_rng(33)
     if kind == "conv":
-        op, p, x_shape = conv2d, conv_params(2, 3, 4, rng), (2, 2, 8, 8)
+        op, p, x_shape = conv2d, draw("conv", 2, 3, 4, rng), (2, 2, 8, 8)
     else:
-        op, p, x_shape = deconv2d, deconv_params(3, 2, 4, rng), (2, 3, 4, 4)
+        op, p, x_shape = deconv2d, draw("deconv", 3, 2, 4, rng), (2, 3, 4, 4)
     x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
     built, dead = [], []
     planes, image = nn_module._planes, nn_module._image
@@ -706,9 +713,9 @@ def test_the_tie_unfolds_the_input_forward_and_the_output_backward(monkeypatch, 
     fine = ["_fine_cols", ("_gather", True)]
     coarse = ["_coarse_cols", ("_scatter", True)]
     if kind == "conv":  # 1 -> 4 at stride 2: input fine, output coarse
-        op, p, x_shape, want = conv2d, conv_params(1, 4, 4, rng), (2, 1, 8, 8), (fine, coarse)
+        op, p, x_shape, want = conv2d, draw("conv", 1, 4, 4, rng), (2, 1, 8, 8), (fine, coarse)
     else:  # 4 -> 1 at stride 2: input coarse, output fine
-        op, p, x_shape, want = deconv2d, deconv_params(4, 1, 4, rng), (2, 4, 4, 4), (coarse, fine)
+        op, p, x_shape, want = deconv2d, draw("deconv", 4, 1, 4, rng), (2, 4, 4, 4), (coarse, fine)
     calls = []
 
     def watched(name):
@@ -738,7 +745,7 @@ def test_the_tie_takes_the_same_weight_gradient_whether_or_not_the_input_needs_o
     s*s*c == o: the tie of the unfold rule.  Its backward unfolds the same
     side either way, so the parameter gradients match bit for bit."""
     rng = np.random.default_rng(35)
-    p = conv_params(shape[1], shape[1], 3, rng, dtype=dtype)
+    p = draw("conv", shape[1], shape[1], 3, rng, dtype=dtype)
     p.bias.data[...] = rng.normal(size=p.bias.shape)
     xd, proj = (rng.normal(size=shape).astype(dtype) for _ in range(2))
 
@@ -755,3 +762,13 @@ def test_the_tie_takes_the_same_weight_gradient_whether_or_not_the_input_needs_o
     for got, want in zip(grads(False), grads(True)):
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_bits_are_pinned():
+    """The y, dx, dw and db bytes of every op, stride, unfold side and
+    activation, as ``tools/golden.py`` prints them on its ``kernels`` line."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "golden.py"
+    spec = importlib.util.spec_from_file_location("golden", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    assert hashlib.sha256(golden.kernel_bytes()).hexdigest()[:16] == "d2c5ed384fd14e54"

@@ -17,7 +17,7 @@ from sgen import (
     run_training,
     save_image,
 )
-import sgen.nn
+import sgen.model
 import sgen.train as train_module
 from sgen.train import (
     LOG_HEADER,
@@ -153,7 +153,9 @@ def test_a_config_without_a_usable_scale_fails_before_any_weight_is_drawn(tmp_pa
     def no_draw(*args, **kwargs):
         raise AssertionError("drew weights")
 
-    monkeypatch.setattr(sgen.nn, "_fresh", no_draw)  # every conv and deconv draw goes through it
+    monkeypatch.setattr(sgen.model, "draw", no_draw)  # _build draws every conv and deconv through it
+    with pytest.raises(AssertionError, match="drew weights"):  # the patch takes effect
+        build_generator(RunConfig(), np.random.default_rng(0))
     for gan in ("none", "minimax"):
         with pytest.raises(ConfigError, match="no configured scale is divisible by"):
             run_training(fast_cfg(tmp_path, gan_loss=gan, scales=((36, 36),)))
@@ -166,7 +168,9 @@ def test_a_checkpoint_out_naming_no_file_fails_before_any_pair_or_weight(tmp_pat
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(train_module, "build_training_pairs", no_call)
-    monkeypatch.setattr(sgen.nn, "_fresh", no_call)
+    monkeypatch.setattr(sgen.model, "draw", no_call)
+    with pytest.raises(AssertionError, match="drew weights"):  # the patch takes effect
+        build_generator(RunConfig(), np.random.default_rng(0))
     with pytest.raises(ConfigError, match=f"checkpoint_out {out!r} names no file in an existing directory"):
         run_training(fast_cfg(tmp_path, checkpoint_out=out))
     assert list(tmp_path.iterdir()) == []
