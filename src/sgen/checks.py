@@ -6,13 +6,19 @@ checks must stay under 1e-5 relative error; whole-network composites
 (generator, discriminator, adversarial loss through both) get 1e-4.
 Probe values are nudged away from kinks (relu/lrelu corners, max ties,
 clamp edges) so the finite-difference oracle is valid everywhere it
-samples.  The fused conv epilogues (a conv or deconv with its activation
-in one op) and then the SGU's gating node are checked last, each from its
-own stream.
+samples.
+
+Every probe, projection and network weight comes from ``_stream(label)``,
+keyed by ``_SEED`` and one label per group of checks that share data: the
+common prefix of their names where they have one (``add.(1, 1, 2, 3)``,
+``conv2d.lrelu.2to3.s2``, ``sgu``, ``gated_sum``), else a word for the
+group (``const``, ``losses``, ``networks``).  So adding, dropping or
+moving a check changes no other check's probe.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +35,7 @@ from .model import (
     discriminator_forward,
     generator_forward,
 )
-from .nn import conv2d, deconv2d, draw, global_avg_pool
+from .nn import conv2d, deconv2d, draw, geometry, global_avg_pool
 
 __all__ = ["CheckResult", "run_gradient_battery", "OP_TOL", "NET_TOL"]
 
@@ -38,7 +44,7 @@ NET_TOL = 1e-4
 
 _SHAPES = ((1, 1, 2, 3), (2, 3, 4, 4), (1, 2, 5, 7))
 
-# every probe stream is derived from this one seed
+# the one seed of every probe stream; see _stream
 _SEED = 7
 
 _BINARY_OPS = {"add": ad.add, "sub": ad.sub, "mul": ad.mul}
@@ -59,6 +65,12 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return self.error < self.tolerance
+
+
+def _stream(label: str) -> np.random.Generator:
+    """The probe stream of the checks in group ``label``: it depends on
+    ``_SEED`` and the label alone, not on any other check."""
+    return np.random.default_rng([_SEED, zlib.crc32(label.encode())])
 
 
 def _rand(rng, shape):
@@ -92,7 +104,6 @@ def _with_param(store: ParamStore, name: str, tensor: Tensor) -> ParamStore:
 
 def run_gradient_battery(on_result=None) -> list[CheckResult]:
     """Run every check; returns the results and optionally streams them."""
-    rng = np.random.default_rng(_SEED)
     results: list[CheckResult] = []
 
     def check(name, build, probe, tol=OP_TOL):
@@ -105,33 +116,36 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
     # --- elementwise arithmetic, both arguments --------------------------
     for kind, op in _BINARY_OPS.items():
         for shape in _SHAPES:
-            other = _rand(rng, shape)
-            weights = _signed_unit(rng, shape)
+            s = _stream(f"{kind}.{shape}")
+            other = _rand(s, shape)
+            weights = _signed_unit(s, shape)
             check(
                 f"{kind}.lhs.{shape}",
                 lambda x, op=op, o=other, w=weights: _weighted_sum(op(x, Tensor(o)), w),
-                _rand(rng, shape),
+                _rand(s, shape),
             )
             check(
                 f"{kind}.rhs.{shape}",
                 lambda x, op=op, o=other, w=weights: _weighted_sum(op(Tensor(o), x), w),
-                _rand(rng, shape),
+                _rand(s, shape),
             )
 
     # --- scalar-constant ops ---------------------------------------------
+    s = _stream("const")
     shape = _SHAPES[1]
-    weights = _signed_unit(rng, shape)
-    check("add_const", lambda x: _weighted_sum(ad.add_const(x, 1.7), weights), _rand(rng, shape))
-    check("mul_const", lambda x: _weighted_sum(ad.mul_const(x, -2.3), weights), _rand(rng, shape))
-    check("const_minus", lambda x: _weighted_sum(ad.const_minus(0.9, x), weights), _rand(rng, shape))
+    weights = _signed_unit(s, shape)
+    check("add_const", lambda x: _weighted_sum(ad.add_const(x, 1.7), weights), _rand(s, shape))
+    check("mul_const", lambda x: _weighted_sum(ad.mul_const(x, -2.3), weights), _rand(s, shape))
+    check("const_minus", lambda x: _weighted_sum(ad.const_minus(0.9, x), weights), _rand(s, shape))
 
     # --- activations ------------------------------------------------------
     for kind, act in _ACTIVATIONS.items():
         for shape in _SHAPES:
-            probe = _rand(rng, shape)
+            s = _stream(f"{kind}.{shape}")
+            probe = _rand(s, shape)
             if kind in ("relu", "lrelu"):
                 probe = _away_from_zero(probe)  # keep eps-steps off the corner
-            weights = _signed_unit(rng, shape)
+            weights = _signed_unit(s, shape)
             check(
                 f"{kind}.{shape}",
                 lambda x, act=act, w=weights: _weighted_sum(act(x), w),
@@ -140,77 +154,74 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
 
     # --- log / clamp / maximum / concat / reductions ----------------------
     shape = _SHAPES[2]
-    weights = _signed_unit(rng, shape)
-    check(
-        "log",
-        lambda x: _weighted_sum(ad.log(x), weights),
-        rng.uniform(0.2, 2.0, size=shape),
-    )
-    clamp_probe = rng.uniform(-1.0, 1.0, size=shape)
+    s = _stream("log")
+    log_w = _signed_unit(s, shape)
+    check("log", lambda x: _weighted_sum(ad.log(x), log_w), s.uniform(0.2, 2.0, size=shape))
+    s = _stream("clamp")
+    clamp_w = _signed_unit(s, shape)
+    clamp_probe = s.uniform(-1.0, 1.0, size=shape)
     clamp_probe = np.where(np.abs(np.abs(clamp_probe) - 0.5) < 0.05, clamp_probe * 0.8, clamp_probe)
-    check(
-        "clamp",
-        lambda x: _weighted_sum(ad.clamp(x, -0.5, 0.5), weights),
-        clamp_probe,
-    )
-    rival = _rand(rng, shape)
-    max_probe = rival + np.where(_rand(rng, shape) > 0, 0.3, -0.3)  # no near-ties
-    check(
-        "maximum.lhs",
-        lambda x: _weighted_sum(ad.maximum(x, Tensor(rival)), weights),
-        max_probe,
-    )
-    check(
-        "maximum.rhs",
-        lambda x: _weighted_sum(ad.maximum(Tensor(max_probe), x), weights),
-        rival,
-    )
-    cat_w = _signed_unit(rng, (1, 4, 5, 7))
-    check(
-        "concat_channels",
-        lambda x: _weighted_sum(ad.concat_channels(x, Tensor(_rand(np.random.default_rng(3), shape))), cat_w),
-        _rand(rng, shape),
-    )
-    check("sum_all", lambda x: ad.sum_all(x), _rand(rng, shape))
-    check("mean_all", lambda x: ad.mean_all(x), _rand(rng, shape))
-    check("global_avg_pool", lambda x: _weighted_sum(global_avg_pool(x), _signed_unit(np.random.default_rng(4), (2, 3, 1, 1))), _rand(rng, (2, 3, 4, 5)))
+    check("clamp", lambda x: _weighted_sum(ad.clamp(x, -0.5, 0.5), clamp_w), clamp_probe)
+    s = _stream("maximum")
+    max_w = _signed_unit(s, shape)
+    rival = _rand(s, shape)
+    max_probe = rival + np.where(_rand(s, shape) > 0, 0.3, -0.3)  # no near-ties
+    check("maximum.lhs", lambda x: _weighted_sum(ad.maximum(x, Tensor(rival)), max_w), max_probe)
+    check("maximum.rhs", lambda x: _weighted_sum(ad.maximum(Tensor(max_probe), x), max_w), rival)
+    s = _stream("concat_channels")
+    cat_w = _signed_unit(s, (1, 4, 5, 7))
+    cat_rhs = _rand(s, shape)
+    check("concat_channels", lambda x: _weighted_sum(ad.concat_channels(x, Tensor(cat_rhs)), cat_w), _rand(s, shape))
+    check("sum_all", lambda x: ad.sum_all(x), _rand(_stream("sum_all"), shape))
+    check("mean_all", lambda x: ad.mean_all(x), _rand(_stream("mean_all"), shape))
+    s = _stream("global_avg_pool")
+    gap_w = _signed_unit(s, (2, 3, 1, 1))
+    check("global_avg_pool", lambda x: _weighted_sum(global_avg_pool(x), gap_w), _rand(s, (2, 3, 4, 5)))
 
-    # --- conv2d / deconv2d: input, weight, and bias gradients -------------
+    # --- conv2d / deconv2d: input, weight and bias gradients ---------------
     # Both channel orders, so every kernel runs with either side unfolded,
     # plus kernel 16 (stride 8), the kernel of enc.base.1 and dec.base.3 in
-    # the paper config.  The added shapes draw from their own streams, so
-    # every other probe stays as it was.  A 1 -> 5 conv and a 5 -> 1 deconv at stride 2
-    # have s*s*c <= o, so they unfold the fine side where the other pairs
-    # run the GEMM first, and the deconv's scatter shift-adds.
-    def layer_checks(label, op, p, x0, w_out, act=None):
+    # the paper config.  A 1 -> 5 conv and a 5 -> 1 deconv at stride 2 have
+    # s*s*c <= o, so they unfold the fine side where the other pairs run the
+    # GEMM first, and the deconv's scatter shift-adds.  A row with an
+    # activation checks the fused epilogue through it; a relu or lrelu layer
+    # is redrawn until no pre-activation lies within 1e-3 of the kink, far
+    # more than an eps-step moves one.
+    def layer_checks(label, apply, p, act, x0, w_out):
         def loss(x, **probe):
-            return _weighted_sum((conv2d if op == "conv" else deconv2d)(x, replace(p, **probe), act), w_out)
+            return _weighted_sum(apply(x, replace(p, **probe), act), w_out)
 
-        check(f"{label}.input", lambda x: loss(x), x0)
+        check(f"{label}.input", loss, x0)
         check(f"{label}.weight", lambda wt: loss(Tensor(x0), weight=wt), p.weight.data.copy())
         check(f"{label}.bias", lambda b: loss(Tensor(x0), bias=b), p.bias.data.copy())
 
-    more = np.random.default_rng([_SEED, 1])
-    thin = np.random.default_rng([_SEED, 2])
-    for r, op, cin, cout, k, hw in (
-        (rng, "conv", 2, 3, 3, 6), (rng, "conv", 2, 3, 4, 6), (rng, "conv", 2, 3, 8, 8),
-        (more, "conv", 3, 2, 3, 6), (more, "conv", 3, 2, 4, 6), (more, "conv", 3, 2, 8, 8),
-        (more, "conv", 2, 3, 16, 16), (thin, "conv", 1, 5, 4, 6),
-        (rng, "deconv", 3, 2, 4, 3), (rng, "deconv", 3, 2, 8, 2),
-        (more, "deconv", 2, 3, 4, 3), (more, "deconv", 2, 3, 8, 2), (more, "deconv", 3, 2, 16, 2),
-        (thin, "deconv", 5, 1, 4, 3),
+    for op, act, cin, cout, k, hw in (
+        ("conv", None, 2, 3, 3, 6), ("conv", None, 2, 3, 4, 6), ("conv", None, 2, 3, 8, 8),
+        ("conv", None, 3, 2, 3, 6), ("conv", None, 3, 2, 4, 6), ("conv", None, 3, 2, 8, 8),
+        ("conv", None, 2, 3, 16, 16), ("conv", None, 1, 5, 4, 6),
+        ("deconv", None, 3, 2, 4, 3), ("deconv", None, 3, 2, 8, 2),
+        ("deconv", None, 2, 3, 4, 3), ("deconv", None, 2, 3, 8, 2), ("deconv", None, 3, 2, 16, 2),
+        ("deconv", None, 5, 1, 4, 3),
+        ("conv", "lrelu", 2, 3, 4, 6), ("deconv", "relu", 3, 2, 4, 3),
+        ("conv", "sigmoid", 2, 3, 3, 5), ("conv", "tanh", 2, 3, 3, 5),
     ):
-        p = draw(op, cin, cout, k, r, np.float64)
-        x0 = _rand(r, (2, cin, hw, hw))
-        out_hw = hw // p.stride if op == "conv" else hw * p.stride
-        w_out = _signed_unit(r, (2, cout, out_hw, out_hw))
-        layer_checks(f"{op}2d.{cin}to{cout}.s{p.stride}", op, p, x0, w_out)
+        label = f"{op}2d.{act + '.' if act else ''}{cin}to{cout}.s{geometry(k)[0]}"
+        s = _stream(label)
+        apply = conv2d if op == "conv" else deconv2d
+        while True:
+            p = draw(op, cin, cout, k, s, np.float64)
+            x0 = _rand(s, (2, cin, hw, hw))
+            pre = apply(Tensor(x0), p).data
+            if act not in ("relu", "lrelu") or np.abs(pre).min() > 1e-3:
+                break
+        layer_checks(label, apply, p, act, x0, _signed_unit(s, pre.shape))
 
     # --- SGU: both inputs and all four gate parameters ---------------------
-    gates = {gate: draw("conv", 3, 3, 3, rng, np.float64, 0.15) for gate in ("gate_a", "gate_p")}
-    active0 = _rand(rng, (2, 3, 5, 5))
-    passive0 = _rand(rng, (2, 3, 5, 5))
-    sgu_w = _signed_unit(rng, (2, 3, 5, 5))
+    s = _stream("sgu")
+    gates = {gate: draw("conv", 3, 3, 3, s, np.float64, 0.15) for gate in ("gate_a", "gate_p")}
+    active0 = _rand(s, (2, 3, 5, 5))
+    passive0 = _rand(s, (2, 3, 5, 5))
+    sgu_w = _signed_unit(s, (2, 3, 5, 5))
 
     def sgu_loss(active, passive, gate=None, **probe):
         convs = {**gates, gate: replace(gates[gate], **probe)} if gate else gates
@@ -227,13 +238,14 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
             )
 
     # --- losses -------------------------------------------------------------
+    s = _stream("losses")
     scores_shape = (4, 1, 1, 1)
-    real0 = rng.uniform(0.2, 0.8, size=scores_shape)
-    fake0 = rng.uniform(0.2, 0.8, size=scores_shape)
+    real0 = s.uniform(0.2, 0.8, size=scores_shape)
+    fake0 = s.uniform(0.2, 0.8, size=scores_shape)
     check("d_loss.real", lambda x: d_loss(x, Tensor(fake0)), real0)
     check("d_loss.fake", lambda x: d_loss(Tensor(real0), x), fake0)
-    pred0 = _rand(rng, (2, 3, 4, 4))
-    target0 = _rand(rng, (2, 3, 4, 4))
+    pred0 = _rand(s, (2, 3, 4, 4))
+    target0 = _rand(s, (2, 3, 4, 4))
     check("mse_loss.pred", lambda x: mse_loss(x, Tensor(target0)), pred0)
     for variant in ("minimax", "nonsaturating"):
         check(
@@ -255,90 +267,51 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
         disc_channels=(2, 3, 4, 5),
         merge_mode="sgu",
     )
-    gen_rng = np.random.default_rng(_SEED + 1)
-    gen = build_generator(tiny, gen_rng, dtype=np.float64)
+    s = _stream("networks")
+    gen = build_generator(tiny, s, dtype=np.float64)
     # non-zero gates so their backward rules are exercised off the init point
     for name in gen:
         if ".gate_" in name and name.endswith("weight"):
-            gen[name].data += gen_rng.normal(0.0, 0.1, size=gen[name].shape)
-    gen_in = rng.uniform(-0.9, 0.9, size=(1, 3, 16, 16))
-    gen_w = _signed_unit(rng, (1, 3, 16, 16))
+            gen[name].data += s.normal(0.0, 0.1, size=gen[name].shape)
+    disc = build_discriminator(tiny, s, dtype=np.float64)
+    gen_in = s.uniform(-0.9, 0.9, size=(1, 3, 16, 16))
+    gen_w = _signed_unit(s, (1, 3, 16, 16))
+    disc_in = s.uniform(-0.9, 0.9, size=(1, 3, 16, 16))
+    target = s.uniform(-0.9, 0.9, size=(1, 3, 16, 16))
 
-    def gen_loss(x):
-        return _weighted_sum(generator_forward(x, gen, tiny), gen_w)
+    def gen_loss(x, g):
+        return _weighted_sum(generator_forward(x, g, tiny), gen_w)
 
-    check("generator.n2.input", gen_loss, gen_in, tol=NET_TOL)
+    def disc_loss(x, d):
+        return ad.mean_all(discriminator_forward(x, d, tiny))
 
-    def gen_param_loss(w, name):
-        probed = _with_param(gen, name, w)
-        return _weighted_sum(generator_forward(Tensor(gen_in), probed, tiny), gen_w)
+    def adv_loss(x, g):
+        """The adversarial objective end to end, through both networks."""
+        pred = generator_forward(x, g, tiny)
+        return g_loss(discriminator_forward(pred, disc, tiny), pred, Tensor(target), 0.1, "minimax")
 
-    for pname in ("out.conv.weight", "enc.trunk.0.bias", "sgu.enc.2.gate_a.weight"):
-        check(
-            f"generator.n2.{pname}",
-            lambda w, n=pname: gen_param_loss(w, n),
-            gen[pname].data.copy(),
-            tol=NET_TOL,
-        )
+    def net_check(name, loss, store, x0, param):
+        """Probe the input, or with ``param`` that parameter of ``store``."""
+        if param is None:
+            check(name, lambda x: loss(x, store), x0, NET_TOL)
+        else:
+            check(name, lambda w: loss(Tensor(x0), _with_param(store, param, w)), store[param].data.copy(), NET_TOL)
 
-    disc = build_discriminator(tiny, np.random.default_rng(_SEED + 2), dtype=np.float64)
-    disc_in = rng.uniform(-0.9, 0.9, size=(1, 3, 16, 16))
-
-    def disc_loss(x):
-        return ad.mean_all(discriminator_forward(x, disc, tiny))
-
-    check("discriminator.input", disc_loss, disc_in, tol=NET_TOL)
-
-    def disc_param_loss(w, name):
-        probed = _with_param(disc, name, w)
-        return ad.mean_all(discriminator_forward(Tensor(disc_in), probed, tiny))
-
-    check(
-        "discriminator.head.weight",
-        lambda w: disc_param_loss(w, "disc.head.weight"),
-        disc["disc.head.weight"].data.copy(),
-        tol=NET_TOL,
-    )
-
-    # adversarial objective end to end: d(g_loss)/d(generator weight)
-    target = rng.uniform(-0.9, 0.9, size=(1, 3, 16, 16))
-
-    def adv_param_loss(w):
-        pred = generator_forward(Tensor(gen_in), _with_param(gen, "dec.up.1.weight", w), tiny)
-        score = discriminator_forward(pred, disc, tiny)
-        return g_loss(score, pred, Tensor(target), 0.1, "minimax")
-
-    check(
-        "g_loss.through_networks.dec.up.1.weight",
-        adv_param_loss,
-        gen["dec.up.1.weight"].data.copy(),
-        tol=NET_TOL,
-    )
-
-    # --- fused conv epilogues: input, weight and bias through the activation --
-    # Their own stream, so every probe above stays as it was.  A relu or
-    # lrelu layer is redrawn until no pre-activation lies within 1e-3 of the
-    # kink, far more than an eps-step moves one.
-    fused = np.random.default_rng([_SEED, 3])
-    for op, act, cin, cout, k, hw, out_hw in (
-        ("conv", "lrelu", 2, 3, 4, 6, 3),
-        ("deconv", "relu", 3, 2, 4, 3, 6),
-        ("conv", "sigmoid", 2, 3, 3, 5, 5),
-        ("conv", "tanh", 2, 3, 3, 5, 5),
+    for row in (
+        ("generator.n2.input", gen_loss, gen, gen_in, None),
+        ("generator.n2.out.conv.weight", gen_loss, gen, gen_in, "out.conv.weight"),
+        ("generator.n2.enc.trunk.0.bias", gen_loss, gen, gen_in, "enc.trunk.0.bias"),
+        ("generator.n2.sgu.enc.2.gate_a.weight", gen_loss, gen, gen_in, "sgu.enc.2.gate_a.weight"),
+        ("discriminator.input", disc_loss, disc, disc_in, None),
+        ("discriminator.head.weight", disc_loss, disc, disc_in, "disc.head.weight"),
+        ("g_loss.through_networks.dec.up.1.weight", adv_loss, gen, gen_in, "dec.up.1.weight"),
     ):
-        apply = conv2d if op == "conv" else deconv2d
-        while True:
-            p = draw(op, cin, cout, k, fused, np.float64)
-            x0 = _rand(fused, (2, cin, hw, hw))
-            if act not in ("relu", "lrelu") or np.abs(apply(Tensor(x0), p).data).min() > 1e-3:
-                break
-        w_out = _signed_unit(fused, (2, cout, out_hw, out_hw))
-        layer_checks(f"{op}2d.{act}.{cin}to{cout}.s{p.stride}", op, p, x0, w_out, act)
+        net_check(*row)
 
     # --- the SGU's gating node, ga*a + gp*p: all four inputs -----------------
-    gating = np.random.default_rng([_SEED, 4])
-    gating0 = [_rand(gating, (2, 3, 4, 4)) for _ in range(4)]
-    gating_w = _signed_unit(gating, (2, 3, 4, 4))
+    s = _stream("gated_sum")
+    gating0 = [_rand(s, (2, 3, 4, 4)) for _ in range(4)]
+    gating_w = _signed_unit(s, (2, 3, 4, 4))
 
     def gating_loss(x, i):
         args = [x if j == i else Tensor(v) for j, v in enumerate(gating0)]

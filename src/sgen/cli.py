@@ -2,10 +2,11 @@
 
 Subcommands: train, restore, evaluate, degrade, gradcheck.  Settings come
 from a key=value config file (--config); --seed overrides the config
-seed.  restore and evaluate first check that each output path names a
-file in an existing directory, then every stored parameter shape against
-the configured generator's site table, so a bad output path or a
-checkpoint trained under another config fails before it runs.  degrade
+seed.  train, restore and evaluate first check that each output path
+names a file in an existing directory, so train never truncates its old
+log for a run that cannot save.  restore and evaluate then check every
+stored parameter shape against the configured generator's site table, so
+a checkpoint trained under another config fails before it runs.  degrade
 writes each image's pairs on a pool of min(CPU count, 8) threads.  A
 failure prints one ``error:`` line and exits 2; numpy's overflow and
 invalid-value warnings are off, since the finite checks report a diverging
@@ -46,8 +47,9 @@ def _resolve_config(args) -> RunConfig:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
+    output_file("checkpoint_out", cfg.checkpoint_out)
     if cfg.log_out:
-        with open(cfg.log_out, "w", encoding="utf-8") as fh:
+        with open(output_file("log_out", cfg.log_out), "w", encoding="utf-8") as fh:
             run_training(cfg, log_stream=fh)
     else:
         run_training(cfg, log_stream=sys.stdout)

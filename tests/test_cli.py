@@ -138,6 +138,23 @@ def test_train_rejects_a_negative_seed_override(tmp_path, capsys):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_train_with_a_checkpoint_out_in_a_missing_directory_keeps_the_old_log(tmp_path, capsys):
+    log_path = tmp_path / "loss.csv"
+    log_path.write_text("step,loss_g,loss_d,loss_mse\n1,0.5,0,0.5\n", encoding="utf-8")
+    out = str(tmp_path / "nodir" / "model.ckpt")
+    cfg_path = write_cfg(tmp_path, log_out=str(log_path), checkpoint_out=out)
+    err = _assert_clean_error(main(["train", "--config", str(cfg_path)]), capsys)
+    assert err == f"error: checkpoint_out {out!r} names no file in an existing directory\n"
+    assert log_path.read_text(encoding="utf-8") == "step,loss_g,loss_d,loss_mse\n1,0.5,0,0.5\n"
+
+
+def test_train_with_a_log_out_naming_a_directory_fails_cleanly(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, log_out=str(tmp_path))
+    err = _assert_clean_error(main(["train", "--config", str(cfg_path)]), capsys)
+    assert err == f"error: log_out {str(tmp_path)!r} names no file in an existing directory\n"
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # restore
 
