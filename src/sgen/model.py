@@ -224,7 +224,7 @@ def generator_forward(
             f" widths {_nearest_multiples(w, d)}"
         )
     peak = float(np.max(np.abs(s.data))) if s.data.size else 0.0
-    if peak > 1.0 + 1e-5:
+    if not peak <= 1.0 + 1e-5:  # so a NaN fails too
         raise ValueError(
             f"generator: input must be normalized to [-1, 1], max |value| = {peak:.3f}"
         )

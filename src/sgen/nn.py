@@ -25,18 +25,26 @@ k for an odd kernel at stride 1).  All planes stack into one
 (s*s*c, size) matrix flattened over (n, rows, cols): the batch is folded
 into the columns, the coarse side sits top-left in the same column grid,
 and every shift is one contiguous column slice at offset dy*cols + dx.
-The weight is relaid out by one transpose to match.  Three primitives,
-``_gather`` (conv forward), ``_scatter`` (its adjoint) and ``_wgrad``
-(weight gradient), each run one GEMM whatever the stride, with the batch
-summed inside it.
+The weight is relaid out by one transpose to match.
+
+Both directions are one kernel.  A side is mapped onto by its valid
+columns [lo, hi) and the direction e in which it reads the other side:
+(0, span, 1) onto the coarse side, whose column f reads fine column
+f + d, and (lo, hi, -1) onto the fine side, whose column f reads coarse
+column f - d, for each shift d.  ``_cols`` unfolds one side onto the
+other's columns, ``_onto`` maps one side onto the other (the conv
+forward at e = 1, its adjoint at e = -1) and ``_wgrad`` takes the weight
+gradient off an unfold.  Each runs one GEMM whatever the stride, with the
+batch summed inside it, and every GEMM goes through ``_gemm``, looked up
+at call time, so one wrapper sees them all.
 
 One body, ``_apply``, runs both ops once ``conv2d`` or ``deconv2d`` has
 checked its input and geometry and built its ``_Grid``; only the side the
 input sits on differs.  Each side is one tuple: its phase count and
-padding ((s, pad) on the fine side, (1, 0) on the coarse side), its
-unfold (``_fine_cols`` or ``_coarse_cols``) and the kernel that maps it
-onto the other side (``_gather`` or ``_scatter``).  ``conv2d`` takes its
-input on the fine side, ``deconv2d`` on the coarse side, so the deconv
+padding, then its (lo, hi, e): (s, pad, lo, hi, -1) on the fine side,
+(1, 0, 0, span, 1) on the coarse side.  An unfold and the map that runs
+on it are handed the triple of the side they land on.  ``conv2d`` takes
+its input on the fine side, ``deconv2d`` on the coarse side, so the deconv
 forward is the conv input gradient, its input gradient the conv forward,
 and both take the same weight gradient.  A side has (phase count)^2 x
 channels rows.
@@ -182,7 +190,7 @@ class _Grid:
     the coarse side sits top-left in the same grid, zero elsewhere.  Coarse
     column f reads plane column f + d for each of the t*t ``shifts`` d, and
     every coarse pixel lies in [0, span).  Every fine pixel lies in
-    [lo, hi), the only plane columns a scatter writes.
+    [lo, hi), the only plane columns ``_image`` reads of the fine side.
     """
 
     def __init__(self, n: int, hc: int, wc: int, p: ConvParams):
@@ -271,66 +279,55 @@ def _untap(dw: np.ndarray, g: _Grid, coarse: bool) -> np.ndarray:
     return np.ascontiguousarray(taps.transpose(0, 2, 1)).reshape(o, c, k, k)
 
 
-def _fine_cols(xf: np.ndarray, g: _Grid) -> np.ndarray:
-    """Unfold the fine planes: one shifted window per shift, (t*t * s*s*c, span)."""
-    return np.stack([xf[:, d : d + g.span] for d in g.shifts]).reshape(-1, g.span)
+def _gemm(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b, into ``out`` when given: every GEMM of the kernels, looked up
+    here at call time, so a wrapper set on the module sees each one."""
+    return np.matmul(a, b, out=out)
 
 
-def _coarse_cols(cf: np.ndarray, g: _Grid) -> np.ndarray:
-    """Unfold the coarse side (o, size) the other way onto the fine columns
-    [lo, hi), zero outside it: (t*t * o, hi - lo)."""
-    out = np.empty((len(g.shifts), cf.shape[0], g.hi - g.lo), dtype=cf.dtype)
+def _cols(m: np.ndarray, g: _Grid, lo: int, hi: int, e: int) -> np.ndarray:
+    """Unfold the side ``m`` (rows, size) onto the other side's columns
+    [lo, hi): window d's column f reads m[:, f + e*d], zero where that is
+    below 0.  (t*t * rows, hi - lo)."""
+    out = np.empty((len(g.shifts), m.shape[0], hi - lo), dtype=m.dtype)
     for u, d in zip(out, g.shifts):
-        head = max(d - g.lo, 0)  # columns that would read before the grid
+        head = max(-e * d - lo, 0)  # columns that would read before the grid
         u[:, :head] = 0
-        u[:, head:] = cf[:, g.lo - d + head : g.hi - d]
-    return out.reshape(-1, g.hi - g.lo)
+        u[:, head:] = m[:, lo + e * d + head : hi + e * d]
+    return out.reshape(-1, hi - lo)
 
 
-def _gather(xf: np.ndarray, weight: np.ndarray, g: _Grid, cols=None) -> np.ndarray:
-    """Conv forward: fine planes (s*s*c, size) -> coarse (o, size), valid on [0, span).
+def _onto(src: np.ndarray, weight: np.ndarray, g: _Grid, lo: int, hi: int, e: int, cols=None) -> np.ndarray:
+    """Map the side ``src`` onto the other side, valid on its columns [lo, hi):
+    the conv forward at e = 1 (fine planes onto the coarse side), its
+    adjoint at e = -1.
 
-    One GEMM on ``cols``, the fine unfold, when given; else one GEMM on the
-    planes whose t*t thin per-shift results are shift-added.
+    One GEMM on ``cols``, the unfold ``_cols(src, g, lo, hi, e)``, when
+    given; else one GEMM on ``src`` whose t*t thin per-shift results are
+    shift-added over [lo, hi).
     """
-    o = weight.shape[0]
+    taps = _taps(weight, g, (cols is None) == (e > 0))
+    taps = taps if e > 0 else taps.T
     if cols is not None:
-        out = np.empty((o, g.size), dtype=xf.dtype)
-        np.matmul(_taps(weight, g, False), cols, out=out[:, : g.span])
+        out = np.empty((taps.shape[0], g.size), dtype=src.dtype)
+        _gemm(taps, cols, out=out[:, lo:hi])
         return out
-    z = np.matmul(_taps(weight, g, True), xf).reshape(-1, o, g.size)
+    z = _gemm(taps, src).reshape(len(g.shifts), -1, g.size)
     out = z[0]  # shift 0
     for zt, d in zip(z[1:], g.shifts[1:]):
-        out[:, : g.span] += zt[:, d : d + g.span]
+        a = max(lo, -e * d)
+        out[:, a:hi] += zt[:, a + e * d : hi + e * d]
     return out
 
 
-def _scatter(cf: np.ndarray, weight: np.ndarray, g: _Grid, ccols=None) -> np.ndarray:
-    """Adjoint of ``_gather``: coarse (o, size) -> fine planes (s*s*c, size),
-    valid on [lo, hi).
-
-    One GEMM on ``ccols``, the coarse unfold, when given; else one GEMM on
-    the coarse side whose t*t thin per-shift results are shift-added.
-    """
-    sc = g.s * g.s * weight.shape[1]
-    if ccols is not None:
-        out = np.empty((sc, g.size), dtype=cf.dtype)
-        np.matmul(_taps(weight, g, True).T, ccols, out=out[:, g.lo : g.hi])
-        return out
-    z = np.matmul(_taps(weight, g, False).T, cf).reshape(-1, sc, g.size)
-    out = z[0]  # shift 0
-    for zt, d in zip(z[1:], g.shifts[1:]):
-        out[:, d:] += zt[:, : g.size - d]
-    return out
-
-
-def _wgrad(cf: np.ndarray, xf: np.ndarray, g: _Grid, cols: np.ndarray, fine: bool) -> np.ndarray:
-    """Weight gradient (o, c, k, k) of <cf, gather(xf)>, read off ``cols``:
-    the fine unfold of xf when ``fine``, else the coarse unfold of cf.  The
-    caller picks which; see ``_apply``."""
-    if fine:
-        return _untap(np.matmul(cf[:, : g.span], cols.T), g, False)
-    return _untap(np.matmul(cols, xf[:, g.lo : g.hi].T), g, True)
+def _wgrad(b: np.ndarray, cols: np.ndarray, g: _Grid, lo: int, hi: int, e: int) -> np.ndarray:
+    """Weight gradient (o, c, k, k) of the conv, read off ``cols``, one
+    side's unfold onto the other side's columns [lo, hi), and ``b``, that
+    other side's planes.  The caller picks which side is unfolded; see
+    ``_apply``."""
+    if e > 0:
+        return _untap(_gemm(b[:, lo:hi], cols.T), g, False)
+    return _untap(_gemm(cols, b[:, lo:hi].T), g, True)
 
 
 def _check(op: str, x: Tensor, p: ConvParams, c_in: int, c_out: int) -> None:
@@ -369,15 +366,16 @@ def _apply(x: Tensor, p: ConvParams, act: str | None, g: _Grid, fine_in: bool) -
     and of ``deconv2d`` (its input is the coarse side); see the module
     docstring."""
     epilogue = activation(act)
-    # each side: its phase count and padding, its unfold, its kernel onto the other side
-    fine, coarse = (g.s, p.padding, _fine_cols, _gather), (1, 0, _coarse_cols, _scatter)
-    (si, pi, unfold_in, kernel_in), (so, po, unfold_out, kernel_out) = (fine, coarse) if fine_in else (coarse, fine)
+    # each side: its phase count and padding, then what maps onto it: its
+    # valid columns [lo, hi) and the direction e it reads the other side in
+    fine, coarse = (g.s, p.padding, g.lo, g.hi, -1), (1, 0, 0, g.span, 1)
+    (si, pi, *onto_in), (so, po, *onto_out) = (fine, coarse) if fine_in else (coarse, fine)
     rows_in, rows_out = si * si * x.shape[1], so * so * p.bias.shape[1]
-    lo, hi = (0, g.span) if fine_in else (g.lo, g.hi)  # the output side's valid columns
     xd, wd = x.data, p.weight.data
     xp = _planes(xd, g, si, pi)
-    out = kernel_in(xp, wd, g, unfold_in(xp, g) if rows_in <= rows_out else None)
+    out = _onto(xp, wd, g, *onto_out, _cols(xp, g, *onto_out) if rows_in <= rows_out else None)
     del xp  # free before the output image is built
+    lo, hi = onto_out[:2]
     out.reshape(so * so, -1, g.size)[:, :, lo:hi] += p.bias.data.reshape(1, -1, 1)
     yd = _image(out, g, so, po)
     del out  # free before the epilogue's scratch
@@ -393,15 +391,13 @@ def _apply(x: Tensor, p: ConvParams, act: str | None, g: _Grid, fine_in: bool) -
         del gy  # free before the kernel backward
         dx = dw = None
         thin_out = rows_out <= rows_in  # the forward's rule, seen from the output side
-        cols = unfold_out(gp, g) if thin_out else None
+        cols = _cols(gp, g, *onto_in) if thin_out else None
         if weight.requires_grad:  # first, so the input planes and their unfold are freed before dx is built
             xp = _planes(xd, g, si, pi)
-            coarse_fine = (gp, xp) if fine_in else (xp, gp)
-            # the fine unfold is a conv's input side or a deconv's output side
-            dw = _wgrad(*coarse_fine, g, cols if thin_out else unfold_in(xp, g), fine_in != thin_out)
-            del xp, coarse_fine
+            dw = _wgrad(xp, cols, g, *onto_in) if thin_out else _wgrad(gp, _cols(xp, g, *onto_out), g, *onto_out)
+            del xp
         if x.requires_grad:
-            back = kernel_out(gp, wd, g, cols)
+            back = _onto(gp, wd, g, *onto_in, cols)
             del cols  # free before the image copy doubles the input side
             dx = _image(back, g, si, pi)
         return dx, dw, db

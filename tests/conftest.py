@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -27,3 +28,13 @@ def scalar(value, dtype=np.float32, requires_grad=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def golden():
+    """``tools/golden.py`` as a module, for tests that pin its lines."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "golden.py"
+    spec = importlib.util.spec_from_file_location("golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -399,6 +399,19 @@ def test_generator_rejects_unnormalized_input():
     generator_forward(edge, store, cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_generator_rejects_a_non_finite_input_as_unnormalized(bad):
+    """A NaN pixel fails the range check, naming it, rather than deep inside
+    the network."""
+    rng = np.random.default_rng(10)
+    cfg = small_cfg()
+    store = build_generator(cfg, rng)
+    x = _norm_input(rng, (1, 3, 32, 32))
+    x.data[0, 1, 5, 7] = bad
+    with pytest.raises(ValueError, match=f"normalized to \\[-1, 1\\], max \\|value\\| = {bad}"):
+        generator_forward(x, store, cfg)
+
+
 def test_generator_rejects_wrong_channel_count():
     rng = np.random.default_rng(11)
     cfg = small_cfg()

@@ -1,10 +1,8 @@
 """Convolution stack tests: values vs loop oracles, adjointness, shape laws."""
 
 import hashlib
-import importlib.util
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,6 +525,35 @@ def test_gemm_count_does_not_grow_with_stride(monkeypatch, kind, cin, cout):
     assert counts[8] <= counts[2] == 3, counts
 
 
+@pytest.mark.parametrize("thin", ["fine", "coarse", "tie"])
+@pytest.mark.parametrize("stride", [1, 2, 8])
+@pytest.mark.parametrize("kind", ["conv", "deconv"])
+def test_every_gemm_goes_through_the_seam(monkeypatch, kind, stride, thin):
+    """A taped forward + backward makes its three GEMMs through
+    ``sgen.nn._gemm`` and no other matmul, whichever side is the thinner:
+    the fine side has s*s*c rows and the coarse side o."""
+    import sgen.nn as nn_module
+
+    rng = np.random.default_rng(90 + stride)
+    seam, gemm = [], nn_module._gemm
+
+    def counted(*args, **kwargs):
+        seam.append(1)
+        return gemm(*args, **kwargs)
+
+    monkeypatch.setattr(nn_module, "_gemm", counted)
+    o, c = {"fine": (stride**2 + 1, 1), "coarse": (1, 3), "tie": (2 * stride**2, 2)}[thin]
+    if kind == "conv":
+        op, p = conv2d, draw("conv", c, o, KERNEL[stride], rng, dtype=np.float64)
+        x_arr, out_hw = rng.normal(size=(2, c, 2 * stride, 3 * stride)), (2, 3)
+    else:
+        op, p = deconv2d, draw("deconv", o, c, KERNEL[stride], rng, dtype=np.float64)
+        x_arr, out_hw = rng.normal(size=(2, o, 2, 3)), (2 * stride, 3 * stride)
+    proj = rng.normal(size=(2, p.bias.shape[1]) + out_hw)
+    matmuls = _gemms_per_step(monkeypatch, op, p, x_arr, proj)
+    assert (len(seam), matmuls) == (3, 3)
+
+
 # ---------------------------------------------------------------------------
 # fused activation epilogue
 
@@ -706,29 +733,30 @@ def test_backward_frees_the_input_planes_before_the_input_gradient_copy(monkeypa
 def test_the_tie_unfolds_the_input_forward_and_the_output_backward(monkeypatch, kind):
     """At s*s*c == o both sides have as many rows: the forward unfolds its
     input side and the backward its output side, one unfold each, and the
-    kernel that maps that side onto the other runs on it."""
+    kernel that maps that side onto the other runs on it.  e = 1 maps onto
+    the coarse side, e = -1 onto the fine side."""
     import sgen.nn as nn_module
 
     rng = np.random.default_rng(34)
-    fine = ["_fine_cols", ("_gather", True)]
-    coarse = ["_coarse_cols", ("_scatter", True)]
+    coarse = [("_cols", 1), ("_onto", 1, True)]
+    fine = [("_cols", -1), ("_onto", -1, True)]
     if kind == "conv":  # 1 -> 4 at stride 2: input fine, output coarse
-        op, p, x_shape, want = conv2d, draw("conv", 1, 4, 4, rng), (2, 1, 8, 8), (fine, coarse)
+        op, p, x_shape, want = conv2d, draw("conv", 1, 4, 4, rng), (2, 1, 8, 8), (coarse, fine)
     else:  # 4 -> 1 at stride 2: input coarse, output fine
-        op, p, x_shape, want = deconv2d, draw("deconv", 4, 1, 4, rng), (2, 4, 4, 4), (coarse, fine)
+        op, p, x_shape, want = deconv2d, draw("deconv", 4, 1, 4, rng), (2, 4, 4, 4), (fine, coarse)
     calls = []
+    cols, onto = nn_module._cols, nn_module._onto
 
-    def watched(name):
-        fn = getattr(nn_module, name)
+    def watched_cols(m, g, lo, hi, e):
+        calls.append(("_cols", e))
+        return cols(m, g, lo, hi, e)
 
-        def run(*args):  # a kernel's fourth argument is the unfold it runs on
-            calls.append(name if name.endswith("_cols") else (name, args[3] is not None))
-            return fn(*args)
+    def watched_onto(src, weight, g, lo, hi, e, unfold=None):
+        calls.append(("_onto", e, unfold is not None))
+        return onto(src, weight, g, lo, hi, e, unfold)
 
-        return run
-
-    for name in ("_fine_cols", "_coarse_cols", "_gather", "_scatter"):
-        monkeypatch.setattr(nn_module, name, watched(name))
+    monkeypatch.setattr(nn_module, "_cols", watched_cols)
+    monkeypatch.setattr(nn_module, "_onto", watched_onto)
     x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
     with Tape() as tape:
         loss = sum_all(op(x, p))
@@ -764,11 +792,7 @@ def test_the_tie_takes_the_same_weight_gradient_whether_or_not_the_input_needs_o
         assert got.tobytes() == want.tobytes()
 
 
-def test_kernel_bits_are_pinned():
+def test_kernel_bits_are_pinned(golden):
     """The y, dx, dw and db bytes of every op, stride, unfold side and
     activation, as ``tools/golden.py`` prints them on its ``kernels`` line."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "golden.py"
-    spec = importlib.util.spec_from_file_location("golden", path)
-    golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(golden)
     assert hashlib.sha256(golden.kernel_bytes()).hexdigest()[:16] == "d2c5ed384fd14e54"

@@ -225,6 +225,23 @@ def test_training_is_seed_deterministic(tmp_path):
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
+def test_seeded_training_and_evaluate_bits_are_pinned(tmp_path, golden):
+    """``tools/golden.py``'s small sgu lines, its ``evaluate`` line and its
+    ``epochs`` line, which read the same at one and two BLAS threads (its
+    paper lines do not, so they stay out)."""
+    tmp, small = str(tmp_path), golden.SMALL
+    cfg, none = golden.train(tmp, "small", small, "sgu", "none")
+    assert none == ["92512d9139af4ea4", "a947873864cdae57"]
+    assert golden.train(tmp, "small", small, "sgu", "minimax")[1] == [
+        "72b2bd47689ec151", "db95c5e4aa7aad94", "c1cda93b7a6e7d4f",
+    ]
+    assert golden.report_digest(cfg) == "623d5cbc12b5c5b2"
+    epochs = [d for gan in ("none", "minimax") for d in golden.train(tmp, "epochs", small, "sgu", gan, 9)[1]]
+    assert epochs == [
+        "f7415ee750d900bc", "2d5e5bb49db7bed5", "fab1fae9b463457b", "08ffaa49362e9ed8", "de632a64f0c22131",
+    ]
+
+
 def test_seed_changes_the_trajectory(tmp_path):
     res_a = run_training(fast_cfg(tmp_path, steps=2, seed=1))
     res_b = run_training(fast_cfg(tmp_path, steps=2, seed=2))

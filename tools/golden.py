@@ -131,15 +131,21 @@ def train(
     return cfg, [digest(f) for f in files]
 
 
+def report_digest(cfg: RunConfig) -> str:
+    """The digest of the ``evaluate`` report of ``cfg``'s checkpoint on its
+    own degraded corpus."""
+    pairs = degraded_dataset(load_corpus(cfg), cfg)
+    return digest(evaluate(load_checkpoint(cfg.checkpoint_out), cfg, pairs).to_text().encode())
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for label, arch, merge, gan in RUNS:
             cfg, digests = train(tmp, label, arch, merge, gan)
             print(f"{label} {merge} {gan}", *digests)
             if (label, merge, gan) == ("small", "sgu", "none"):
-                pairs = degraded_dataset(load_corpus(cfg), cfg)
-                report = evaluate(load_checkpoint(cfg.checkpoint_out), cfg, pairs).to_text()
-        print("evaluate", digest(report.encode()))
+                report = report_digest(cfg)
+        print("evaluate", report)
         results = run_gradient_battery()
         pairs = "".join(f"{r.name} {r.error!r}\n" for r in results)
         print(f"battery {len(results)} checks", digest(pairs.encode()))
