@@ -15,7 +15,6 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config, parse_config, serialize_config
 from .data import (
     EVAL_SCALES,
-    DegradeSpec,
     SamplePair,
     batch_iter,
     bilinear_resize,
@@ -31,7 +30,6 @@ from .losses import d_loss, g_loss, mse_loss
 from .metrics import QualityReport, ScaleRow, evaluate, psnr, restore, ssim
 from .model import (
     ParamStore,
-    SgenConfig,
     build_discriminator,
     build_generator,
     discriminator_forward,

@@ -25,11 +25,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
+from .config import RunConfig
 from .ensemble import sgu
 from .losses import d_loss, g_loss, mse_loss
 from .model import (
     ParamStore,
-    SgenConfig,
     build_discriminator,
     build_generator,
     discriminator_forward,
@@ -260,7 +260,7 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
         )
 
     # --- whole networks, double precision -----------------------------------
-    tiny = SgenConfig(
+    tiny = RunConfig(
         n_levels=2,
         base_channels=3,
         bottleneck_channels=3,

@@ -4,13 +4,14 @@ Subcommands: train, restore, evaluate, degrade, gradcheck.  Settings come
 from a key=value config file (--config); --seed overrides the config
 seed.  train, restore and evaluate first check that each output path
 names a file in an existing directory, so train never truncates its old
-log for a run that cannot save.  restore and evaluate then check every
-stored parameter shape against the configured generator's site table, so
-a checkpoint trained under another config fails before it runs.  degrade
-writes each image's pairs on a pool of min(CPU count, 8) threads.  A
-failure prints one ``error:`` line and exits 2; numpy's overflow and
-invalid-value warnings are off, since the finite checks report a diverging
-run.
+log for a run that cannot save; evaluate with a ``data_root`` also needs
+its ``test/`` folder, so it never scores the training images.  restore
+and evaluate then check every stored parameter shape against the
+configured generator's site table, so a checkpoint trained under another
+config fails before it runs.  degrade writes each image's pairs on a pool
+of min(CPU count, 8) threads.  A failure prints one ``error:`` line and
+exits 2; numpy's overflow and invalid-value warnings are off, since the
+finite checks report a diverging run.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
 from .checks import run_gradient_battery
-from .config import RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, output_file
 from .data import degraded_dataset, degraded_pairs
 from .metrics import evaluate, restore
 from .model import ParamStore, generator_sites, shape_mismatches
 from .ppm import load_image, save_image
-from .settings import output_file
 from .train import load_corpus, ppm_paths, run_training
 
 __all__ = ["main"]
@@ -83,6 +83,10 @@ def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     text_path = output_file("report path", cfg.report_out + ".txt")
     csv_path = output_file("report path", cfg.report_out + ".csv")
+    # load_corpus falls back to a flat data_root, which holds the training images
+    test_dir = Path(cfg.data_root) / "test"
+    if cfg.data_root and not test_dir.is_dir():
+        raise ConfigError(f"evaluate needs held-out images in {str(test_dir)!r}, which is not a directory")
     params = _load_fitting_checkpoint(cfg, args.checkpoint)
     images = load_corpus(cfg, split="test")
     # no scale filtering here: evaluate() reports incompatible scales as

@@ -4,7 +4,10 @@ Degradation reproduces the evaluation recipe: box-average downsample by a
 factor (default 4), add white Gaussian noise (default sigma 30) in the
 low-resolution domain with clamping to [0, 255], then nearest-neighbor
 upsample back to the original size.  Values stay float throughout; the
-only quantization in the pipeline is PPM I/O.
+only quantization in the pipeline is PPM I/O.  The recipe's settings are a
+``RunConfig``'s degradation fields (``scales``, ``down_factor``,
+``noise_sigma``, ``seed``), which hold ``EVAL_SCALES`` as their default,
+and ``RunConfig.label`` names the recipe in a report.
 
 ``degraded_pairs`` is the one recipe from a corpus image to its pairs: it
 resizes the image to every scale, corrupts each copy with ``degrade`` and
@@ -20,15 +23,17 @@ dataset and batch order is reproducible from integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autodiff import Tensor
-from .settings import FINITE, SIZES, ConfigError, Settings, at_least, setting
+
+if TYPE_CHECKING:  # sgen.config reads EVAL_SCALES from here
+    from .config import RunConfig
 
 __all__ = [
     "EVAL_SCALES",
-    "DegradeSpec",
     "SamplePair",
     "degrade",
     "degraded_pairs",
@@ -51,30 +56,6 @@ EVAL_SCALES: tuple[tuple[int, int], ...] = (
     (192, 160),
     (208, 176),
 )
-
-
-@dataclass(frozen=True)
-class DegradeSpec(Settings):
-    """Parameters of the corruption protocol; ``RunConfig`` inherits them."""
-
-    scales: tuple[tuple[int, int], ...] = setting(EVAL_SCALES, SIZES)
-    down_factor: int = setting(4, at_least(1))
-    noise_sigma: float = setting(30.0, FINITE)
-    seed: int = setting(0, at_least(0))
-
-    def __post_init__(self):
-        super().__post_init__()
-        for h, w in self.scales:
-            if h % self.down_factor or w % self.down_factor:
-                raise ConfigError(
-                    f"scales: ({h}, {w}) not divisible by down_factor {self.down_factor}"
-                )
-
-    @property
-    def label(self) -> str:
-        """The recipe as a report names it, e.g. ``down4 sigma30 nearest``:
-        box downsample, noise sigma, and the upsampling ``degrade`` uses."""
-        return f"down{self.down_factor} sigma{self.noise_sigma:g} nearest"
 
 
 @dataclass
@@ -110,7 +91,7 @@ def nearest_upsample(arr: np.ndarray, factor: int) -> np.ndarray:
     return arr.repeat(factor, axis=2).repeat(factor, axis=3)
 
 
-def degrade(clean: Tensor, spec: DegradeSpec, rng: np.random.Generator) -> Tensor:
+def degrade(clean: Tensor, spec: RunConfig, rng: np.random.Generator) -> Tensor:
     """The corrupted copy of one clean image; draws its noise from ``rng``."""
     small = box_downsample(clean.data, spec.down_factor)
     if spec.noise_sigma > 0:
@@ -119,7 +100,7 @@ def degrade(clean: Tensor, spec: DegradeSpec, rng: np.random.Generator) -> Tenso
     return Tensor(nearest_upsample(small, spec.down_factor))
 
 
-def degraded_pairs(image: Tensor, index: int, spec: DegradeSpec) -> list[SamplePair]:
+def degraded_pairs(image: Tensor, index: int, spec: RunConfig) -> list[SamplePair]:
     """Corpus image ``index`` resized to every scale j and corrupted.
 
     The noise at scale j comes from a generator seeded with
@@ -135,7 +116,7 @@ def degraded_pairs(image: Tensor, index: int, spec: DegradeSpec) -> list[SampleP
     return pairs
 
 
-def degraded_dataset(images: list[Tensor], spec: DegradeSpec) -> list[SamplePair]:
+def degraded_dataset(images: list[Tensor], spec: RunConfig) -> list[SamplePair]:
     """Every image's ``degraded_pairs``, in corpus order."""
     return [pair for i, image in enumerate(images) for pair in degraded_pairs(image, i, spec)]
 

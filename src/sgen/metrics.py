@@ -16,8 +16,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor
+from .config import RunConfig
 from .data import SamplePair, denormalize, normalize
-from .model import ParamStore, SgenConfig, generator_forward
+from .model import ParamStore, generator_forward
 
 __all__ = ["psnr", "ssim", "ScaleRow", "QualityReport", "restore", "evaluate"]
 
@@ -118,14 +119,14 @@ class QualityReport:
         return "\n".join(lines) + "\n"
 
 
-def restore(image: Tensor, params: ParamStore, cfg: SgenConfig) -> Tensor:
+def restore(image: Tensor, params: ParamStore, cfg: RunConfig) -> Tensor:
     """Restore a batch of 0-255 images with the generator, in 0-255."""
     return denormalize(generator_forward(normalize(image), params, cfg))
 
 
 def evaluate(
     params: ParamStore,
-    cfg: SgenConfig,
+    cfg: RunConfig,
     pairs: list[SamplePair],
     model_id: str = "",
     degradation: str = "",
@@ -133,7 +134,7 @@ def evaluate(
     """Restore every pair and aggregate PSNR/SSIM per scale.
 
     Scales whose dimensions the model cannot process (see
-    ``SgenConfig.fits``), or that are smaller than the SSIM window, get a
+    ``RunConfig.fits``), or that are smaller than the SSIM window, get a
     warning row with count 0 instead of failing the whole run.  Infinite
     PSNR values are excluded from the means; a scale where every image
     restores perfectly reports inf.

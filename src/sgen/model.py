@@ -19,8 +19,11 @@ in table order, and the forwards apply a site by its name alone, so a
 taped pass records one node per conv site and the widths, kernels and
 activations are stated nowhere else.
 
-Every image the networks read or write is RGB, ``IMAGE_CHANNELS`` wide,
-so the config file's keys state the whole network.
+The tables read a ``RunConfig``'s architecture fields (``n_levels``,
+``base_channels``, ``bottleneck_channels``, ``merge_mode`` and
+``disc_channels``), and every image the networks read or write is RGB,
+``IMAGE_CHANNELS`` wide, so the config file's keys state the whole
+network.
 
 Parameters live in a ``ParamStore``, a flat dict of names to leaf
 tensors, so checkpointing and the optimizer stay structure-agnostic; it
@@ -37,51 +40,18 @@ from __future__ import annotations
 
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, sigmoid
-from .ensemble import MERGE_MODES, MERGE_SITES, merge
+from .config import RunConfig
+from .ensemble import MERGE_SITES, merge
 from .nn import ConvParams, conv2d, deconv2d, draw, global_avg_pool, param_shapes
-from .settings import WIDTHS, Settings, at_least, choice, setting
 
 __all__ = [
-    "IMAGE_CHANNELS", "SgenConfig", "ParamStore", "Site", "generator_sites", "discriminator_sites",
+    "IMAGE_CHANNELS", "ParamStore", "Site", "generator_sites", "discriminator_sites",
     "shape_mismatches", "build_generator", "build_discriminator", "generator_forward", "discriminator_forward",
 ]
-
-
-@dataclass(frozen=True)
-class SgenConfig(Settings):
-    """The network architecture; RunConfig adds degradation and training.
-
-    n_levels is the trunk depth N; inputs must be divisible by 2^(N+1).
-    base_channels is the width of the first trunk level (doubling per
-    level, as ``generator_sites`` states); bottleneck_channels is the
-    shared width of all base-encoder and decoder features.  Every lrelu uses ``sgen.autodiff.LRELU_SLOPE``.
-    """
-
-    n_levels: int = setting(3, at_least(2))
-    base_channels: int = setting(32, at_least(1))
-    bottleneck_channels: int = setting(64, at_least(1))
-    merge_mode: str = setting("sgu", choice(MERGE_MODES))
-    disc_channels: tuple[int, ...] = setting((32, 64, 128, 256), WIDTHS)
-
-    @property
-    def divisor(self) -> int:
-        """Required divisibility of input height and width."""
-        return 1 << (self.n_levels + 1)
-
-    def fits(self, h: int, w: int) -> bool:
-        """Whether an h x w input passes through the generator."""
-        return h % self.divisor == 0 and w % self.divisor == 0
-
-    @property
-    def disc_divisor(self) -> int:
-        """Required divisibility of the discriminator's input: one stride-2
-        conv per ``disc_channels`` width."""
-        return 1 << len(self.disc_channels)
 
 
 class ParamStore(dict):
@@ -120,7 +90,7 @@ IMAGE_CHANNELS = 3
 Site = namedtuple("Site", "op c_in c_out kernel act std", defaults=(None,))
 
 
-def generator_sites(cfg: SgenConfig) -> dict[str, Site]:
+def generator_sites(cfg: RunConfig) -> dict[str, Site]:
     """Every generator site in draw order, keyed by its parameter prefix.
 
     The trunk widths are stated here and nowhere else: trunk levels 0 and
@@ -153,7 +123,7 @@ def generator_sites(cfg: SgenConfig) -> dict[str, Site]:
     }
 
 
-def discriminator_sites(cfg: SgenConfig) -> dict[str, Site]:
+def discriminator_sites(cfg: RunConfig) -> dict[str, Site]:
     """One stride-2 lrelu conv per ``disc_channels`` width, then a 1x1 head."""
     w = (IMAGE_CHANNELS, *cfg.disc_channels)
     sites = {f"disc.conv.{i}": Site("conv", w[i - 1], w[i], 4, "lrelu") for i in range(1, len(w))}
@@ -194,7 +164,7 @@ def _applier(sites: dict[str, Site], params: ParamStore):
 # ---------------------------------------------------------------------------
 # generator
 
-def build_generator(cfg: SgenConfig, rng: np.random.Generator, dtype=np.float32) -> ParamStore:
+def build_generator(cfg: RunConfig, rng: np.random.Generator, dtype=np.float32) -> ParamStore:
     """He-initialized trunk/encoder/decoder convs; merge gates start at zero."""
     return _build(generator_sites(cfg), rng, dtype)
 
@@ -205,7 +175,7 @@ def _nearest_multiples(size: int, d: int) -> str:
 
 
 def generator_forward(
-    s: Tensor, params: ParamStore, cfg: SgenConfig, trace: dict | None = None
+    s: Tensor, params: ParamStore, cfg: RunConfig, trace: dict | None = None
 ) -> Tensor:
     """Restore a normalized image batch; output is tanh-bounded in (-1, 1).
 
@@ -261,11 +231,11 @@ def generator_forward(
 # ---------------------------------------------------------------------------
 # discriminator
 
-def build_discriminator(cfg: SgenConfig, rng: np.random.Generator, dtype=np.float32) -> ParamStore:
+def build_discriminator(cfg: RunConfig, rng: np.random.Generator, dtype=np.float32) -> ParamStore:
     return _build(discriminator_sites(cfg), rng, dtype)
 
 
-def discriminator_forward(x: Tensor, params: ParamStore, cfg: SgenConfig) -> Tensor:
+def discriminator_forward(x: Tensor, params: ParamStore, cfg: RunConfig) -> Tensor:
     """Realness score in (0, 1) per batch element, shape (n, 1, 1, 1).
 
     One stride-2 conv per ``disc_channels`` width: height and width must be

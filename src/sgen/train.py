@@ -39,7 +39,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, backward
 from .checkpoint import save_checkpoint
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, output_file
 from .data import SamplePair, batch_iter, degraded_dataset, make_synthetic_corpus
 from .losses import d_loss, g_loss, mse_loss
 from .model import (
@@ -51,7 +51,6 @@ from .model import (
 )
 from .optim import AdamState, adam_step, init_adam
 from .ppm import load_image
-from .settings import output_file
 
 __all__ = [
     "TrainResult", "TrainState", "start", "advance", "run_training", "ppm_paths", "load_corpus", "build_training_pairs",
@@ -101,8 +100,8 @@ def load_corpus(cfg: RunConfig, split: str = "train") -> list[Tensor]:
 def build_training_pairs(cfg: RunConfig, images: list[Tensor]) -> list[SamplePair]:
     """Degrade the corpus at every configured scale the networks can consume.
 
-    A scale must fit the generator (see ``SgenConfig.fits``) and, in an
-    adversarial run, the critic (``SgenConfig.disc_divisor``); the others
+    A scale must fit the generator (see ``RunConfig.fits``) and, in an
+    adversarial run, the critic (``RunConfig.disc_divisor``); the others
     are dropped here with a warning on stderr.  The kept pairs are those of
     ``degraded_dataset(images, cfg)``, so each keeps its noise seed.
     """

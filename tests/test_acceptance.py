@@ -19,7 +19,6 @@ from numpy.testing import assert_array_equal
 from oracles import conv2d_loops, deconv2d_scatter, ssim_windows
 from sgen import (
     EVAL_SCALES,
-    DegradeSpec,
     RunConfig,
     Tensor,
     CheckpointError,
@@ -38,7 +37,6 @@ from sgen.checks import run_gradient_battery
 from sgen.data import nearest_upsample
 from sgen.ensemble import MERGE_MODES, merge, sgu
 from sgen.model import (
-    SgenConfig,
     build_discriminator,
     build_generator,
     discriminator_forward,
@@ -109,7 +107,7 @@ def test_criterion_01_gradient_battery():
 def test_criterion_02_shape_suite():
     with criterion(2, "N=3 fully-convolutional shape suite, six scales, < 30 s"):
         t0 = time.perf_counter()
-        cfg = SgenConfig(n_levels=3, base_channels=16, bottleneck_channels=32)
+        cfg = RunConfig(n_levels=3, base_channels=16, bottleneck_channels=32)
         rng = np.random.default_rng(11)
         params = build_generator(cfg, rng)
         for h, w in EVAL_SCALES:
@@ -194,7 +192,7 @@ def test_criterion_04_convolution_oracles():
 def test_criterion_05_degradation_statistics():
     with criterion(5, "sigma=30 PSNR 18.59 +/- 0.15 over 64 trials; sigma=0 identity"):
         clean = Tensor(np.full((1, 3, 128, 96), 128.0, dtype=np.float32))
-        spec = DegradeSpec(noise_sigma=30.0)
+        spec = RunConfig(noise_sigma=30.0)
         values = []
         for trial in range(64):
             corrupted = degrade(clean, spec, np.random.default_rng(1000 + trial))
@@ -206,7 +204,7 @@ def test_criterion_05_degradation_statistics():
         rng = np.random.default_rng(5)
         grid = rng.integers(0, 256, (1, 3, 8, 6)).astype(np.float32)
         block = Tensor(nearest_upsample(grid, 4))
-        corrupted = degrade(block, DegradeSpec(noise_sigma=0.0), np.random.default_rng(0))
+        corrupted = degrade(block, RunConfig(noise_sigma=0.0), np.random.default_rng(0))
         assert_array_equal(corrupted.data, block.data)
 
 
@@ -275,7 +273,7 @@ def test_criterion_08_adversarial_smoke(tmp_path):
         gen = load_checkpoint(ckpt)
         disc = load_checkpoint(str(ckpt) + ".disc")
         images = make_synthetic_corpus(4, seed=cfg.seed, size=(32, 32))
-        pairs = degraded_dataset(images, cfg.degrade_spec())
+        pairs = degraded_dataset(images, cfg)
         for pair in pairs:
             fake = generator_forward(normalize(pair.corrupted), gen, cfg)
             assert np.isfinite(fake.data).all()
@@ -313,7 +311,7 @@ def test_criterion_09_ensemble_mode_matrix(tmp_path):
 
             params = load_checkpoint(ckpt)
             images = load_corpus(cfg, split="test")
-            pairs = degraded_dataset(images, cfg.degrade_spec())
+            pairs = degraded_dataset(images, cfg)
             report = evaluate(params, cfg, pairs, model_id=f"{mode}-n{n}")
 
             assert [(r.height, r.width) for r in report.rows] == list(EVAL_SCALES)
@@ -337,12 +335,12 @@ def test_criterion_10_checkpoint_matrix(tmp_path):
     with criterion(10, "bit-exact checkpoint round trip per mode/N; corruption rejected"):
         rng = np.random.default_rng(10)
         for mode, n in product(MERGE_MODES, (2, 3, 4)):
-            cfg = SgenConfig(
+            cfg = RunConfig(
                 n_levels=n, base_channels=2, bottleneck_channels=4, merge_mode=mode
             )
             stores = [build_generator(cfg, rng)]
             if (mode, n) == ("sgu", 2):
-                cfg_d = SgenConfig(
+                cfg_d = RunConfig(
                     n_levels=n, base_channels=2, disc_channels=(2, 3, 4, 5)
                 )
                 stores.append(build_discriminator(cfg_d, rng))

@@ -13,7 +13,7 @@ import pytest
 from sgen import (
     CheckpointError,
     ParamStore,
-    SgenConfig,
+    RunConfig,
     Tensor,
     build_generator,
     load_checkpoint,
@@ -71,7 +71,7 @@ def test_loaded_tensors_are_trainable_leaves(tmp_path):
 
 
 def test_generator_round_trip_preserves_name_order(tmp_path):
-    cfg = SgenConfig(n_levels=2, base_channels=4, bottleneck_channels=4)
+    cfg = RunConfig(n_levels=2, base_channels=4, bottleneck_channels=4)
     store = build_generator(cfg, np.random.default_rng(2))
     path = tmp_path / "gen.ckpt"
     save_checkpoint(store, path)
@@ -83,7 +83,7 @@ def test_load_holds_about_one_copy_of_the_file(tmp_path):
     no second whole-file buffer, per-entry copy or cast copy on top of the
     loaded arrays."""
     path = tmp_path / "gen.ckpt"
-    save_checkpoint(build_generator(SgenConfig(), np.random.default_rng(2)), path)
+    save_checkpoint(build_generator(RunConfig(), np.random.default_rng(2)), path)
     size = path.stat().st_size
     tracemalloc.start()
     try:
@@ -100,7 +100,7 @@ def test_loaded_tensors_are_disjoint_views_of_one_arena(tmp_path):
     """Every tensor is a float32, C-contiguous, writable view of one buffer
     no larger than the file, and writing one leaves the others unchanged."""
     path = tmp_path / "gen.ckpt"
-    cfg = SgenConfig(n_levels=2, base_channels=4)
+    cfg = RunConfig(n_levels=2, base_channels=4)
     save_checkpoint(build_generator(cfg, np.random.default_rng(4)), path)
     store = load_checkpoint(path)
     for name, t in store.items():

@@ -9,7 +9,6 @@ import sgen.cli
 import sgen.model
 from sgen import (
     RunConfig,
-    SgenConfig,
     Tensor,
     build_generator,
     degraded_dataset,
@@ -161,7 +160,7 @@ def test_train_with_a_log_out_naming_a_directory_fails_cleanly(tmp_path, capsys)
 
 def test_restore_zero_checkpoint_outputs_mid_gray(tmp_path):
     cfg_path = write_cfg(tmp_path)
-    model_cfg = SgenConfig(n_levels=2, base_channels=4, bottleneck_channels=4)
+    model_cfg = RunConfig(n_levels=2, base_channels=4, bottleneck_channels=4)
     store = build_generator(model_cfg, np.random.default_rng(0))
     for t in store.values():
         t.data[:] = 0.0
@@ -232,7 +231,7 @@ def test_restore_writes_what_the_restore_function_returns(tmp_path):
 def test_restore_reports_nearest_valid_sizes(tmp_path, capsys):
     # default config: 3 levels, so dims must divide 16
     ckpt = tmp_path / "zero.ckpt"
-    store = build_generator(SgenConfig(), np.random.default_rng(0))
+    store = build_generator(RunConfig(), np.random.default_rng(0))
     save_checkpoint(store, ckpt)
     src = tmp_path / "odd.ppm"
     _random_ppm(src, 100, 100)
@@ -249,7 +248,7 @@ def test_restore_reports_nearest_valid_sizes(tmp_path, capsys):
 def test_restore_rejects_architecture_mismatch(tmp_path, capsys):
     # checkpoint trained at 2 levels, CLI invoked with the 3-level default
     store = build_generator(
-        SgenConfig(n_levels=2, base_channels=4, bottleneck_channels=4),
+        RunConfig(n_levels=2, base_channels=4, bottleneck_channels=4),
         np.random.default_rng(0),
     )
     ckpt = tmp_path / "n2.ckpt"
@@ -267,7 +266,7 @@ def test_restore_rejects_architecture_mismatch(tmp_path, capsys):
 
 def test_evaluate_rejects_architecture_mismatch(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
-    store = build_generator(SgenConfig(), np.random.default_rng(0))
+    store = build_generator(RunConfig(), np.random.default_rng(0))
     ckpt = tmp_path / "n3.ckpt"
     save_checkpoint(store, ckpt)
     code = main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
@@ -431,6 +430,36 @@ def test_evaluate_names_the_degradation_recipe(tmp_path):
     assert main(["train", "--config", str(cfg_path)]) == 0
     assert main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(tmp_path / "model.ckpt")]) == 0
     assert "degradation: down2 sigma12.5 nearest\n" in (tmp_path / "report.txt").read_text()
+
+
+def test_evaluate_without_a_test_folder_fails_before_the_checkpoint_loads(tmp_path, capsys, monkeypatch):
+    """A flat data_root holds the training images, so evaluate refuses it."""
+    def no_load(*args, **kwargs):
+        raise AssertionError("loaded the checkpoint")
+
+    root = tmp_path / "faces"
+    root.mkdir()
+    _random_ppm(root / "a.ppm", 32, 32)
+    cfg_path = write_cfg(tmp_path, data_root=str(root), synthetic_count=0)
+    monkeypatch.setattr(sgen.cli, "load_checkpoint", no_load)
+    assert main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(tmp_path / "model.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(root / "test")) in err
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_evaluate_scores_the_test_folder(tmp_path):
+    root = tmp_path / "faces"
+    (root / "test").mkdir(parents=True)
+    _random_ppm(root / "a.ppm", 32, 32, seed=1)
+    _random_ppm(root / "b.ppm", 32, 32, seed=2)
+    _random_ppm(root / "test" / "c.ppm", 32, 32, seed=3)
+    cfg_path = write_cfg(tmp_path, data_root=str(root), synthetic_count=0, steps=0)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(tmp_path / "model.ckpt")]) == 0
+    # one test image, not the two training images
+    assert (tmp_path / "report.csv").read_text().strip().split("\n")[1].endswith(",1")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from sgen import (
     EVAL_SCALES,
-    DegradeSpec,
+    RunConfig,
     SamplePair,
     Tensor,
     batch_iter,
@@ -29,7 +29,7 @@ from oracles import bilinear_resize_expression
 
 
 def test_degrade_spec_defaults():
-    spec = DegradeSpec()
+    spec = RunConfig()
     assert spec.scales == EVAL_SCALES
     assert spec.down_factor == 4
     assert spec.noise_sigma == 30.0
@@ -37,13 +37,13 @@ def test_degrade_spec_defaults():
 
 def test_degrade_spec_validation():
     with pytest.raises(ValueError, match="down_factor"):
-        DegradeSpec(down_factor=0)
+        RunConfig(down_factor=0)
     with pytest.raises(ValueError, match="noise_sigma"):
-        DegradeSpec(noise_sigma=-1.0)
+        RunConfig(noise_sigma=-1.0)
     with pytest.raises(ValueError, match="scales must not be empty"):
-        DegradeSpec(scales=())
+        RunConfig(scales=())
     with pytest.raises(ValueError, match=r"\(130, 96\) not divisible by down_factor 4"):
-        DegradeSpec(scales=((130, 96),))
+        RunConfig(scales=((130, 96),))
 
 
 def test_eval_scales_are_ascending_and_divisible():
@@ -110,7 +110,7 @@ def test_down_then_up_is_identity_on_block_constant_images():
 def test_degrade_sigma_zero_is_pure_resampling():
     rng = np.random.default_rng(2)
     clean = Tensor(rng.uniform(0, 255, size=(1, 3, 32, 32)).astype(np.float32))
-    spec = DegradeSpec(scales=((32, 32),), noise_sigma=0.0)
+    spec = RunConfig(scales=((32, 32),), noise_sigma=0.0)
     corrupted = degrade(clean, spec, np.random.default_rng(0))
     want = nearest_upsample(box_downsample(clean.data, 4), 4)
     np.testing.assert_array_equal(corrupted.data, want)
@@ -118,7 +118,7 @@ def test_degrade_sigma_zero_is_pure_resampling():
 
 def test_degrade_noise_statistics_match_sigma():
     """Mean ~0 and std ~30 measured in the low-resolution domain."""
-    spec = DegradeSpec(scales=((208, 176),), noise_sigma=30.0)
+    spec = RunConfig(scales=((208, 176),), noise_sigma=30.0)
     clean = Tensor(np.full((1, 3, 208, 176), 128.0, dtype=np.float32))
     small_clean = box_downsample(clean.data, 4)
     samples = []
@@ -132,7 +132,7 @@ def test_degrade_noise_statistics_match_sigma():
 
 
 def test_degrade_clamps_to_pixel_range():
-    spec = DegradeSpec(scales=((32, 32),), noise_sigma=200.0)
+    spec = RunConfig(scales=((32, 32),), noise_sigma=200.0)
     clean = Tensor(np.full((1, 3, 32, 32), 128.0, dtype=np.float32))
     corrupted = degrade(clean, spec, np.random.default_rng(3)).data
     assert corrupted.min() >= 0.0
@@ -145,7 +145,7 @@ def test_degrade_clamps_to_pixel_range():
 def test_degrade_output_is_blockwise_constant():
     rng = np.random.default_rng(4)
     clean = Tensor(rng.uniform(0, 255, size=(1, 3, 16, 16)).astype(np.float32))
-    spec = DegradeSpec(scales=((16, 16),))
+    spec = RunConfig(scales=((16, 16),))
     arr = degrade(clean, spec, np.random.default_rng(5)).data
     blocks = arr.reshape(1, 3, 4, 4, 4, 4)
     np.testing.assert_array_equal(blocks, np.broadcast_to(blocks[:, :, :, :1, :, :1], blocks.shape))
@@ -153,7 +153,7 @@ def test_degrade_output_is_blockwise_constant():
 
 def test_degraded_dataset_layout_and_determinism():
     images = make_synthetic_corpus(2, seed=10)
-    spec = DegradeSpec(seed=123)
+    spec = RunConfig(seed=123)
     pairs = degraded_dataset(images, spec)
     assert len(pairs) == 2 * 6
     for idx, pair in enumerate(pairs):
@@ -169,7 +169,7 @@ def test_degraded_dataset_layout_and_determinism():
 def test_degraded_dataset_noise_is_per_image_and_scale():
     """Appending an image must not disturb earlier pairs' noise."""
     images = make_synthetic_corpus(2, seed=11)
-    spec = DegradeSpec(seed=7)
+    spec = RunConfig(seed=7)
     solo = degraded_dataset(images[:1], spec)
     both = degraded_dataset(images, spec)
     for a, b in zip(solo, both[:6]):
@@ -178,7 +178,7 @@ def test_degraded_dataset_noise_is_per_image_and_scale():
 
 def test_degraded_dataset_is_each_images_pairs_in_corpus_order():
     images = make_synthetic_corpus(3, seed=12)
-    spec = DegradeSpec(scales=((32, 32), (48, 32)), seed=4)
+    spec = RunConfig(scales=((32, 32), (48, 32)), seed=4)
     want = [p for i, image in enumerate(images) for p in degraded_pairs(image, i, spec)]
     got = degraded_dataset(images, spec)
     assert [p.clean.shape[2:] for p in got] == [(32, 32), (48, 32)] * 3
@@ -193,7 +193,7 @@ def test_pair_recipe_bits_are_pinned():
     line: a change to the resize, downsample, noise or upsample bits, or to
     the noise seeds, moves this digest."""
     image = make_synthetic_corpus(1, seed=3, size=EVAL_SCALES[-1])
-    pairs = degraded_dataset(image, DegradeSpec(scales=EVAL_SCALES, seed=3))
+    pairs = degraded_dataset(image, RunConfig(scales=EVAL_SCALES, seed=3))
     blob = b"".join(p.clean.data.tobytes() + p.corrupted.data.tobytes() for p in pairs)
     assert hashlib.sha256(blob).hexdigest()[:16] == "82b0efbb65acdaa3"
 

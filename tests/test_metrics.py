@@ -8,11 +8,9 @@ import pytest
 from oracles import ssim_windows
 
 from sgen import (
-    DegradeSpec,
     QualityReport,
     RunConfig,
     SamplePair,
-    SgenConfig,
     Tensor,
     build_generator,
     degrade,
@@ -177,14 +175,14 @@ def test_report_text_mentions_ids_and_rows():
 
 
 def _tiny_cfg(n_levels=2):
-    return SgenConfig(n_levels=n_levels, base_channels=2, bottleneck_channels=2)
+    return RunConfig(n_levels=n_levels, base_channels=2, bottleneck_channels=2)
 
 
 def _pairs_at(rng, sizes, sigma=30.0):
     pairs = []
     for h, w in sizes:
         clean = Tensor(np.full((1, 3, h, w), 128.0, dtype=np.float32))
-        spec = DegradeSpec(scales=((h, w),), noise_sigma=sigma)
+        spec = RunConfig(scales=((h, w),), noise_sigma=sigma)
         pairs.append(SamplePair(clean, degrade(clean, spec, rng)))
     return pairs
 
@@ -296,7 +294,7 @@ def test_evaluate_default_restorer_runs_the_generator():
     cfg = _tiny_cfg()
     store = build_generator(cfg, rng)
     images = [Tensor(rng.uniform(0, 255, size=(1, 3, 64, 64)).astype(np.float32))]
-    spec = DegradeSpec(scales=((32, 32), (48, 48)), seed=1)
+    spec = RunConfig(scales=((32, 32), (48, 48)), seed=1)
     pairs = degraded_dataset(images, spec)
     before = [t.data.tobytes() for t in store.values()]
     report = evaluate(store, cfg, pairs, model_id="fresh")

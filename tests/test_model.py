@@ -8,7 +8,6 @@ import pytest
 from sgen import (
     ParamStore,
     RunConfig,
-    SgenConfig,
     Tape,
     Tensor,
     backward,
@@ -25,7 +24,7 @@ from sgen.model import Site, discriminator_sites, generator_sites, shape_mismatc
 def small_cfg(**kw):
     base = dict(n_levels=2, base_channels=4, bottleneck_channels=4)
     base.update(kw)
-    return SgenConfig(**base)
+    return RunConfig(**base)
 
 
 def _built_names(cfg):
@@ -42,35 +41,31 @@ def _norm_input(rng, shape, dtype=np.float32):
 
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError, match="n_levels"):
-        SgenConfig(n_levels=1)
+        RunConfig(n_levels=1)
     with pytest.raises(ValueError, match="positive"):
-        SgenConfig(base_channels=0)
+        RunConfig(base_channels=0)
     with pytest.raises(ValueError, match="merge_mode"):
-        SgenConfig(merge_mode="blend")
+        RunConfig(merge_mode="blend")
     with pytest.raises(ValueError, match="one or more widths"):
-        SgenConfig(disc_channels=())
+        RunConfig(disc_channels=())
     with pytest.raises(ValueError, match="one or more widths"):
-        SgenConfig(disc_channels=(8, 0, 32))
-    # training fields are validated by the run config that adds them
+        RunConfig(disc_channels=(8, 0, 32))
     with pytest.raises(ValueError, match="gan_loss"):
         RunConfig(gan_loss="wasserstein")
     with pytest.raises(ValueError, match="lambda_mse"):
         RunConfig(lambda_mse=-0.1)
-    # and the architecture rules still hold there
-    with pytest.raises(ValueError, match="merge_mode"):
-        RunConfig(merge_mode="blend")
 
 
 def test_config_divisor_and_trunk_widths():
-    cfg = SgenConfig(n_levels=3, base_channels=32)
+    cfg = RunConfig(n_levels=3, base_channels=32)
     assert cfg.divisor == 16
     sites = generator_sites(cfg)
     assert [sites[f"enc.trunk.{k}"].c_out for k in (0, 1, 2, 3)] == [32, 32, 64, 128]
-    assert SgenConfig(n_levels=4).divisor == 32
+    assert RunConfig(n_levels=4).divisor == 32
 
 
 def test_config_fits_needs_both_dims_divisible():
-    cfg = SgenConfig(n_levels=2)  # divisor 8
+    cfg = RunConfig(n_levels=2)  # divisor 8
     assert cfg.fits(32, 24)
     assert not cfg.fits(36, 24)
     assert not cfg.fits(32, 20)

@@ -28,7 +28,7 @@ def _load_tracer():
 def test_tracer_names_every_conv_site_forward_and_backward():
     tracer_module = _load_tracer()
     tracer = tracer_module.Tracer()
-    cfg = sgen.SgenConfig(n_levels=2, base_channels=4, bottleneck_channels=4, disc_channels=(2, 2, 2, 2))
+    cfg = sgen.RunConfig(n_levels=2, base_channels=4, bottleneck_channels=4, disc_channels=(2, 2, 2, 2))
     rng = np.random.default_rng(0)
     with tracer.installed():
         gen = sgen.build_generator(cfg, rng)
@@ -60,7 +60,7 @@ def test_tracer_sees_one_merge_span_per_merge_site(mode):
     tracer_module = _load_tracer()
     name, parent, attrs = tracer_module.NAME, tracer_module.PARENT, tracer_module.ATTRS
     tracer = tracer_module.Tracer()
-    cfg = sgen.SgenConfig(n_levels=3, base_channels=2, bottleneck_channels=2, merge_mode=mode)
+    cfg = sgen.RunConfig(n_levels=3, base_channels=2, bottleneck_channels=2, merge_mode=mode)
     rng = np.random.default_rng(1)
     with tracer.installed():
         gen = sgen.build_generator(cfg, rng)

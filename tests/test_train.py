@@ -225,17 +225,29 @@ def test_training_is_seed_deterministic(tmp_path):
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
+# tools/golden.py's small lines: merge, gan_loss -> digests
+SMALL_LINES = {
+    ("sgu", "none"): ["92512d9139af4ea4", "a947873864cdae57"],
+    ("sgu", "minimax"): ["72b2bd47689ec151", "db95c5e4aa7aad94", "c1cda93b7a6e7d4f"],
+    ("concat", "none"): ["15fdaf79e7b9076a", "33012c28be7effd7"],
+    ("concat", "minimax"): ["b4b64fc1dd409489", "ccbb22aade69c91c", "5132d07e35efa7fd"],
+    ("max", "none"): ["0dfbb1ea7f2acc0b", "aff3cf311f01cb19"],
+    ("max", "minimax"): ["d9692ffbbe9e68c4", "6ce111721c1fa725", "e03983282679ab63"],
+}
+
+
 def test_seeded_training_and_evaluate_bits_are_pinned(tmp_path, golden):
-    """``tools/golden.py``'s small sgu lines, its ``evaluate`` line and its
-    ``epochs`` line, which read the same at one and two BLAS threads (its
-    paper lines do not, so they stay out)."""
+    """``tools/golden.py``'s six small lines and its ``evaluate``,
+    ``dropped`` and ``epochs`` lines, which read the same at one and two
+    BLAS threads (its paper lines do not, so they stay out)."""
     tmp, small = str(tmp_path), golden.SMALL
-    cfg, none = golden.train(tmp, "small", small, "sgu", "none")
-    assert none == ["92512d9139af4ea4", "a947873864cdae57"]
-    assert golden.train(tmp, "small", small, "sgu", "minimax")[1] == [
-        "72b2bd47689ec151", "db95c5e4aa7aad94", "c1cda93b7a6e7d4f",
-    ]
-    assert golden.report_digest(cfg) == "623d5cbc12b5c5b2"
+    for (merge, gan), digests in SMALL_LINES.items():
+        cfg, got = golden.train(tmp, "small", small, merge, gan)
+        assert got == digests, (merge, gan)
+        if (merge, gan) == ("sgu", "none"):
+            assert golden.report_digest(cfg) == "623d5cbc12b5c5b2"
+    dropped = golden.train(tmp, "dropped", golden.DROPPED, "sgu", "none")[1]
+    assert dropped == ["c8c151465393a7b0", "38ee23cf137ec020"]
     epochs = [d for gan in ("none", "minimax") for d in golden.train(tmp, "epochs", small, "sgu", gan, 9)[1]]
     assert epochs == [
         "f7415ee750d900bc", "2d5e5bb49db7bed5", "fab1fae9b463457b", "08ffaa49362e9ed8", "de632a64f0c22131",
