@@ -20,6 +20,7 @@ from .data import (
     bilinear_resize,
     degrade,
     degraded_dataset,
+    degraded_pair,
     degraded_pairs,
     denormalize,
     make_synthetic_corpus,

@@ -8,10 +8,11 @@ log for a run that cannot save; evaluate with a ``data_root`` also needs
 its ``test/`` folder, so it never scores the training images.  restore
 and evaluate then check every stored parameter shape against the
 configured generator's site table, so a checkpoint trained under another
-config fails before it runs.  degrade writes each image's pairs on a pool
-of min(CPU count, 8) threads.  A failure prints one ``error:`` line and
-exits 2; numpy's overflow and invalid-value warnings are off, since the
-finite checks report a diverging run.
+config fails before it runs.  degrade loads each image once and writes
+one pair per (image, scale) task on a pool of min(usable CPUs, 8)
+threads.  A failure prints one ``error:`` line and exits 2; numpy's
+overflow and invalid-value warnings are off, since the finite checks
+report a diverging run.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint
 from .checks import run_gradient_battery
 from .config import ConfigError, RunConfig, load_config, output_file
-from .data import degraded_dataset, degraded_pairs
+from .data import degraded_dataset, degraded_pair
 from .metrics import evaluate, restore
 from .model import ParamStore, generator_sites, shape_mismatches
 from .ppm import load_image, save_image
@@ -112,17 +113,20 @@ def cmd_degrade(args) -> int:
     out_dir = Path(args.out_path)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # one task per image; a pair's noise depends on its image's place in
-    # the sorted list, not on worker order
-    def write_pairs(task) -> None:
-        index, path = task
-        for pair in degraded_pairs(load_image(path), index, cfg):
-            _, _, h, w = pair.clean.shape
-            save_image(pair.clean, out_dir / f"{path.stem}_scale{h}x{w}_clean.ppm")
-            save_image(pair.corrupted, out_dir / f"{path.stem}_scale{h}x{w}_noisy.ppm")
+    # one task per (image, scale); a pair's noise depends on its image's
+    # place in the sorted list and its scale's, not on worker order
+    def write_pair(index: int, j: int) -> None:
+        pair = degraded_pair(images[index], index, j, cfg)
+        stem, (h, w) = paths[index].stem, cfg.scales[j]
+        save_image(pair.clean, out_dir / f"{stem}_scale{h}x{w}_clean.ppm")
+        save_image(pair.corrupted, out_dir / f"{stem}_scale{h}x{w}_noisy.ppm")
 
-    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, 8)) as pool:
-        list(pool.map(write_pairs, enumerate(paths)))
+    # the CPUs this process may run on, where the platform can say
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    tasks = [(i, j) for i in range(len(paths)) for j in range(len(cfg.scales))]
+    with ThreadPoolExecutor(max_workers=min(cpus, 8)) as pool:
+        images = list(pool.map(load_image, paths))
+        list(pool.map(write_pair, *zip(*tasks)))
     print(f"wrote {2 * len(paths) * len(cfg.scales)} images to {out_dir}", file=sys.stderr)
     return 0
 

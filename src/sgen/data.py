@@ -9,12 +9,13 @@ only quantization in the pipeline is PPM I/O.  The recipe's settings are a
 ``noise_sigma``, ``seed``), which hold ``EVAL_SCALES`` as their default,
 and ``RunConfig.label`` names the recipe in a report.
 
-``degraded_pairs`` is the one recipe from a corpus image to its pairs: it
-resizes the image to every scale, corrupts each copy with ``degrade`` and
-seeds that noise with (seed, image index, scale index).  Training,
-``evaluate`` and ``sgen degrade`` all take their pairs from it.  A pair
-holds its clean and corrupted images only: its scale is its size, which
-``batch_iter`` groups by and ``evaluate`` reports by.
+``degraded_pair`` is the one recipe from a corpus image to its pair at
+one scale: it resizes the image to that scale, corrupts the copy with
+``degrade`` and seeds that noise with (seed, image index, scale index).
+``degraded_pairs`` runs it at every scale; training and ``evaluate`` take
+their pairs from it, and ``sgen degrade`` runs one ``degraded_pair`` per
+pool task.  A pair holds its clean and corrupted images only: its scale is
+its size, which ``batch_iter`` groups by and ``evaluate`` reports by.
 
 All randomness flows through explicitly seeded numpy Generators, so every
 dataset and batch order is reproducible from integers.
@@ -36,6 +37,7 @@ __all__ = [
     "EVAL_SCALES",
     "SamplePair",
     "degrade",
+    "degraded_pair",
     "degraded_pairs",
     "degraded_dataset",
     "box_downsample",
@@ -78,17 +80,36 @@ def denormalize(t: Tensor) -> Tensor:
 
 
 def box_downsample(arr: np.ndarray, factor: int) -> np.ndarray:
-    """Average non-overlapping factor x factor blocks."""
+    """Average non-overlapping factor x factor blocks.
+
+    numpy's own sum adds the values of each block row, then the row sums
+    are added in row order and divided by factor**2.  That is the order
+    ``mean(axis=(3, 5))`` takes, so the bits equal it whenever the image is
+    at least two blocks wide (at one block, numpy sums each block as one
+    run).  One block row of every block is summed at a time, into the
+    output, so no temporary is larger than the output.
+    """
     n, c, h, w = arr.shape
     if h % factor or w % factor:
         raise ValueError(f"box_downsample: dims ({h}, {w}) not divisible by {factor}")
     blocks = arr.reshape(n, c, h // factor, factor, w // factor, factor)
-    return blocks.mean(axis=(3, 5))
+    total = blocks[:, :, :, 0].sum(axis=4)
+    for r in range(1, factor):
+        total += blocks[:, :, :, r].sum(axis=4)
+    total /= factor * factor
+    return total
 
 
 def nearest_upsample(arr: np.ndarray, factor: int) -> np.ndarray:
-    """Repeat each pixel into a factor x factor block."""
-    return arr.repeat(factor, axis=2).repeat(factor, axis=3)
+    """Repeat each pixel into a factor x factor block.
+
+    Each row is widened once, then one broadcast copy writes it factor
+    times; broadcasting the pixels themselves copies runs only factor long.
+    """
+    n, c, h, w = arr.shape
+    out = np.empty((n, c, h, factor, w * factor), arr.dtype)
+    out[...] = arr.repeat(factor, axis=3)[:, :, :, np.newaxis]
+    return out.reshape(n, c, h * factor, w * factor)
 
 
 def degrade(clean: Tensor, spec: RunConfig, rng: np.random.Generator) -> Tensor:
@@ -100,20 +121,20 @@ def degrade(clean: Tensor, spec: RunConfig, rng: np.random.Generator) -> Tensor:
     return Tensor(nearest_upsample(small, spec.down_factor))
 
 
-def degraded_pairs(image: Tensor, index: int, spec: RunConfig) -> list[SamplePair]:
-    """Corpus image ``index`` resized to every scale j and corrupted.
+def degraded_pair(image: Tensor, index: int, j: int, spec: RunConfig) -> SamplePair:
+    """Corpus image ``index`` resized to ``spec.scales[j]`` and corrupted.
 
-    The noise at scale j comes from a generator seeded with
-    (spec.seed, index, j), so a pair depends only on its image, its place
-    in the corpus and its scale, not on what else is processed or in which
-    order.
+    The noise comes from a generator seeded with (spec.seed, index, j), so
+    a pair depends only on its image, its place in the corpus and its
+    scale, not on what else is processed or in which order.
     """
-    pairs = []
-    for j, (h, w) in enumerate(spec.scales):
-        clean = bilinear_resize(image, h, w)
-        corrupted = degrade(clean, spec, np.random.default_rng((spec.seed, index, j)))
-        pairs.append(SamplePair(clean=clean, corrupted=corrupted))
-    return pairs
+    clean = bilinear_resize(image, *spec.scales[j])
+    return SamplePair(clean=clean, corrupted=degrade(clean, spec, np.random.default_rng((spec.seed, index, j))))
+
+
+def degraded_pairs(image: Tensor, index: int, spec: RunConfig) -> list[SamplePair]:
+    """Corpus image ``index``'s ``degraded_pair`` at every scale, in order."""
+    return [degraded_pair(image, index, j, spec) for j in range(len(spec.scales))]
 
 
 def degraded_dataset(images: list[Tensor], spec: RunConfig) -> list[SamplePair]:

@@ -10,7 +10,10 @@ step takes a config of its own.  These are the per-step entry points for
 any driver other than ``run_training``, such as resume or per-step
 telemetry.
 
-An MSE step is one generator forward, backward and Adam update.  An
+A step starts with no generator gradient: ``advance`` drops the last
+step's before it dispatches, and a step's gradients live from its backward
+until the next step starts, so the caller can read them in between.  An
+MSE step is one generator forward, backward and Adam update.  An
 adversarial step runs one discriminator update then one generator update
 per minibatch, with one generator forward: the discriminator step scores
 real targets against a detached copy of its output, and the generator step
@@ -150,9 +153,14 @@ def advance(state: TrainState, s: Tensor, t: Tensor) -> tuple[float, float, floa
     """Run one step of ``state.cfg``'s kind (MSE or adversarial) on batch
     (s, t) in place.
 
-    Returns ``(loss_g, loss_d, loss_mse)``; under MSE-only training loss_g
-    is the MSE and loss_d is nan.
+    The step starts by dropping the generator's gradients from the step
+    before, so its forward tape can reuse their memory; the gradients this
+    step's backward leaves stay set when ``advance`` returns, for a caller
+    to read, until the next step starts.  Returns
+    ``(loss_g, loss_d, loss_mse)``; under MSE-only training loss_g is the
+    MSE and loss_d is nan.
     """
+    state.gen.zero_grad()
     return (_adversarial_step if state.cfg.adversarial else _mse_step)(state, s, t)
 
 
@@ -203,7 +211,6 @@ def _save(state: TrainState) -> None:
 
 
 def _mse_step(state: TrainState, s, t):
-    state.gen.zero_grad()
     with Tape() as tape:
         pred = generator_forward(s, state.gen, state.cfg)
         loss = mse_loss(pred, t)
@@ -230,7 +237,6 @@ def _adversarial_step(state: TrainState, s, t):
 
     # generator step: gradient flows through the updated discriminator,
     # whose frozen weights take no gradient of their own
-    gen.zero_grad()
     with disc.frozen():
         with gen_tape:
             score = discriminator_forward(pred, disc, cfg)

@@ -502,13 +502,36 @@ def test_degrade_is_deterministic_across_worker_counts(tmp_path, monkeypatch):
     blobs = {}
     for label, cpus in [("serial", 1), ("pooled", 4)]:
         out_dir = tmp_path / f"out_{label}"
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         assert (
             main(["degrade", "--config", str(cfg_path), "--in", str(in_dir), "--out", str(out_dir)])
             == 0
         )
         blobs[label] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert blobs["serial"] == blobs["pooled"]
+
+
+@pytest.mark.parametrize("affinity, cpus, workers", [(1, 64, 1), (3, 64, 3), (12, 1, 8), (None, 5, 5)])
+def test_degrade_pool_follows_the_usable_cpus(tmp_path, monkeypatch, affinity, cpus, workers):
+    """The pool takes the CPUs in the affinity set, capped at 8, not the
+    machine's count; without an affinity call it takes the machine's."""
+    cfg_path, in_dir, out_dir = _degrade_setup(tmp_path)
+    if affinity is None:
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    sizes = []
+    pool = sgen.cli.ThreadPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(sgen.cli, "ThreadPoolExecutor", recording)
+    assert main(["degrade", "--config", str(cfg_path), "--in", str(in_dir), "--out", str(out_dir)]) == 0
+    assert sizes == [workers]
+    assert len(list(out_dir.iterdir())) == 2 * 2 * 2
 
 
 def test_degrade_writes_the_pairs_degraded_dataset_makes(tmp_path):

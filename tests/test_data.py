@@ -96,6 +96,27 @@ def test_nearest_upsample_hand_example():
     np.testing.assert_array_equal(got.reshape(2, 4), [[1, 1, 2, 2], [1, 1, 2, 2]])
 
 
+@pytest.mark.parametrize("factor", [*range(1, 10), 12, 16])
+def test_resamplers_match_the_numpy_expressions_bit_for_bit(factor):
+    """``box_downsample`` sums each block row, adds the row sums in row
+    order and divides, the order of ``mean(axis=(3, 5))``, and
+    ``nearest_upsample`` is a copy, so both give the bits of the plain
+    numpy expressions on random float32 arrays at least two blocks wide;
+    at one block, numpy sums each whole block as one run."""
+    rng = np.random.default_rng(factor)
+    for _ in range(100):
+        n, hb, wb = rng.integers(1, 3), rng.integers(1, 6), rng.integers(2, 6)
+        scale = rng.choice([1.0, 255.0, 1e4])
+        arr = (rng.standard_normal((n, 3, hb * factor, wb * factor)) * scale).astype(np.float32)
+        blocks = arr.reshape(n, 3, hb, factor, wb, factor)
+        small = box_downsample(arr, factor)
+        assert small.dtype == np.float32
+        assert small.tobytes() == blocks.mean(axis=(3, 5)).tobytes()
+        big = nearest_upsample(small, factor)
+        assert big.flags.c_contiguous
+        assert big.tobytes() == small.repeat(factor, axis=2).repeat(factor, axis=3).tobytes()
+
+
 def test_down_then_up_is_identity_on_block_constant_images():
     rng = np.random.default_rng(1)
     blocks = rng.uniform(0, 255, size=(1, 3, 8, 6))

@@ -373,6 +373,33 @@ def test_advance_runs_the_step_of_the_config_its_state_started_from(tmp_path, ga
             assert state.disc is None and state.disc_adam is None
 
 
+@pytest.mark.parametrize("gan", ["none", "minimax"])
+def test_generator_gradients_live_from_the_backward_to_the_next_step(tmp_path, monkeypatch, gan):
+    """A step's generator forward starts with no gradient held, so its tape
+    can reuse the last step's gradient memory; when ``advance`` returns,
+    every generator parameter holds a finite gradient of that step."""
+    cfg = fast_cfg(tmp_path, gan_loss=gan)
+    state = start(cfg)
+    s, t = next(_epoch_batches(build_training_pairs(cfg, load_corpus(cfg)), cfg, 0))
+    held = []
+    forward = train_module.generator_forward
+
+    def watched(x, params, *rest):
+        held.append(sorted(name for name, p in params.items() if p.grad is not None))
+        return forward(x, params, *rest)
+
+    monkeypatch.setattr(train_module, "generator_forward", watched)
+    last = {}
+    for step in (1, 2):
+        advance(state, s, t)
+        assert len(held) == step  # the patch took effect
+        assert held[-1] == []
+        for name, p in state.gen.items():
+            assert p.grad is not None and p.grad is not last.get(name), name
+            assert p.grad.shape == p.data.shape and np.isfinite(p.grad).all(), name
+            last[name] = p.grad
+
+
 # ---------------------------------------------------------------------------
 # seed derivation
 
