@@ -21,7 +21,6 @@ from .data import (
     degrade,
     degraded_dataset,
     degraded_pair,
-    degraded_pairs,
     denormalize,
     make_synthetic_corpus,
     normalize,

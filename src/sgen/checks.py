@@ -8,6 +8,16 @@ Probe values are nudged away from kinks (relu/lrelu corners, max ties,
 clamp edges) so the finite-difference oracle is valid everywhere it
 samples.
 
+A check of one input of a many-input function goes through
+``each_input``, which probes each named input in turn and holds the rest
+at fixed values: the binary ops, ``maximum``, ``gated_sum``, the losses,
+the SGU's two inputs and four gate parameters, and each conv layer's
+input, weight and bias.  A row that probes one input alone (the
+scalar-constant ops, activations, ``log``, ``clamp``, the left side of
+``concat_channels``, the reductions) calls ``check`` itself, and
+``net_check`` probes a whole network's input or one of its named
+parameters.
+
 Every probe, projection and network weight comes from ``_stream(label)``,
 keyed by ``_SEED`` and one label per group of checks that share data: the
 common prefix of their names where they have one (``add.(1, 1, 2, 3)``,
@@ -19,7 +29,7 @@ moving a check changes no other check's probe.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +45,7 @@ from .model import (
     discriminator_forward,
     generator_forward,
 )
-from .nn import conv2d, deconv2d, draw, geometry, global_avg_pool
+from .nn import ConvParams, conv2d, deconv2d, draw, geometry, global_avg_pool
 
 __all__ = ["CheckResult", "run_gradient_battery", "OP_TOL", "NET_TOL"]
 
@@ -113,21 +123,27 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
         if on_result is not None:
             on_result(result)
 
+    def each_input(names, fn, base, probes=None, weights=None):
+        """Check input i of ``fn``, for each of ``names`` in order, at
+        ``probes[i]`` (by default ``base[i]``) while every other input j is
+        held at ``base[j]``; with ``weights``, project the output to a
+        scalar by ``_weighted_sum``."""
+        for i, (name, probe) in enumerate(zip(names, probes or base)):
+            def loss(x):
+                out = fn(*(x if j == i else Tensor(v) for j, v in enumerate(base)))
+                return out if weights is None else _weighted_sum(out, weights)
+
+            check(name, loss, probe)
+
     # --- elementwise arithmetic, both arguments --------------------------
     for kind, op in _BINARY_OPS.items():
         for shape in _SHAPES:
             s = _stream(f"{kind}.{shape}")
             other = _rand(s, shape)
             weights = _signed_unit(s, shape)
-            check(
-                f"{kind}.lhs.{shape}",
-                lambda x, op=op, o=other, w=weights: _weighted_sum(op(x, Tensor(o)), w),
-                _rand(s, shape),
-            )
-            check(
-                f"{kind}.rhs.{shape}",
-                lambda x, op=op, o=other, w=weights: _weighted_sum(op(Tensor(o), x), w),
-                _rand(s, shape),
+            each_input(
+                [f"{kind}.lhs.{shape}", f"{kind}.rhs.{shape}"], op, [other, other],
+                probes=[_rand(s, shape), _rand(s, shape)], weights=weights,
             )
 
     # --- scalar-constant ops ---------------------------------------------
@@ -166,8 +182,7 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
     max_w = _signed_unit(s, shape)
     rival = _rand(s, shape)
     max_probe = rival + np.where(_rand(s, shape) > 0, 0.3, -0.3)  # no near-ties
-    check("maximum.lhs", lambda x: _weighted_sum(ad.maximum(x, Tensor(rival)), max_w), max_probe)
-    check("maximum.rhs", lambda x: _weighted_sum(ad.maximum(Tensor(max_probe), x), max_w), rival)
+    each_input(["maximum.lhs", "maximum.rhs"], ad.maximum, [max_probe, rival], weights=max_w)
     s = _stream("concat_channels")
     cat_w = _signed_unit(s, (1, 4, 5, 7))
     cat_rhs = _rand(s, shape)
@@ -187,14 +202,6 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
     # activation checks the fused epilogue through it; a relu or lrelu layer
     # is redrawn until no pre-activation lies within 1e-3 of the kink, far
     # more than an eps-step moves one.
-    def layer_checks(label, apply, p, act, x0, w_out):
-        def loss(x, **probe):
-            return _weighted_sum(apply(x, replace(p, **probe), act), w_out)
-
-        check(f"{label}.input", loss, x0)
-        check(f"{label}.weight", lambda wt: loss(Tensor(x0), weight=wt), p.weight.data.copy())
-        check(f"{label}.bias", lambda b: loss(Tensor(x0), bias=b), p.bias.data.copy())
-
     for op, act, cin, cout, k, hw in (
         ("conv", None, 2, 3, 3, 6), ("conv", None, 2, 3, 4, 6), ("conv", None, 2, 3, 8, 8),
         ("conv", None, 3, 2, 3, 6), ("conv", None, 3, 2, 4, 6), ("conv", None, 3, 2, 8, 8),
@@ -214,49 +221,39 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
             pre = apply(Tensor(x0), p).data
             if act not in ("relu", "lrelu") or np.abs(pre).min() > 1e-3:
                 break
-        layer_checks(label, apply, p, act, x0, _signed_unit(s, pre.shape))
+        each_input(
+            [f"{label}.{part}" for part in ("input", "weight", "bias")],
+            lambda x, w, b: apply(x, ConvParams(w, b), act),
+            [x0, p.weight.data, p.bias.data],
+            weights=_signed_unit(s, pre.shape),
+        )
 
     # --- SGU: both inputs and all four gate parameters ---------------------
     s = _stream("sgu")
     gates = {gate: draw("conv", 3, 3, 3, s, np.float64, 0.15) for gate in ("gate_a", "gate_p")}
     active0 = _rand(s, (2, 3, 5, 5))
     passive0 = _rand(s, (2, 3, 5, 5))
-    sgu_w = _signed_unit(s, (2, 3, 5, 5))
-
-    def sgu_loss(active, passive, gate=None, **probe):
-        convs = {**gates, gate: replace(gates[gate], **probe)} if gate else gates
-        return _weighted_sum(sgu(active, passive, convs), sgu_w)
-
-    check("sgu.active", lambda x: sgu_loss(x, Tensor(passive0)), active0)
-    check("sgu.passive", lambda x: sgu_loss(Tensor(active0), x), passive0)
-    for part in ("weight", "bias"):
-        for gate in ("gate_a", "gate_p"):
-            check(
-                f"sgu.{gate}.{part}",
-                lambda t, g=gate, f=part: sgu_loss(Tensor(active0), Tensor(passive0), g, **{f: t}),
-                getattr(gates[gate], part).data.copy(),
-            )
+    each_input(
+        ["sgu.active", "sgu.passive"] + [f"sgu.{g}.{part}" for part in ("weight", "bias") for g in gates],
+        lambda a, p, wa, wp, ba, bp: sgu(a, p, {"gate_a": ConvParams(wa, ba), "gate_p": ConvParams(wp, bp)}),
+        [active0, passive0] + [getattr(gates[g], part).data for part in ("weight", "bias") for g in gates],
+        weights=_signed_unit(s, (2, 3, 5, 5)),
+    )
 
     # --- losses -------------------------------------------------------------
     s = _stream("losses")
     scores_shape = (4, 1, 1, 1)
     real0 = s.uniform(0.2, 0.8, size=scores_shape)
     fake0 = s.uniform(0.2, 0.8, size=scores_shape)
-    check("d_loss.real", lambda x: d_loss(x, Tensor(fake0)), real0)
-    check("d_loss.fake", lambda x: d_loss(Tensor(real0), x), fake0)
+    each_input(["d_loss.real", "d_loss.fake"], d_loss, [real0, fake0])
     pred0 = _rand(s, (2, 3, 4, 4))
     target0 = _rand(s, (2, 3, 4, 4))
-    check("mse_loss.pred", lambda x: mse_loss(x, Tensor(target0)), pred0)
+    each_input(["mse_loss.pred"], mse_loss, [pred0, target0])
     for variant in ("minimax", "nonsaturating"):
-        check(
-            f"g_loss.{variant}.scores",
-            lambda x, v=variant: g_loss(x, Tensor(pred0), Tensor(target0), 0.1, v),
-            fake0,
-        )
-        check(
-            f"g_loss.{variant}.pred",
-            lambda x, v=variant: g_loss(Tensor(fake0), x, Tensor(target0), 0.1, v),
-            pred0,
+        each_input(
+            [f"g_loss.{variant}.scores", f"g_loss.{variant}.pred"],
+            lambda scores, pred, target: g_loss(scores, pred, target, 0.1, variant),
+            [fake0, pred0, target0],
         )
 
     # --- whole networks, double precision -----------------------------------
@@ -311,13 +308,9 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
     # --- the SGU's gating node, ga*a + gp*p: all four inputs -----------------
     s = _stream("gated_sum")
     gating0 = [_rand(s, (2, 3, 4, 4)) for _ in range(4)]
-    gating_w = _signed_unit(s, (2, 3, 4, 4))
-
-    def gating_loss(x, i):
-        args = [x if j == i else Tensor(v) for j, v in enumerate(gating0)]
-        return _weighted_sum(ad.gated_sum(*args), gating_w)
-
-    for i, name in enumerate(("ga", "a", "gp", "p")):
-        check(f"gated_sum.{name}", lambda x, i=i: gating_loss(x, i), gating0[i])
+    each_input(
+        [f"gated_sum.{name}" for name in ("ga", "a", "gp", "p")], ad.gated_sum, gating0,
+        weights=_signed_unit(s, (2, 3, 4, 4)),
+    )
 
     return results

@@ -66,10 +66,16 @@ def setting(default, kind: Kind):
     return field(default=default, metadata={"kind": kind})
 
 
+def _is_int(v) -> bool:
+    """An int but not a bool: ``str(True)`` is no integer's text, so a bool
+    setting would be written as a line that does not read back."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def at_least(n: int) -> Kind:
     """Integers >= n."""
     rule = "be a positive integer" if n == 1 else f"be an integer >= {n}"
-    return Kind(int, str, lambda v: isinstance(v, int) and v >= n, rule)
+    return Kind(int, str, lambda v: _is_int(v) and v >= n, rule)
 
 
 def choice(options: tuple[str, ...]) -> Kind:
@@ -108,11 +114,11 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _is_size(v) -> bool:
-    return isinstance(v, tuple) and len(v) == 2 and all(isinstance(s, int) and s > 0 for s in v)
+    return isinstance(v, tuple) and len(v) == 2 and all(_is_int(s) and s > 0 for s in v)
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and v < math.inf
+    return (_is_int(v) or isinstance(v, float)) and v < math.inf
 
 
 FINITE = Kind(float, str, lambda v: _is_real(v) and v >= 0, "be finite and >= 0")

@@ -12,10 +12,11 @@ and ``RunConfig.label`` names the recipe in a report.
 ``degraded_pair`` is the one recipe from a corpus image to its pair at
 one scale: it resizes the image to that scale, corrupts the copy with
 ``degrade`` and seeds that noise with (seed, image index, scale index).
-``degraded_pairs`` runs it at every scale; training and ``evaluate`` take
-their pairs from it, and ``sgen degrade`` runs one ``degraded_pair`` per
-pool task.  A pair holds its clean and corrupted images only: its scale is
-its size, which ``batch_iter`` groups by and ``evaluate`` reports by.
+``degraded_dataset`` runs it for every image at every scale; training and
+``evaluate`` take their pairs from it, and ``sgen degrade`` runs one
+``degraded_pair`` per pool task.  A pair holds its clean and corrupted
+images only: its scale is its size, which ``batch_iter`` groups by and
+``evaluate`` reports by.
 
 All randomness flows through explicitly seeded numpy Generators, so every
 dataset and batch order is reproducible from integers.
@@ -38,7 +39,6 @@ __all__ = [
     "SamplePair",
     "degrade",
     "degraded_pair",
-    "degraded_pairs",
     "degraded_dataset",
     "box_downsample",
     "nearest_upsample",
@@ -80,24 +80,11 @@ def denormalize(t: Tensor) -> Tensor:
 
 
 def box_downsample(arr: np.ndarray, factor: int) -> np.ndarray:
-    """Average non-overlapping factor x factor blocks.
-
-    numpy's own sum adds the values of each block row, then the row sums
-    are added in row order and divided by factor**2.  That is the order
-    ``mean(axis=(3, 5))`` takes, so the bits equal it whenever the image is
-    at least two blocks wide (at one block, numpy sums each block as one
-    run).  One block row of every block is summed at a time, into the
-    output, so no temporary is larger than the output.
-    """
+    """Average non-overlapping factor x factor blocks."""
     n, c, h, w = arr.shape
     if h % factor or w % factor:
         raise ValueError(f"box_downsample: dims ({h}, {w}) not divisible by {factor}")
-    blocks = arr.reshape(n, c, h // factor, factor, w // factor, factor)
-    total = blocks[:, :, :, 0].sum(axis=4)
-    for r in range(1, factor):
-        total += blocks[:, :, :, r].sum(axis=4)
-    total /= factor * factor
-    return total
+    return arr.reshape(n, c, h // factor, factor, w // factor, factor).mean(axis=(3, 5))
 
 
 def nearest_upsample(arr: np.ndarray, factor: int) -> np.ndarray:
@@ -132,14 +119,10 @@ def degraded_pair(image: Tensor, index: int, j: int, spec: RunConfig) -> SampleP
     return SamplePair(clean=clean, corrupted=degrade(clean, spec, np.random.default_rng((spec.seed, index, j))))
 
 
-def degraded_pairs(image: Tensor, index: int, spec: RunConfig) -> list[SamplePair]:
-    """Corpus image ``index``'s ``degraded_pair`` at every scale, in order."""
-    return [degraded_pair(image, index, j, spec) for j in range(len(spec.scales))]
-
-
 def degraded_dataset(images: list[Tensor], spec: RunConfig) -> list[SamplePair]:
-    """Every image's ``degraded_pairs``, in corpus order."""
-    return [pair for i, image in enumerate(images) for pair in degraded_pairs(image, i, spec)]
+    """Every image's ``degraded_pair`` at every scale: the images in corpus
+    order, each one's scales in order."""
+    return [degraded_pair(image, i, j, spec) for i, image in enumerate(images) for j in range(len(spec.scales))]
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,8 @@ class QualityReport:
             f"{'scale':>10}  {'psnr_db':>9}  {'ssim':>7}  {'count':>5}  note",
         ]
         for r in self.rows:
-            p = f"{r.mean_psnr:.4f}" if math.isfinite(r.mean_psnr) else str(r.mean_psnr)
-            s = f"{r.mean_ssim:.4f}" if math.isfinite(r.mean_ssim) else str(r.mean_ssim)
-            lines.append(f"{r.scale:>10}  {p:>9}  {s:>7}  {r.count:>5}  {r.note}".rstrip())
+            row = f"{r.scale:>10}  {r.mean_psnr:>9.4f}  {r.mean_ssim:>7.4f}  {r.count:>5}  {r.note}"
+            lines.append(row.rstrip())
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:

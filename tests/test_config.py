@@ -226,6 +226,27 @@ def test_boundary_values_outside_the_domain_are_rejected(key):
             RunConfig(**{key: value})
 
 
+# every int and float field, by its default, and every field of sizes or
+# widths, whose items are ints
+NUMBER_KEYS = [k for k in KEYS if isinstance(getattr(RunConfig(), k), (int, float))]
+BOOL_ITEMS = {
+    "synthetic_size": lambda b: (b, 96),
+    "scales": lambda b: ((b, 96),),
+    "disc_channels": lambda b: (32, b),
+}
+
+
+@pytest.mark.parametrize("key", NUMBER_KEYS + list(BOOL_ITEMS))
+@pytest.mark.parametrize("flag", [True, False])
+def test_number_and_size_settings_refuse_bools(key, flag):
+    """A bool is an int to Python but no setting's value: a config that
+    held one would be written as text that does not read back."""
+    assert len(NUMBER_KEYS) == 12
+    value = BOOL_ITEMS[key](flag) if key in BOOL_ITEMS else flag
+    with pytest.raises(ConfigError, match=f"^{key} must"):
+        RunConfig(**{key: value})
+
+
 def test_duplicate_key_names_both_lines():
     message = "line 4: duplicate config key 'steps', first set on line 2"
     with pytest.raises(ConfigError, match=message):

@@ -170,6 +170,28 @@ def test_report_text_mentions_ids_and_rows():
     assert "128x96" in text and "20.5000" in text
 
 
+def test_report_text_is_pinned_with_infinite_and_skipped_rows():
+    """The whole table: a finite row, an exact restore's inf PSNR, a -inf
+    and a skipped scale's nan, each printed by the one column format."""
+    report = QualityReport(model_id="gen-1", degradation="down4 sigma30 nearest")
+    report.rows += [
+        ScaleRow(208, 176, 31.25, 0.875, 2),
+        ScaleRow(192, 160, math.inf, 1.0, 1),
+        ScaleRow(176, 144, -math.inf, -0.5, 3),
+        ScaleRow(36, 36, math.nan, math.nan, 0, "skipped: dims not divisible by 16"),
+    ]
+    assert report.to_text() == (
+        "model: gen-1\n"
+        "degradation: down4 sigma30 nearest\n"
+        "\n"
+        "     scale    psnr_db     ssim  count  note\n"
+        "   208x176    31.2500   0.8750      2\n"
+        "   192x160        inf   1.0000      1\n"
+        "   176x144       -inf  -0.5000      3\n"
+        "     36x36        nan      nan      0  skipped: dims not divisible by 16\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

@@ -2,8 +2,12 @@
 
 The battery draws every probe from streams keyed by ``sgen.checks._SEED``;
 this tool sets that seed to each of COUNT values from FIRST on, runs the
-whole battery and prints one line per seed: the checks that failed (or
-``ok``), then the worst error/tolerance ratio and the check that reached it.
+whole battery and prints one line per seed: the number of checks and the
+digest of their ordered (name, error) pairs, in the form of the battery
+line of ``tools/golden.py``; the checks that failed (or ``ok``); then the
+worst error/tolerance ratio and the check that reached it.  A refactor
+that must not change the battery leaves every line unchanged, so run it
+before and after and diff.
 
     PYTHONPATH=src python tools/battery_sweep.py [FIRST] [COUNT]   # 7 20
 
@@ -12,6 +16,7 @@ Exits 1 if any seed failed a check.  A run takes about 3-5 s per seed.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 
 import sgen.checks
@@ -28,8 +33,10 @@ def main(argv: list[str]) -> int:
         bad = [r.name for r in results if not r.ok]
         worst = max(results, key=lambda r: r.error / r.tolerance)
         failed += bool(bad)
+        pairs = "".join(f"{r.name} {r.error!r}\n" for r in results)
         print(
-            f"seed {seed} {len(results)} checks {' '.join(bad) or 'ok'}"
+            f"seed {seed} {len(results)} checks {hashlib.sha256(pairs.encode()).hexdigest()[:16]}"
+            f" {' '.join(bad) or 'ok'}"
             f" worst {worst.error / worst.tolerance:.3g} {worst.name}",
             flush=True,
         )
