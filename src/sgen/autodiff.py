@@ -149,6 +149,11 @@ class Tape:
     def __len__(self) -> int:
         return 0 if self._nodes is None else len(self._nodes)
 
+    def records(self) -> list[tuple[tuple[Tensor, ...], Tensor]]:
+        """The (inputs, output) of each recorded op in recording order;
+        empty once ``backward`` consumed the tape."""
+        return [(node.inputs, node.output) for node in self._nodes or ()]
+
 
 def record(inputs: Sequence[Tensor], output: Tensor, backward_fn) -> Tensor:
     """Attach a backward rule to the active tape.

@@ -17,7 +17,8 @@ output) and its init std.  Merge-conv rows come from
 applies it.  The builders draw each row from its own kernel and init std
 in table order, and the forwards apply a site by its name alone, so a
 taped pass records one node per conv site and the widths, kernels and
-activations are stated nowhere else.
+activations are stated nowhere else.  ``site_outputs`` reads each site's
+output off such a tape by the weight the site's node took.
 
 The tables read a ``RunConfig``'s architecture fields (``n_levels``,
 ``base_channels``, ``bottleneck_channels``, ``merge_mode`` and
@@ -43,14 +44,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .autodiff import Tensor, sigmoid
+from .autodiff import Tape, Tensor, sigmoid
 from .config import RunConfig
 from .ensemble import MERGE_SITES, merge
 from .nn import ConvParams, conv2d, deconv2d, draw, global_avg_pool, param_shapes
 
 __all__ = [
-    "IMAGE_CHANNELS", "ParamStore", "Site", "generator_sites", "discriminator_sites",
-    "shape_mismatches", "build_generator", "build_discriminator", "generator_forward", "discriminator_forward",
+    "IMAGE_CHANNELS", "ParamStore", "Site", "generator_sites", "discriminator_sites", "shape_mismatches",
+    "build_generator", "build_discriminator", "generator_forward", "discriminator_forward", "site_outputs",
 ]
 
 
@@ -174,14 +175,8 @@ def _nearest_multiples(size: int, d: int) -> str:
     return f"{size // d * d}/{(size + d - 1) // d * d}"
 
 
-def generator_forward(
-    s: Tensor, params: ParamStore, cfg: RunConfig, trace: dict | None = None
-) -> Tensor:
-    """Restore a normalized image batch; output is tanh-bounded in (-1, 1).
-
-    ``trace``, when given, collects named intermediate tensors (trunk.k,
-    base_enc.k, merged_enc.k, base_dec.k, up_dec.k) for shape inspection.
-    """
+def generator_forward(s: Tensor, params: ParamStore, cfg: RunConfig) -> Tensor:
+    """Restore a normalized image batch; output is tanh-bounded in (-1, 1)."""
     n_batch, c, h, w = s.shape
     n = cfg.n_levels
     if c != IMAGE_CHANNELS:
@@ -199,11 +194,6 @@ def generator_forward(
             f"generator: input must be normalized to [-1, 1], max |value| = {peak:.3f}"
         )
 
-    def note(key, t):
-        if trace is not None:
-            trace[key] = t
-        return t
-
     apply = _applier(generator_sites(cfg), params)
     prefix, conv_names = MERGE_SITES[cfg.merge_mode]
 
@@ -214,18 +204,30 @@ def generator_forward(
     x = apply("enc.trunk.0", s)
     trunk = []  # without trunk.0's output, which only trunk.1 reads
     for k in range(1, n + 1):
-        x = note(f"trunk.{k}", apply(f"enc.trunk.{k}", x))
+        x = apply(f"enc.trunk.{k}", x)
         trunk.append(x)
-    enc = [note(f"base_enc.{k}", apply(f"enc.base.{k}", trunk[k - 1])) for k in range(1, n + 1)]
+    enc = [apply(f"enc.base.{k}", trunk[k - 1]) for k in range(1, n + 1)]
     fused = [enc[0]]
     for k in range(2, n + 1):
-        fused.append(note(f"merged_enc.{k}", merged("enc", k, enc[k - 1], fused[-1])))
+        fused.append(merged("enc", k, enc[k - 1], fused[-1]))
     # level k decodes from the deepest unused fusion
-    dec = [note(f"base_dec.{k}", apply(f"dec.base.{k}", fused[n - k])) for k in range(1, n + 1)]
-    up = note("up_dec.1", apply("dec.up.1", dec[0]))
+    dec = [apply(f"dec.base.{k}", fused[n - k]) for k in range(1, n + 1)]
+    up = apply("dec.up.1", dec[0])
     for k in range(2, n + 1):
-        up = note(f"up_dec.{k}", apply(f"dec.up.{k}", merged("dec", k, dec[k - 1], up)))
+        up = apply(f"dec.up.{k}", merged("dec", k, dec[k - 1], up))
     return apply("out.conv", up)
+
+
+def site_outputs(tape: Tape, params: ParamStore, names) -> dict[str, Tensor]:
+    """The output of each site in ``names`` that ``tape`` recorded.
+
+    A conv or deconv records its ``(x, weight, bias)``, so a record is
+    site ``name``'s when its second input is ``params[f"{name}.weight"]``;
+    a site recorded twice maps to its last record.
+    """
+    site_of = {id(params[f"{name}.weight"]): name for name in names}
+    return {site_of[id(inputs[1])]: out for inputs, out in tape.records()
+            if len(inputs) > 1 and id(inputs[1]) in site_of}
 
 
 # ---------------------------------------------------------------------------

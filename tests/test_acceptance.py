@@ -20,6 +20,7 @@ from oracles import conv2d_loops, deconv2d_scatter, ssim_windows
 from sgen import (
     EVAL_SCALES,
     RunConfig,
+    Tape,
     Tensor,
     CheckpointError,
     degrade,
@@ -41,6 +42,7 @@ from sgen.model import (
     build_generator,
     discriminator_forward,
     generator_forward,
+    site_outputs,
 )
 from sgen.nn import ConvParams, conv2d, deconv2d, draw
 from sgen.train import load_corpus
@@ -112,13 +114,13 @@ def test_criterion_02_shape_suite():
         params = build_generator(cfg, rng)
         for h, w in EVAL_SCALES:
             x = Tensor(rng.uniform(-0.9, 0.9, (1, 3, h, w)).astype(np.float32))
-            trace = {}
-            y = generator_forward(x, params, cfg, trace)
+            with Tape() as tape:
+                y = generator_forward(x, params, cfg)
             assert y.shape == (1, 3, h, w)
             # every base-encoder feature lands on the /16 grid
+            feats = site_outputs(tape, params, [f"enc.base.{k}" for k in (1, 2, 3)])
             for k in (1, 2, 3):
-                feat = trace[f"base_enc.{k}"]
-                assert feat.shape == (1, 32, h // 16, w // 16)
+                assert feats[f"enc.base.{k}"].shape == (1, 32, h // 16, w // 16)
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"shape suite took {elapsed:.1f} s"
 

@@ -100,6 +100,11 @@ def test_activation_forward_examples():
     np.testing.assert_allclose(tanh(t4([0.0])).data.ravel(), [0.0])
 
 
+def test_lrelu_slope_is_one_fifth():
+    """The slope's value itself, which otherwise only digests pin."""
+    assert lrelu(t4([-1.0])).data.item() == np.float32(-0.2)
+
+
 def test_sigmoid_stable_at_extreme_inputs():
     y = sigmoid(t4([-500.0, 500.0], dtype=np.float64)).data.ravel()
     assert np.all(np.isfinite(y))
@@ -276,6 +281,22 @@ def test_backward_over_two_tapes_of_one_forward_accumulates():
     np.testing.assert_allclose(x.grad.ravel(), [8.0], rtol=1e-6)
     x.zero_grad()
     assert x.grad is None
+
+
+def test_records_are_each_ops_inputs_and_output_in_order():
+    x = t4([2.0], requires_grad=True)
+    c = t4([3.0])
+    with Tape() as tape:
+        y = mul(x, c)
+        add(c, c)  # no input requires grad: not recorded
+        loss = sum_all(y)
+    records = tape.records()
+    assert [len(inputs) for inputs, _ in records] == [2, 1]
+    (mul_in, mul_out), (sum_in, sum_out) = records
+    assert mul_in[0] is x and mul_in[1] is c and mul_out is y
+    assert sum_in[0] is y and sum_out is loss
+    backward(tape, loss)
+    assert tape.records() == []
 
 
 def test_a_consumed_tape_cannot_be_replayed_or_reentered():

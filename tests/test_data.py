@@ -195,6 +195,21 @@ def test_degraded_dataset_noise_is_per_image_and_scale():
         assert a.corrupted.data.tobytes() == b.corrupted.data.tobytes()
 
 
+def test_pair_noise_is_seeded_by_seed_then_image_then_scale():
+    """Pair (image i, scale j) is its clean image degraded under
+    ``default_rng((seed, i, j))``: the rule itself, not its digest."""
+    images = make_synthetic_corpus(3, seed=13)
+    spec = RunConfig(scales=((32, 32), (48, 32)), seed=6)
+    pairs = iter(degraded_dataset(images, spec))
+    for i, image in enumerate(images):
+        for j, (h, w) in enumerate(spec.scales):
+            pair = next(pairs)
+            clean = bilinear_resize(image, h, w)
+            want = degrade(clean, spec, np.random.default_rng((spec.seed, i, j)))
+            assert pair.clean.data.tobytes() == clean.data.tobytes()
+            assert pair.corrupted.data.tobytes() == want.data.tobytes(), (i, j)
+
+
 def test_degraded_dataset_is_each_images_pairs_in_corpus_order():
     images = make_synthetic_corpus(3, seed=12)
     spec = RunConfig(scales=((32, 32), (48, 32)), seed=4)

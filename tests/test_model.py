@@ -18,7 +18,8 @@ from sgen import (
 )
 from sgen.autodiff import sum_all
 from sgen.data import EVAL_SCALES
-from sgen.model import Site, discriminator_sites, generator_sites, shape_mismatches
+from sgen.model import Site, discriminator_sites, generator_sites, shape_mismatches, site_outputs
+from sgen.nn import conv2d, draw
 
 
 def small_cfg(**kw):
@@ -283,20 +284,65 @@ def test_generator_internal_shapes_line_up():
     rng = np.random.default_rng(2)
     cfg = small_cfg(n_levels=3, base_channels=4, bottleneck_channels=5)
     store = build_generator(cfg, rng)
-    trace = {}
     x = _norm_input(rng, (1, 3, 128, 96))
-    generator_forward(x, store, cfg, trace=trace)
+    with Tape() as tape:
+        generator_forward(x, store, cfg)
+    shape = {name: t.shape for name, t in site_outputs(tape, store, generator_sites(cfg)).items()}
 
     for k in (1, 2, 3):
-        assert trace[f"trunk.{k}"].shape == (1, 4 << (k - 1), 128 >> k, 96 >> k)
-        assert trace[f"base_enc.{k}"].shape == (1, 5, 8, 6)
-    assert trace["merged_enc.2"].shape == (1, 5, 8, 6)
-    assert trace["merged_enc.3"].shape == (1, 5, 8, 6)
+        assert shape[f"enc.trunk.{k}"] == (1, 4 << (k - 1), 128 >> k, 96 >> k)
+        assert shape[f"enc.base.{k}"] == (1, 5, 8, 6)
+    # gated_sum holds both gates to the shape of the fusion they gate
+    for k in (2, 3):
+        assert shape[f"sgu.enc.{k}.gate_a"] == shape[f"sgu.enc.{k}.gate_p"] == (1, 5, 8, 6)
     for k in (1, 2, 3):
-        assert trace[f"base_dec.{k}"].shape == (1, 5, 16 << (k - 1), 12 << (k - 1))
-    assert trace["up_dec.1"].shape == (1, 5, 32, 24)
-    assert trace["up_dec.2"].shape == (1, 5, 64, 48)
-    assert trace["up_dec.3"].shape == (1, 5, 128, 96)
+        assert shape[f"dec.base.{k}"] == (1, 5, 16 << (k - 1), 12 << (k - 1))
+    assert shape["dec.up.1"] == (1, 5, 32, 24)
+    assert shape["dec.up.2"] == (1, 5, 64, 48)
+    assert shape["dec.up.3"] == (1, 5, 128, 96)
+
+
+def test_site_outputs_name_every_site_of_a_taped_paper_forward():
+    """At the paper config a taped forward records all 22 generator sites,
+    the last of them the returned tensor, and taping moves no output bit."""
+    rng = np.random.default_rng(4)
+    cfg = RunConfig(n_levels=3, base_channels=32, bottleneck_channels=64)
+    store = build_generator(cfg, rng)
+    x = _norm_input(rng, (1, 3, 128, 96))
+    with Tape() as tape:
+        y = generator_forward(x, store, cfg)
+    sites = generator_sites(cfg)
+    out = site_outputs(tape, store, sites)
+    assert len(sites) == 22 and out.keys() == sites.keys()
+    assert out["out.conv"] is y
+    assert generator_forward(x, store, cfg).data.tobytes() == y.data.tobytes()
+
+
+def test_site_outputs_take_a_sites_last_record_and_skip_the_rest():
+    rng = np.random.default_rng(6)
+    p = draw("conv", 3, 3, 3, rng)
+    store = ParamStore({"a.weight": p.weight, "a.bias": p.bias})
+    x = _norm_input(rng, (1, 3, 8, 8))
+    with Tape() as tape:
+        conv2d(x, p)
+        second = conv2d(x, p)
+    assert site_outputs(tape, store, ["a"]) == {"a": second}
+    assert site_outputs(tape, store, []) == {}
+
+
+def test_each_decoder_level_reads_its_fusion():
+    """Bottom-up fusion, then top-down restore: decoder level k reads the
+    fusion of the first n - k + 1 encoder levels, so the deepest level
+    reads the first base encoder's output alone and level 1 reads more."""
+    rng = np.random.default_rng(5)
+    cfg = small_cfg(n_levels=3)
+    store = build_generator(cfg, rng)
+    with Tape() as tape:
+        generator_forward(_norm_input(rng, (1, 3, 64, 48)), store, cfg)
+    read = {id(inputs[1]): inputs[0] for inputs, _ in tape.records() if len(inputs) > 1}
+    first = site_outputs(tape, store, ["enc.base.1"])["enc.base.1"]
+    assert read[id(store["dec.base.3.weight"])] is first
+    assert read[id(store["dec.base.1.weight"])] is not first
 
 
 @pytest.mark.parametrize("scale", EVAL_SCALES)

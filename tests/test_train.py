@@ -11,6 +11,7 @@ from sgen import (
     ConfigError,
     RunConfig,
     Tensor,
+    batch_iter,
     build_generator,
     degraded_dataset,
     load_checkpoint,
@@ -398,6 +399,41 @@ def test_generator_gradients_live_from_the_backward_to_the_next_step(tmp_path, m
             assert p.grad is not None and p.grad is not last.get(name), name
             assert p.grad.shape == p.data.shape and np.isfinite(p.grad).all(), name
             last[name] = p.grad
+
+
+def test_each_epoch_shuffles_with_its_own_seed(tmp_path):
+    """Epoch e's batches are ``batch_iter`` under ``_derived_seed(seed, 1,
+    e)``, so two epochs see the pairs in two different orders."""
+    cfg = fast_cfg(tmp_path, scales=((32, 32), (48, 32)), synthetic_count=3, synthetic_size=(48, 32))
+    pairs = build_training_pairs(cfg, load_corpus(cfg))
+
+    def batch_bytes(batches):
+        return [s.data.tobytes() + t.data.tobytes() for s, t in batches]
+
+    epochs = [batch_bytes(_epoch_batches(pairs, cfg, e)) for e in (0, 1)]
+    for e, got in enumerate(epochs):
+        assert got == batch_bytes(batch_iter(pairs, cfg.batch_size, _derived_seed(cfg.seed, 1, e))), e
+    assert epochs[0] != epochs[1]
+
+
+def test_the_critic_step_takes_no_gradient_into_a_generator_tensor(tmp_path, monkeypatch):
+    """The critic scores a detached fake: after a minimax step no tensor
+    the critic read holds a gradient.  Scoring ``pred`` itself moves no
+    pinned bit but leaves the critic's adjoint on it."""
+    cfg = fast_cfg(tmp_path, gan_loss="minimax")
+    state = start(cfg)
+    s, t = next(_epoch_batches(build_training_pairs(cfg, load_corpus(cfg)), cfg, 0))
+    read = []
+    forward = train_module.discriminator_forward
+
+    def watched(x, *rest):
+        read.append(x)
+        return forward(x, *rest)
+
+    monkeypatch.setattr(train_module, "discriminator_forward", watched)
+    advance(state, s, t)
+    assert len(read) == 3  # real and fake for the critic, fake for the generator
+    assert [x.grad is None for x in read] == [True] * 3
 
 
 # ---------------------------------------------------------------------------
