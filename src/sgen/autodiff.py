@@ -307,9 +307,19 @@ def _lrelu(a: np.ndarray) -> None:
     np.maximum(a, a * a.dtype.type(LRELU_SLOPE), out=a)
 
 
+def _relu_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mask = y > 0
+    del y  # free y before the product: the mask is all the rule reads of it
+    return g * mask
+
+
 def _lrelu_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    deriv = np.array([LRELU_SLOPE, 1.0], dtype=y.dtype)  # for y <= 0 and y > 0
-    out = deriv.take((y > 0).view(np.uint8))
+    one, slope = y.dtype.type(1.0), y.dtype.type(LRELU_SLOPE)  # for y > 0 and y <= 0
+    mask = y > 0
+    del y  # free y before the product: the mask is all the rule reads of it
+    # np.where, not a take on the mask, which would widen it to 8-byte indices
+    out = np.where(mask, one, slope)
+    del mask
     out *= g
     return out
 
@@ -325,7 +335,7 @@ def _sigmoid(a: np.ndarray) -> None:
 
 # name -> (forward in place on a, adjoint of x from the adjoint g of y and y)
 _ACTIVATIONS = {
-    "relu": (lambda a: np.maximum(a, 0, out=a), lambda g, y: g * (y > 0)),
+    "relu": (lambda a: np.maximum(a, 0, out=a), _relu_grad),
     "lrelu": (_lrelu, _lrelu_grad),
     "sigmoid": (_sigmoid, lambda g, y: g * y * (1.0 - y)),
     "tanh": (lambda a: np.tanh(a, out=a), lambda g, y: g * (1.0 - y * y)),
@@ -343,8 +353,10 @@ def activation(name: str | None):
     check on the output would miss -inf, which relu, sigmoid and tanh map
     to finite values), overwrites it with its activation y, and returns
     ``grad``, which maps the adjoint of y to the adjoint of the
-    pre-activation, read off y alone.  ``None`` is the identity: it checks
-    and writes nothing.
+    pre-activation, read off y alone.  ``grad`` runs once: it hands its
+    hold on y to the derivative, so relu and lrelu free y (unless a caller
+    still holds it) once they have read their mask.  ``None`` is the
+    identity: it checks and writes nothing.
     """
     if name is None:
         return lambda a: _passthrough
@@ -355,7 +367,8 @@ def activation(name: str | None):
     def act(a: np.ndarray):
         _require_finite(a, name)
         forward(a)
-        return lambda g: derivative(g, a)
+        held = [a]
+        return lambda g: derivative(g, held.pop())
 
     return act
 

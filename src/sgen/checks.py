@@ -47,7 +47,7 @@ from .model import (
 )
 from .nn import ConvParams, conv2d, deconv2d, draw, geometry, global_avg_pool
 
-__all__ = ["CheckResult", "run_gradient_battery", "OP_TOL", "NET_TOL"]
+__all__ = ["CheckResult", "run_gradient_battery", "OP_TOL", "NET_TOL", "CONV_ROWS"]
 
 OP_TOL = 1e-5
 NET_TOL = 1e-4
@@ -64,6 +64,25 @@ _ACTIVATIONS = {
     "sigmoid": ad.sigmoid,
     "tanh": ad.tanh,
 }
+
+
+# The conv and deconv rows: (op, activation, c_in, c_out, kernel, input
+# size).  Both channel orders, so every kernel runs with either side
+# unfolded, plus kernel 16 (stride 8), the kernel of enc.base.1 and
+# dec.base.3 in the paper config.  A 1 -> 5 conv and a 5 -> 1 deconv at
+# stride 2 have s*s*c <= o, so they unfold the fine side where the other
+# pairs run the GEMM first, and the deconv's scatter shift-adds.  A row
+# with an activation checks the fused epilogue through it.
+CONV_ROWS = (
+    ("conv", None, 2, 3, 3, 6), ("conv", None, 2, 3, 4, 6), ("conv", None, 2, 3, 8, 8),
+    ("conv", None, 3, 2, 3, 6), ("conv", None, 3, 2, 4, 6), ("conv", None, 3, 2, 8, 8),
+    ("conv", None, 2, 3, 16, 16), ("conv", None, 1, 5, 4, 6),
+    ("deconv", None, 3, 2, 4, 3), ("deconv", None, 3, 2, 8, 2),
+    ("deconv", None, 2, 3, 4, 3), ("deconv", None, 2, 3, 8, 2), ("deconv", None, 3, 2, 16, 2),
+    ("deconv", None, 5, 1, 4, 3),
+    ("conv", "lrelu", 2, 3, 4, 6), ("deconv", "relu", 3, 2, 4, 3),
+    ("conv", "sigmoid", 2, 3, 3, 5), ("conv", "tanh", 2, 3, 3, 5),
+)
 
 
 @dataclass
@@ -194,24 +213,9 @@ def run_gradient_battery(on_result=None) -> list[CheckResult]:
     check("global_avg_pool", lambda x: _weighted_sum(global_avg_pool(x), gap_w), _rand(s, (2, 3, 4, 5)))
 
     # --- conv2d / deconv2d: input, weight and bias gradients ---------------
-    # Both channel orders, so every kernel runs with either side unfolded,
-    # plus kernel 16 (stride 8), the kernel of enc.base.1 and dec.base.3 in
-    # the paper config.  A 1 -> 5 conv and a 5 -> 1 deconv at stride 2 have
-    # s*s*c <= o, so they unfold the fine side where the other pairs run the
-    # GEMM first, and the deconv's scatter shift-adds.  A row with an
-    # activation checks the fused epilogue through it; a relu or lrelu layer
-    # is redrawn until no pre-activation lies within 1e-3 of the kink, far
-    # more than an eps-step moves one.
-    for op, act, cin, cout, k, hw in (
-        ("conv", None, 2, 3, 3, 6), ("conv", None, 2, 3, 4, 6), ("conv", None, 2, 3, 8, 8),
-        ("conv", None, 3, 2, 3, 6), ("conv", None, 3, 2, 4, 6), ("conv", None, 3, 2, 8, 8),
-        ("conv", None, 2, 3, 16, 16), ("conv", None, 1, 5, 4, 6),
-        ("deconv", None, 3, 2, 4, 3), ("deconv", None, 3, 2, 8, 2),
-        ("deconv", None, 2, 3, 4, 3), ("deconv", None, 2, 3, 8, 2), ("deconv", None, 3, 2, 16, 2),
-        ("deconv", None, 5, 1, 4, 3),
-        ("conv", "lrelu", 2, 3, 4, 6), ("deconv", "relu", 3, 2, 4, 3),
-        ("conv", "sigmoid", 2, 3, 3, 5), ("conv", "tanh", 2, 3, 3, 5),
-    ):
+    # A relu or lrelu layer is redrawn until no pre-activation lies within
+    # 1e-3 of the kink, far more than an eps-step moves one.
+    for op, act, cin, cout, k, hw in CONV_ROWS:
         label = f"{op}2d.{act + '.' if act else ''}{cin}to{cout}.s{geometry(k)[0]}"
         s = _stream(label)
         apply = conv2d if op == "conv" else deconv2d

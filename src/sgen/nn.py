@@ -34,9 +34,9 @@ f + d, and (lo, hi, -1) onto the fine side, whose column f reads coarse
 column f - d, for each shift d.  ``_cols`` unfolds one side onto the
 other's columns, ``_onto`` maps one side onto the other (the conv
 forward at e = 1, its adjoint at e = -1) and ``_wgrad`` takes the weight
-gradient off an unfold.  Each runs one GEMM whatever the stride, with the
-batch summed inside it, and every GEMM goes through ``_gemm``, looked up
-at call time, so one wrapper sees them all.
+gradient's share off an unfold's columns.  Each runs one GEMM whatever the
+stride, with the batch summed inside it, and every GEMM goes through
+``_gemm``, looked up at call time, so one wrapper sees them all.
 
 One body, ``_apply``, runs both ops once ``conv2d`` or ``deconv2d`` has
 checked its input and geometry and built its ``_Grid``; only the side the
@@ -55,14 +55,27 @@ unfolds its input side when its rows are <= the output side's; otherwise
 the GEMM runs first on the unshifted wide side and its t*t thin results
 are shift-added into place.  The backward unfolds its output side when
 its rows are <= the input side's (the same rule seen from the other end),
-else its input side, and ``_wgrad`` reads the weight gradient off that one
+else its input side, and ``_wgrad`` reads the weight gradient off that
 unfold.  The input gradient runs on the output-side unfold when there is
-one, GEMM-first otherwise.  The backward takes the weight gradient first,
-building the input planes, and their unfold when it is the one, inside
-that step, so they are freed before the input gradient's planes are
-written.  The choice depends only on shapes, not on which inputs need
-gradients, so a weight gradient has the same bits whether or not its
-input needs one, and a run repeats bit for bit.
+one, GEMM-first otherwise.  The choice depends only on shapes, not on
+which inputs need gradients, so a weight gradient has the same bits
+whether or not its input needs one, and a run repeats bit for bit.
+
+The backward streams its unfold: ``_blocks`` builds it in column order,
+one block of at most ``_BLOCK`` bytes (about a core's L2) at a time, so
+one block is alive however large the map is.  The weight gradient is the
+sum of the blocks' GEMMs, added in column order, and each block's input
+gradient lands in its own columns of one buffer.  The input planes are
+built for the weight gradient and freed after its last block.  The input
+gradient rides the same pass, unless the unfold is the smaller buffer
+(t*t x the output rows < the input rows, as at the 64 -> 3 output conv):
+then it is built again for dx once the planes are gone.  On a one-phase
+input side (a conv at stride 1, or a deconv) dx off the unfold already
+lies in place in that buffer, and is passed on as a view of it with no
+``_image`` copy.  Two or more blocks change dw's summation order (and
+the GEMM's own split of dx); every shape a tier-1 digest pins fits in one
+block, so those bits are those of a whole unfold.  The forward is not
+blocked.
 
 Epilogue: each op adds the bias on the GEMM's own contiguous buffer,
 over the columns that buffer holds values for ([0, span) on the coarse
@@ -73,7 +86,8 @@ side, [lo, hi) on the fine side), so ``_image`` is a pure layout copy.
 checking that it is finite.  The op records one node whose output is the
 activated y.  Its backward first maps the adjoint through the derivative
 read off y alone (y > 0 for relu and lrelu, y(1 - y) for sigmoid, 1 - y^2
-for tanh) and drops its reference to y, takes the bias gradient, and drops
+for tanh) and drops its reference to y (relu and lrelu drop it once the
+mask is read, before the product exists), takes the bias gradient, and drops
 the adjoint once its planes are built, before the kernel backward.  Since
 ``backward`` frees each node before running its rule, y is then freed
 unless a later consumer still holds it.  So the pre-activation is never a
@@ -297,19 +311,21 @@ def _cols(m: np.ndarray, g: _Grid, lo: int, hi: int, e: int) -> np.ndarray:
     return out.reshape(-1, hi - lo)
 
 
-def _onto(src: np.ndarray, weight: np.ndarray, g: _Grid, lo: int, hi: int, e: int, cols=None) -> np.ndarray:
+def _onto(src: np.ndarray, weight: np.ndarray, g: _Grid, lo: int, hi: int, e: int, cols=None, out=None) -> np.ndarray:
     """Map the side ``src`` onto the other side, valid on its columns [lo, hi):
     the conv forward at e = 1 (fine planes onto the coarse side), its
     adjoint at e = -1.
 
     One GEMM on ``cols``, the unfold ``_cols(src, g, lo, hi, e)``, when
-    given; else one GEMM on ``src`` whose t*t thin per-shift results are
-    shift-added over [lo, hi).
+    given, into columns [lo, hi) of ``out`` (a fresh buffer unless given),
+    so a streamed unfold fills one buffer block by block; else one GEMM on
+    ``src`` whose t*t thin per-shift results are shift-added over [lo, hi).
     """
     taps = _taps(weight, g, (cols is None) == (e > 0))
     taps = taps if e > 0 else taps.T
     if cols is not None:
-        out = np.empty((taps.shape[0], g.size), dtype=src.dtype)
+        if out is None:
+            out = np.empty((taps.shape[0], g.size), dtype=src.dtype)
         _gemm(taps, cols, out=out[:, lo:hi])
         return out
     z = _gemm(taps, src).reshape(len(g.shifts), -1, g.size)
@@ -320,14 +336,38 @@ def _onto(src: np.ndarray, weight: np.ndarray, g: _Grid, lo: int, hi: int, e: in
     return out
 
 
-def _wgrad(b: np.ndarray, cols: np.ndarray, g: _Grid, lo: int, hi: int, e: int) -> np.ndarray:
-    """Weight gradient (o, c, k, k) of the conv, read off ``cols``, one
-    side's unfold onto the other side's columns [lo, hi), and ``b``, that
-    other side's planes.  The caller picks which side is unfolded; see
+def _wgrad(b: np.ndarray, cols: np.ndarray, lo: int, hi: int, e: int, acc=None) -> np.ndarray:
+    """The weight gradient's share from columns [lo, hi), read off ``cols``,
+    one side's unfold onto the other side's columns [lo, hi), and ``b``,
+    that other side's planes, added to ``acc`` when given.  It stays in the
+    tap layout of the side the shifts go with (the coarse side at e < 0)
+    until ``_untap``.  The caller picks which side is unfolded; see
     ``_apply``."""
-    if e > 0:
-        return _untap(_gemm(b[:, lo:hi], cols.T), g, False)
-    return _untap(_gemm(cols, b[:, lo:hi].T), g, True)
+    part = _gemm(b[:, lo:hi], cols.T) if e > 0 else _gemm(cols, b[:, lo:hi].T)
+    if acc is None:
+        return part
+    acc += part
+    return acc
+
+
+# the most bytes one block of a backward unfold holds: about a core's L2
+_BLOCK = 1 << 21
+
+
+def _blocks(m: np.ndarray, g: _Grid, lo: int, hi: int, e: int):
+    """The unfold ``_cols(m, g, lo, hi, e)`` streamed in column order, one
+    block of at most ``_BLOCK`` bytes (and at least one column) at a time:
+    (a, b, the unfold's columns [a, b)) for each block."""
+    width = max(1, _BLOCK // (len(g.shifts) * m.shape[0] * m.itemsize))
+    for a in range(lo, hi, width):
+        b = min(a + width, hi)
+        yield a, b, _cols(m, g, a, b, e)
+
+
+def _unpadded(planes: np.ndarray, g: _Grid, pad: int) -> np.ndarray:
+    """``_image`` of a one-phase side as a view of its planes, no copy."""
+    c = planes.shape[0]
+    return planes.reshape(c, g.n, g.rows, g.cols)[:, :, pad : pad + g.hc, pad : pad + g.wc].transpose(1, 0, 2, 3)
 
 
 def _check(op: str, x: Tensor, p: ConvParams, c_in: int, c_out: int) -> None:
@@ -389,17 +429,38 @@ def _apply(x: Tensor, p: ConvParams, act: str | None, g: _Grid, fine_in: bool) -
         db = gy.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1) if bias.requires_grad else None
         gp = _planes(gy, g, so, po)
         del gy  # free before the kernel backward
-        dx = dw = None
+        xp = _planes(xd, g, si, pi) if weight.requires_grad else None
+        dx = dw = back = None
         thin_out = rows_out <= rows_in  # the forward's rule, seen from the output side
-        cols = _cols(gp, g, *onto_in) if thin_out else None
-        if weight.requires_grad:  # first, so the input planes and their unfold are freed before dx is built
-            xp = _planes(xd, g, si, pi)
-            dw = _wgrad(xp, cols, g, *onto_in) if thin_out else _wgrad(gp, _cols(xp, g, *onto_out), g, *onto_out)
-            del xp
-        if x.requires_grad:
-            back = _onto(gp, wd, g, *onto_in, cols)
-            del cols  # free before the image copy doubles the input side
-            dx = _image(back, g, si, pi)
+        if thin_out:  # unfold the output side onto the input side: dw, and dx block by block
+            lo, hi, e = onto_in
+            # dx rides the weight gradient's pass unless the unfold is the
+            # smaller buffer: then it is redone once the input planes are freed
+            redo = x.requires_grad and xp is not None and len(g.shifts) * rows_out < rows_in
+            for a, b, cols in _blocks(gp, g, lo, hi, e):
+                if xp is not None:
+                    dw = _wgrad(xp, cols, a, b, e, dw)
+                if x.requires_grad and not redo:
+                    back = _onto(gp, wd, g, a, b, e, cols, back)
+                del cols  # free before the next block is built
+            xp = None
+            for a, b, cols in _blocks(gp, g, lo, hi, e) if redo else ():
+                back = _onto(gp, wd, g, a, b, e, cols, back)
+                del cols
+        else:  # unfold the input side onto the output side for dw; dx runs GEMM-first
+            lo, hi, e = onto_out
+            for a, b, cols in _blocks(xp, g, lo, hi, e) if xp is not None else ():
+                dw = _wgrad(gp, cols, a, b, e, dw)
+                del cols
+            xp = None
+            if x.requires_grad:
+                back = _onto(gp, wd, g, *onto_in)
+        if dw is not None:
+            dw = _untap(dw, g, e < 0)
+        if back is not None:
+            # a one-phase side's dx off the unfold is already laid out in
+            # place in its buffer: pass on a view of it
+            dx = _unpadded(back, g, pi) if thin_out and si == 1 else _image(back, g, si, pi)
         return dx, dw, db
 
     return record((x, weight, bias), Tensor(yd), bwd)

@@ -12,7 +12,8 @@ telemetry.
 
 A step starts with no generator gradient: ``advance`` drops the last
 step's before it dispatches, and a step's gradients live from its backward
-until the next step starts, so the caller can read them in between.  An
+until the next step starts, so the caller can read them in between.  The
+critic's live only from its backward to its Adam update.  An
 MSE step is one generator forward, backward and Adam update.  An
 adversarial step runs one discriminator update then one generator update
 per minibatch, with one generator forward: the discriminator step scores
@@ -156,7 +157,9 @@ def advance(state: TrainState, s: Tensor, t: Tensor) -> tuple[float, float, floa
     The step starts by dropping the generator's gradients from the step
     before, so its forward tape can reuse their memory; the gradients this
     step's backward leaves stay set when ``advance`` returns, for a caller
-    to read, until the next step starts.  Returns
+    to read, until the next step starts.  The critic's do not: an
+    adversarial step drops them right after the critic's Adam update, so
+    the generator's backward can reuse their memory.  Returns
     ``(loss_g, loss_d, loss_mse)``; under MSE-only training loss_g is the
     MSE and loss_d is nan.
     """
@@ -226,14 +229,15 @@ def _adversarial_step(state: TrainState, s, t):
     with Tape() as gen_tape:
         pred = generator_forward(s, gen, cfg)
 
-    # discriminator step: real targets vs detached fakes
-    disc.zero_grad()
+    # discriminator step: real targets vs detached fakes; its gradients are
+    # dropped once applied, so every step starts and ends without them
     with Tape() as tape:
         score_real = discriminator_forward(t, disc, cfg)
         score_fake = discriminator_forward(pred.detach(), disc, cfg)
         loss_d = d_loss(score_real, score_fake)
     backward(tape, loss_d)
     adam_step(disc, state.disc_adam, cfg.learning_rate)
+    disc.zero_grad()
 
     # generator step: gradient flows through the updated discriminator,
     # whose frozen weights take no gradient of their own

@@ -3,14 +3,16 @@
 import hashlib
 import tracemalloc
 import weakref
+import zlib
 
 import numpy as np
 import pytest
 
-from oracles import conv2d_loops, deconv2d_scatter, numeric_gradient
+from oracles import conv2d_loops, conv2d_taps, deconv2d_scatter, deconv2d_taps, numeric_gradient
 
 from sgen import (
     ConvParams,
+    RunConfig,
     Tape,
     Tensor,
     backward,
@@ -18,7 +20,16 @@ from sgen import (
     deconv2d,
     global_avg_pool,
 )
-from sgen.autodiff import lrelu, mul, record, relu, sigmoid, sum_all, tanh
+from sgen.autodiff import activation, lrelu, mul, record, relu, sigmoid, sum_all, tanh
+from sgen.checks import CONV_ROWS
+from sgen.model import (
+    build_discriminator,
+    build_generator,
+    discriminator_forward,
+    discriminator_sites,
+    generator_forward,
+    generator_sites,
+)
 from sgen.nn import draw, param_shapes
 
 
@@ -751,9 +762,9 @@ def test_the_tie_unfolds_the_input_forward_and_the_output_backward(monkeypatch, 
         calls.append(("_cols", e))
         return cols(m, g, lo, hi, e)
 
-    def watched_onto(src, weight, g, lo, hi, e, unfold=None):
+    def watched_onto(src, weight, g, lo, hi, e, unfold=None, *rest):
         calls.append(("_onto", e, unfold is not None))
-        return onto(src, weight, g, lo, hi, e, unfold)
+        return onto(src, weight, g, lo, hi, e, unfold, *rest)
 
     monkeypatch.setattr(nn_module, "_cols", watched_cols)
     monkeypatch.setattr(nn_module, "_onto", watched_onto)
@@ -796,3 +807,223 @@ def test_kernel_bits_are_pinned(golden):
     """The y, dx, dw and db bytes of every op, stride, unfold side and
     activation, as ``tools/golden.py`` prints them on its ``kernels`` line."""
     assert hashlib.sha256(golden.kernel_bytes()).hexdigest()[:16] == "d2c5ed384fd14e54"
+
+
+# ---------------------------------------------------------------------------
+# every generator and critic site at the paper config, against the float64
+# tap-sum oracle: the only check of the kernels at full size, where a
+# backward unfold spans several blocks
+
+_PAPER = RunConfig()  # 3 levels, widths 32/64, sgu merges, critic widths 32..256
+_PAPER_SITES = {**generator_sites(_PAPER), **discriminator_sites(_PAPER)}
+# largest |kernel - oracle| over the largest |oracle| of each tensor; float32
+# roundoff read at most 6.9e-7 at these shapes
+_PAPER_TOL = 1e-5
+
+
+@pytest.fixture(scope="module")
+def paper_site_inputs():
+    """Each site's input on a taped batch-1 128x96 forward of both networks."""
+    rng = np.random.default_rng(36)
+    gen = build_generator(_PAPER, rng)
+    disc = build_discriminator(_PAPER, rng)
+    image = Tensor(rng.uniform(-1.0, 1.0, size=(1, 3, 128, 96)).astype(np.float32))
+    with Tape() as tape:
+        discriminator_forward(generator_forward(image, gen, _PAPER), disc, _PAPER)
+    store = {**gen, **disc}
+    site_of = {id(store[f"{name}.weight"]): name for name in _PAPER_SITES}
+    return {site_of[id(inputs[1])]: inputs[0].data for inputs, _ in tape.records()
+            if len(inputs) > 1 and id(inputs[1]) in site_of}
+
+
+@pytest.mark.parametrize("name", list(_PAPER_SITES))
+def test_paper_sites_match_the_tap_sum_oracle(paper_site_inputs, name):
+    """y, dx, dw and db of the site's op on its own paper-size input, with
+    freshly drawn weights (the gates start at zero) and a random bias and
+    output adjoint."""
+    site = _PAPER_SITES[name]
+    rng = np.random.default_rng([36, zlib.crc32(name.encode())])
+    p = draw(site.op, site.c_in, site.c_out, site.kernel, rng, np.float32)
+    p.bias.data[...] = rng.normal(size=p.bias.shape)
+    x = Tensor(paper_site_inputs[name].copy(), requires_grad=True)
+    op, oracle = (conv2d, conv2d_taps) if site.op == "conv" else (deconv2d, deconv2d_taps)
+    with Tape() as tape:
+        y = op(x, p)
+        gy = rng.normal(size=y.shape).astype(np.float32)
+        loss = sum_all(mul(y, Tensor(gy)))
+    backward(tape, loss)
+    want = oracle(x.data, p.weight.data, p.bias.data.ravel(), p.stride, p.padding, gy)
+    got = (y.data, x.grad, p.weight.grad, p.bias.grad.ravel())
+    errors = {part: float(np.abs(a - b).max() / np.abs(b).max()) for part, a, b in zip(("y", "dx", "dw", "db"), got, want)}
+    assert max(errors.values()) < _PAPER_TOL, errors
+
+
+# ---------------------------------------------------------------------------
+# the streamed backward: blocks, buffers and lifetimes
+
+
+def _loop_patches(a, k, stride, pad):
+    """(n, c, k*k, oh, ow): what each kernel offset of a conv reads, by
+    ``conv2d_loops`` with one delta kernel per offset, channel by channel."""
+    delta = np.eye(k * k).reshape(k * k, 1, k, k)
+    return np.stack([conv2d_loops(a[:, c : c + 1], delta, np.zeros(k * k), stride, pad) for c in range(a.shape[1])], axis=1)
+
+
+@pytest.mark.parametrize("op, c_in, c_out, kernel, hw", sorted({row[:1] + row[2:] for row in CONV_ROWS}))
+def test_a_backward_over_several_blocks_matches_the_loop_oracles(monkeypatch, op, c_in, c_out, kernel, hw):
+    """Each conv and deconv shape of the gradient battery, with the block
+    shrunk so each pass of its backward unfold runs at least three blocks,
+    the last one short.  y, dx, dw and db against ``conv2d_loops`` and
+    ``deconv2d_scatter``: dx through the adjoint identity, dw off the
+    oracle's per-offset patches."""
+    import sgen.nn as nn_module
+
+    rng = np.random.default_rng(41)
+    p = draw(op, c_in, c_out, kernel, rng, np.float64)
+    p.bias.data[...] = rng.normal(size=p.bias.shape)
+    s, pad = p.stride, p.padding
+    apply = conv2d if op == "conv" else deconv2d
+    x_arr = rng.normal(size=(2, c_in, hw, hw))
+    unfolds, cols = [], nn_module._cols
+
+    def watched(m, g, lo, hi, e):
+        unfolds.append((len(g.shifts) * m.shape[0] * m.itemsize, hi - lo))
+        return cols(m, g, lo, hi, e)
+
+    def run():
+        x = Tensor(x_arr.copy(), requires_grad=True)
+        p.weight.grad = p.bias.grad = None
+        with Tape() as tape:
+            y = apply(x, p)
+            proj = rng.normal(size=y.shape)
+            loss = sum_all(mul(y, Tensor(proj)))
+        unfolds.clear()
+        with monkeypatch.context() as m:
+            m.setattr(nn_module, "_cols", watched)
+            backward(tape, loss)
+        return y.data, x.grad, p.weight.grad, p.bias.grad.ravel(), proj
+
+    run()
+    column_bytes, span = unfolds[0]
+    width = 2 * span // 7
+    width -= span % width == 0  # so the last block is short
+    monkeypatch.setattr(nn_module, "_BLOCK", column_bytes * width)
+    y, dx, dw, db, proj = run()
+    assert len(unfolds) >= 3 and max(cols for _, cols in unfolds) == width, unfolds
+
+    w, k = p.weight.data, kernel
+    if op == "conv":
+        want_y = conv2d_loops(x_arr, w, p.bias.data.ravel(), s, pad)
+        want_dx = deconv2d_scatter(proj, w, np.zeros(c_in), s, pad)
+        want_dw = np.einsum("boqr,bcpqr->ocp", proj, _loop_patches(x_arr, k, s, pad)).reshape(w.shape)
+    else:
+        want_y = deconv2d_scatter(x_arr, w, p.bias.data.ravel(), s, pad)
+        want_dx = conv2d_loops(proj, w, np.zeros(c_in), s, pad)
+        want_dw = np.einsum("bcqr,bopqr->cop", x_arr, _loop_patches(proj, k, s, pad)).reshape(w.shape)
+    np.testing.assert_allclose(y, want_y, rtol=1e-6, atol=1e-12)
+    for got, want in ((dx, want_dx), (dw, want_dw), (db, proj.sum(axis=(0, 2, 3)))):
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("act", ["relu", "lrelu"])
+def test_relu_and_lrelu_free_y_before_the_product_exists(act):
+    """The derivative reads y's mask and drops y before it allocates the
+    product, so y, its mask and the product are never alive at once: the
+    rule's peak above what it was handed is the one-byte mask, where
+    holding y would add the product too."""
+    n = 1 << 18
+    rng = np.random.default_rng(42)
+    tracemalloc.start()
+    try:
+        a = rng.normal(size=n).astype(np.float32)
+        g = rng.normal(size=n).astype(np.float32)
+        grad = activation(act)(a)
+        y = weakref.ref(a)
+        del a
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = grad(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y() is None and out.shape == (n,)
+    assert peak - held < 2 * n, (peak - held) / n
+
+
+@pytest.mark.parametrize("kind, stride, view", [("conv", 1, True), ("deconv", 2, True), ("conv", 2, False)])
+def test_an_unstrided_input_gradient_is_a_view_of_the_unfold_map(monkeypatch, kind, stride, view):
+    """With the output side unfolded, dx lands in the buffer the map fills.
+    On a one-phase input side (a conv at stride 1, any deconv) that buffer
+    already holds dx in place, and dx is handed on as a view of it; a
+    strided conv's dx is an image copy."""
+    import sgen.nn as nn_module
+
+    rng = np.random.default_rng(43)
+    if kind == "conv":  # 4 -> 3: the output side is the thinner
+        op, p, x_shape = conv2d, draw("conv", 4, 3, KERNEL[stride], rng), (2, 4, 4 * stride, 6 * stride)
+    else:  # 5 -> 1 at stride 2: 4 output rows against 5
+        op, p, x_shape = deconv2d, draw("deconv", 5, 1, KERNEL[stride], rng), (2, 5, 4, 6)
+    maps, handed = [], []
+    onto = nn_module._onto
+
+    def watched(*args):
+        maps.append(onto(*args))
+        return maps[-1]
+
+    def rule(g):
+        handed.append(g)
+        return (g,)
+
+    leaf = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        y = op(record((leaf,), Tensor(leaf.data.copy()), rule), p)
+        loss = sum_all(mul(y, Tensor(rng.normal(size=y.shape).astype(np.float32))))
+    monkeypatch.setattr(nn_module, "_onto", watched)
+    backward(tape, loss)
+    assert len(maps) == len(handed) == 1
+    assert np.shares_memory(handed[0], maps[0]) == view
+    np.testing.assert_array_equal(handed[0], leaf.grad)
+
+
+@pytest.mark.parametrize(
+    "op, c_in, c_out, kernel, hw, passes",
+    [
+        pytest.param("conv", 64, 64, 3, (64, 48), 1, id="sgu-gate"),
+        pytest.param("conv", 64, 3, 3, (128, 96), 2, id="out-conv"),
+        pytest.param("deconv", 64, 64, 4, (32, 24), 1, id="dec-up"),
+    ],
+)
+def test_no_backward_unfold_is_wider_than_one_block(monkeypatch, op, c_in, c_out, kernel, hw, passes):
+    """Paper sites at batch 4.  Each backward pass streams its unfold in
+    blocks of at most ``_BLOCK`` bytes that tile one column range in
+    order.  A gate unfolds its output for dw and dx in one pass; out.conv's
+    27-row unfold is the smaller buffer, so it is built once for dw and
+    again for dx after the input planes are freed; dec.up unfolds its
+    input for dw and runs dx GEMM-first."""
+    import sgen.nn as nn_module
+
+    rng = np.random.default_rng(44)
+    p = draw(op, c_in, c_out, kernel, rng, np.float32)
+    x = Tensor(rng.normal(size=(4, c_in) + hw).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        y = (conv2d if op == "conv" else deconv2d)(x, p)
+        loss = sum_all(mul(y, Tensor(rng.normal(size=y.shape).astype(np.float32))))
+    calls, cols = [], nn_module._cols
+
+    def watched(m, g, lo, hi, e):
+        out = cols(m, g, lo, hi, e)
+        calls.append((lo, hi, out.nbytes))
+        return out
+
+    monkeypatch.setattr(nn_module, "_cols", watched)
+    backward(tape, loss)
+    assert max(nbytes for _, _, nbytes in calls) <= nn_module._BLOCK
+    runs = [[calls[0]]]
+    for call in calls[1:]:
+        if call[0] == runs[-1][-1][1]:
+            runs[-1].append(call)
+        else:
+            runs.append([call])
+    assert len(runs) == passes
+    assert len({(run[0][0], run[-1][1]) for run in runs}) == 1  # every pass covers the same columns
+    assert all(len(run) >= 2 for run in runs)

@@ -436,6 +436,28 @@ def test_the_critic_step_takes_no_gradient_into_a_generator_tensor(tmp_path, mon
     assert [x.grad is None for x in read] == [True] * 3
 
 
+def test_the_critic_holds_no_gradient_when_a_minimax_step_returns(tmp_path, monkeypatch):
+    """The critic's gradients are dropped right after its Adam update, so
+    the generator's backward can reuse their memory: every critic parameter
+    holds one when that update runs, and none when ``advance`` returns."""
+    cfg = fast_cfg(tmp_path, gan_loss="minimax")
+    state = start(cfg)
+    s, t = next(_epoch_batches(build_training_pairs(cfg, load_corpus(cfg)), cfg, 0))
+    updated = []
+    adam = train_module.adam_step
+
+    def watched(store, *rest):
+        if store is state.disc:
+            updated.append(sorted(name for name, p in store.items() if p.grad is None))
+        return adam(store, *rest)
+
+    monkeypatch.setattr(train_module, "adam_step", watched)
+    for step in (1, 2):
+        advance(state, s, t)
+        assert updated == [[]] * step
+        assert [name for name, p in state.disc.items() if p.grad is not None] == []
+
+
 # ---------------------------------------------------------------------------
 # seed derivation
 
